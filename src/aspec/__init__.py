@@ -6,13 +6,6 @@ models the commutative sequence algebra where spectral permanence fails.
 """
 
 from .douglas import NotMajorizedError, douglas_solve, power_factorize
-from .harness import (
-    PropertyFailure,
-    PropertyReport,
-    RandomInstanceSpec,
-    generate_instance,
-    run_property_suite,
-)
 from .invert import (
     AInverseResult,
     ConvergenceError,

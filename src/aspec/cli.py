@@ -12,7 +12,6 @@ import json
 import os
 import sys
 
-from .harness import run_property_suite
 from .invert import a_invertible
 from .linalg import DEFAULT_TOL, ToleranceConfig, matrix_to_obj, read_matrix
 from .omega import (
@@ -142,6 +141,8 @@ def _parse_dims(text: str) -> tuple[int, ...]:
 
 
 def _cmd_proptest(args) -> int:
+    from .harness import run_property_suite  # the property suite loads only for this subcommand
+
     seed = args.seed
     env_seed = os.environ.get("ASPEC_SEED")
     if env_seed is not None:

@@ -4,9 +4,12 @@ X is invertible relative to the weight exactly when the compression of X to
 the range of the weight is invertible as an ordinary r x r matrix.  The
 canonical inverse inverts that compression and is zero on the null space; the
 invertible form completes it by the identity on the null space, giving an
-inverse that is also invertible in the ordinary sense.  A certificate of the
-two-sided state inequalities is produced from generalized eigenvalue pencils
-on the range.
+inverse that is also invertible in the ordinary sense.  The certificate
+constants of the two-sided inequalities are read off the range data: c from
+the extreme eigenvalues of L^(-1/2) Q* X*AX Q L^(-1/2), with Q the range basis
+and L the retained eigenvalues, and alpha = 1 / sigma_min(C)^2 for the
+compression C = Q* X Q.  That closed form is the top eigenvalue of the pencil
+L^2 v = mu L C C* L v, which u = L v turns into u = mu C C* u.
 """
 
 from __future__ import annotations
@@ -14,17 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .linalg import (
-    DEFAULT_TOL,
-    ComplexMatrix,
-    ToleranceConfig,
-    check_same_shape,
-    check_square,
-)
+from .linalg import DEFAULT_TOL, ComplexMatrix, ToleranceConfig
 from .psd import PsdDecomposition
-from .seminorm import NotMemberError, a_membership, a_seminorm, compressed
+from .seminorm import NotMemberError, _require_member, _seminorm
 
 
 class ConvergenceError(RuntimeError):
@@ -50,8 +46,9 @@ class ThvnCertificate:
     """Constants witnessing two-sided invertibility.
 
     c bounds the state ratios: (1/c) f(A) <= f(X*AX) <= c f(A) for every
-    state; alpha bounds A^2 <= alpha A X X* A.  Both are inflated by
-    (1 + rtol) so the inequalities hold strictly under floating point.
+    state; alpha bounds A^2 <= alpha A X X* A and equals 1 / sigma_min(C)^2
+    for the range compression C = Q* X Q.  Both are inflated by (1 + rtol)
+    so the inequalities hold strictly under floating point.
     """
 
     c: float
@@ -64,6 +61,25 @@ def range_compression(d: PsdDecomposition, x: ComplexMatrix) -> ComplexMatrix:
     return q.conj().T @ np.asarray(x, dtype=np.complex128) @ q
 
 
+def _nonsingular(svals: np.ndarray, tol: ToleranceConfig) -> bool:
+    """Rank test on the compression's singular values (descending); rank 0 passes."""
+    return svals.size == 0 or svals[-1] > tol.rank_rtol * svals[0]
+
+
+def _compression_svals(d: PsdDecomposition, x: ComplexMatrix) -> np.ndarray:
+    return np.linalg.svd(range_compression(d, x), compute_uv=False)
+
+
+def _invert(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig) -> AInverseResult:
+    """Invertibility of a member and, when it holds, both inverses."""
+    c = range_compression(d, x)
+    if not _nonsingular(np.linalg.svd(c, compute_uv=False), tol):
+        return AInverseResult(invertible=False)
+    q = d.range_basis
+    canonical = q @ np.linalg.inv(c) @ q.conj().T
+    return AInverseResult(invertible=True, canonical=canonical, invertible_form=canonical + (np.eye(d.dim) - d.proj))
+
+
 def a_invertible(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> AInverseResult:
     """Decide weighted invertibility and build the canonical and invertible inverses.
 
@@ -72,22 +88,11 @@ def a_invertible(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig = D
     deemed invertible when its smallest singular value exceeds rank_rtol
     times its largest.
     """
-    x = np.asarray(x, dtype=np.complex128)
-    check_square(x, "X")
-    check_same_shape(x, d.a)
-    if not a_membership(d, x, tol):
+    try:
+        x = _require_member(d, x, tol)
+    except NotMemberError:
         return AInverseResult(invertible=False)
-    n = d.dim
-    eye = np.eye(n)
-    if d.rank == 0:
-        return AInverseResult(invertible=True, canonical=np.zeros((n, n), dtype=np.complex128), invertible_form=eye.astype(np.complex128))
-    c = range_compression(d, x)
-    svals = np.linalg.svd(c, compute_uv=False)
-    if svals[-1] <= tol.rank_rtol * svals[0] or svals[0] == 0.0:
-        return AInverseResult(invertible=False)
-    q = d.range_basis
-    canonical = q @ np.linalg.inv(c) @ q.conj().T
-    return AInverseResult(invertible=True, canonical=canonical, invertible_form=canonical + (eye - d.proj))
+    return _invert(d, x, tol)
 
 
 def neumann_a_inverse(
@@ -104,20 +109,17 @@ def neumann_a_inverse(
     """
     if max_terms < 1:
         raise ValueError("max_terms must be positive")
-    x = np.asarray(x, dtype=np.complex128)
-    norm = a_seminorm(d, x, tol)
-    if not norm.finite:
-        raise NotMemberError("series inverse requires a member")
-    if norm.value >= 1:
-        raise ValueError(f"seminorm {norm.value:.6g} is not below 1; the series diverges")
+    x = _require_member(d, x, tol)
+    norm = _seminorm(d, x)
+    if norm >= 1:
+        raise ValueError(f"seminorm {norm:.6g} is not below 1; the series diverges")
     p = d.proj
     pxp = p @ x @ p
     total = p.copy()
     term = p.copy()
     for _ in range(max_terms):
         term = term @ pxp
-        term_norm = np.linalg.svd(compressed(d, term), compute_uv=False)
-        if (term_norm[0] if term_norm.size else 0.0) < tol.atol:
+        if _seminorm(d, term) < tol.atol:
             break
         total = total + term
     else:
@@ -136,24 +138,20 @@ def _range_pencil_eigvalsh(d: PsdDecomposition, m: ComplexMatrix) -> np.ndarray:
 def thvn_certificate(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> ThvnCertificate | None:
     """Certificate constants for weighted invertibility, or None when not invertible.
 
-    c comes from the extreme generalized eigenvalues of (X*AX, A) on the
-    range; alpha from the top generalized eigenvalue of (A^2, A X X* A).
-    Raises NotMemberError for non-members.
+    c comes from the extreme eigenvalues of the pencil (X*AX, A) on the
+    range.  alpha = 1 / sigma_min(C)^2, with C = Q* X Q the compression whose
+    singular values also decide invertibility: on the range, with L the
+    retained eigenvalues, the pencil (A^2, A X X* A) reads
+    L^2 v = mu L C C* L v, and u = L v turns it into u = mu C C* u.  Raises
+    NotMemberError for non-members.
     """
-    x = np.asarray(x, dtype=np.complex128)
-    if not a_membership(d, x, tol):
-        raise NotMemberError("certificates are defined for members only")
-    result = a_invertible(d, x, tol)
-    if not result.invertible:
+    x = _require_member(d, x, tol)
+    svals = _compression_svals(d, x)
+    if not _nonsingular(svals, tol):
         return None
     inflate = 1.0 + tol.rtol
     if d.rank == 0:
         return ThvnCertificate(c=inflate, alpha=inflate)
     mus = _range_pencil_eigvalsh(d, x.conj().T @ d.a @ x)
     c = max(float(mus[-1]), 1.0 / float(mus[0]))
-    lam = d.range_eigvals
-    comp = range_compression(d, x)
-    m_r = np.diag(lam.astype(np.complex128) ** 2)
-    n_r = (comp @ comp.conj().T) * lam[:, None] * lam[None, :]
-    alphas = scipy.linalg.eigh((m_r + m_r.conj().T) / 2, (n_r + n_r.conj().T) / 2, eigvals_only=True)
-    return ThvnCertificate(c=c * inflate, alpha=float(alphas[-1]) * inflate)
+    return ThvnCertificate(c=c * inflate, alpha=inflate / float(svals[-1]) ** 2)

@@ -456,18 +456,6 @@ class OmegaElement:
         return self.even_branch.eval(point_index // 2)
 
 
-def add(x: OmegaElement, y: OmegaElement) -> OmegaElement:
-    return x + y
-
-
-def mul(x: OmegaElement, y: OmegaElement) -> OmegaElement:
-    return x * y
-
-
-def scalar(c) -> OmegaElement:
-    return OmegaElement.constant(c)
-
-
 def _branch_nonnegative(expr: RationalExpr) -> bool:
     """Exact decision of expr(n) >= 0 for every integer n >= 1.
 

@@ -9,6 +9,7 @@ than to a tolerance stack.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -31,19 +32,15 @@ class PsdDecomposition:
 
     Eigenvalues below the rank cutoff are hard-zeroed, so ``rank``, ``gap``
     and every derived matrix agree on which directions count as the range.
+    The derived matrices are built from the eigenpairs on first use.
     """
 
     a: ComplexMatrix
-    sqrt: ComplexMatrix
-    quarter: ComplexMatrix
-    pinv: ComplexMatrix
-    sqrt_pinv: ComplexMatrix
-    proj: ComplexMatrix
+    # eigendecomposition of ``a``; eigvals already clamped and hard-zeroed
+    eigvals: np.ndarray = field(repr=False)
+    eigvecs: np.ndarray = field(repr=False)
     rank: int
     gap: float
-    # cached eigendecomposition; eigvals already clamped and hard-zeroed
-    eigvals: np.ndarray = field(repr=False, default=None)
-    eigvecs: np.ndarray = field(repr=False, default=None)
 
     @property
     def dim(self) -> int:
@@ -61,8 +58,7 @@ class PsdDecomposition:
 
     def power(self, s: float) -> ComplexMatrix:
         """A^s by spectral calculus on the retained eigenvalues."""
-        w = np.where(self.eigvals > 0, self.eigvals, 0.0)
-        ws = np.where(w > 0, w**s, 0.0)
+        ws = np.where(self.eigvals > 0, self.eigvals**s, 0.0)
         return (self.eigvecs * ws) @ self.eigvecs.conj().T
 
     def pinv_power(self, s: float) -> ComplexMatrix:
@@ -71,9 +67,34 @@ class PsdDecomposition:
         ws = np.where(self.eigvals > 0, safe ** (-s), 0.0)
         return (self.eigvecs * ws) @ self.eigvecs.conj().T
 
+    @cached_property
+    def sqrt(self) -> ComplexMatrix:
+        """A^(1/2)."""
+        return self.power(0.5)
+
+    @cached_property
+    def quarter(self) -> ComplexMatrix:
+        """A^(1/4)."""
+        return self.power(0.25)
+
+    @cached_property
+    def pinv(self) -> ComplexMatrix:
+        """Moore-Penrose pseudoinverse A^dagger."""
+        return self.pinv_power(1)
+
+    @cached_property
+    def sqrt_pinv(self) -> ComplexMatrix:
+        """(A^(1/2))^dagger."""
+        return self.pinv_power(0.5)
+
+    @cached_property
+    def proj(self) -> ComplexMatrix:
+        """Orthogonal projection onto the range."""
+        return self.power(0)
+
 
 def psd_decompose(a: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> PsdDecomposition:
-    """Validate the weight and precompute its derived objects.
+    """Validate the weight and compute its eigendecomposition.
 
     Raises NotPsdError if ``a`` is not square, not Hermitian within tolerance,
     or has an eigenvalue below -atol.  Eigenvalues in [-atol, 0] are clamped
@@ -94,23 +115,7 @@ def psd_decompose(a: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> PsdDe
     retained = w > 0
     rank = int(np.count_nonzero(retained))
     gap = float(np.min(w[retained])) if rank else 0.0
-
-    def spectral(f):
-        vals = np.where(retained, f(np.where(retained, w, 1.0)), 0.0)
-        return (u * vals) @ u.conj().T
-
-    return PsdDecomposition(
-        a=h,
-        sqrt=spectral(np.sqrt),
-        quarter=spectral(lambda x: x**0.25),
-        pinv=spectral(lambda x: 1.0 / x),
-        sqrt_pinv=spectral(lambda x: x**-0.5),
-        proj=spectral(lambda x: np.ones_like(x)),
-        rank=rank,
-        gap=gap,
-        eigvals=w,
-        eigvecs=u,
-    )
+    return PsdDecomposition(a=h, eigvals=w, eigvecs=u, rank=rank, gap=gap)
 
 
 def fractional_power(d: PsdDecomposition, s: float) -> ComplexMatrix:

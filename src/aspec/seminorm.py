@@ -65,13 +65,25 @@ def a_membership(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig = D
     return _membership_defect(d, x) <= tol.atol + tol.rtol * max_abs(x)
 
 
+def _require_member(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig) -> ComplexMatrix:
+    """X as complex128, after the one membership decision of a public call.
+
+    Raises NotMemberError for non-members.  What follows runs member-assuming
+    cores and decides nothing again for matrices that are members by
+    construction: shifts lam - X, canonical inverses, products of members.
+    """
+    x = np.asarray(x, dtype=np.complex128)
+    if not a_membership(d, x, tol):
+        raise NotMemberError("operation requires a member, but X moves the null space of the weight")
+    return x
+
+
 def membership_certificate(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> ComplexMatrix:
     """Certificate U with A^(1/2) X = U A^(1/4) and U*U <= c A^(1/2), c the squared seminorm.
 
     Raises NotMemberError when X is not a member.
     """
-    if not a_membership(d, x, tol):
-        raise NotMemberError("X moves the null space of the weight; no certificate exists")
+    x = _require_member(d, x, tol)
     return d.sqrt @ x @ d.pinv_power(0.25)
 
 
@@ -80,15 +92,19 @@ def compressed(d: PsdDecomposition, x: ComplexMatrix) -> ComplexMatrix:
     return d.sqrt @ x @ d.sqrt_pinv
 
 
+def _seminorm(d: PsdDecomposition, x: ComplexMatrix) -> float:
+    """Seminorm of a member: the operator norm of its compression."""
+    svals = np.linalg.svd(compressed(d, x), compute_uv=False)
+    return float(svals[0]) if svals.size else 0.0
+
+
 def a_seminorm(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> ASeminormValue:
     """Weighted seminorm of X: infinite for non-members, else the norm of the compression."""
-    x = np.asarray(x, dtype=np.complex128)
-    check_square(x, "X")
-    check_same_shape(x, d.a)
-    if not a_membership(d, x, tol):
+    try:
+        x = _require_member(d, x, tol)
+    except NotMemberError:
         return ASeminormValue(finite=False)
-    svals = np.linalg.svd(compressed(d, x), compute_uv=False)
-    return ASeminormValue(finite=True, value=float(svals[0]) if svals.size else 0.0)
+    return ASeminormValue(finite=True, value=_seminorm(d, x))
 
 
 def a_seminorm_oracle(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> float:
@@ -99,9 +115,7 @@ def a_seminorm_oracle(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfi
     (A^(1/2))^dagger X*AX (A^(1/2))^dagger.  The supremum over all states is
     attained at a vector state, so this equals the seminorm for members.
     """
-    x = np.asarray(x, dtype=np.complex128)
-    if not a_membership(d, x, tol):
-        raise NotMemberError("the state supremum diverges for non-members")
+    x = _require_member(d, x, tol)
     gram = d.sqrt_pinv @ (x.conj().T @ d.a @ x) @ d.sqrt_pinv
     gram = (gram + gram.conj().T) / 2
     mu_max = float(np.max(np.linalg.eigvalsh(gram)))
@@ -114,9 +128,7 @@ def a_adjoint(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig = DEFA
     Weighted adjoints are not unique; this pins the representative supported
     on the range of the weight.  Raises NotMemberError for non-members.
     """
-    x = np.asarray(x, dtype=np.complex128)
-    if not a_membership(d, x, tol):
-        raise NotMemberError("non-members admit no weighted adjoint")
+    x = _require_member(d, x, tol)
     return d.pinv @ x.conj().T @ d.a
 
 

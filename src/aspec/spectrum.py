@@ -15,23 +15,10 @@ from typing import Literal
 
 import numpy as np
 
-from .invert import AInverseResult, a_invertible
-from .linalg import (
-    DEFAULT_TOL,
-    ComplexMatrix,
-    ToleranceConfig,
-    check_same_shape,
-    check_square,
-)
+from .invert import _compression_svals, _invert, _nonsingular
+from .linalg import DEFAULT_TOL, ComplexMatrix, ToleranceConfig
 from .psd import PsdDecomposition
-from .seminorm import (
-    NotMemberError,
-    VectorState,
-    a_membership,
-    a_seminorm,
-    compressed,
-    random_member,
-)
+from .seminorm import VectorState, _require_member, _seminorm, compressed, random_member
 
 
 class SpectrumPointError(ValueError):
@@ -95,13 +82,21 @@ def _cluster(values, radius: float) -> list[complex]:
     return sorted((complex(np.mean(cl)) for cl in clusters), key=lambda w: (w.real, w.imag))
 
 
-def _require_member(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig) -> ComplexMatrix:
-    x = np.asarray(x, dtype=np.complex128)
-    check_square(x, "X")
-    check_same_shape(x, d.a)
-    if not a_membership(d, x, tol):
-        raise NotMemberError("operation requires a member (finite seminorm)")
-    return x
+def _spectrum(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig) -> tuple[ASpectrumResult, float]:
+    """Spectrum of a member, with the cluster radius its points were merged at."""
+    px = d.proj @ x
+    radius = _cluster_radius(tol, float(np.linalg.norm(px, 2)))
+    points = _cluster([complex(z) for z in np.linalg.eigvals(px) if abs(z) > radius], radius)
+    contains_zero = not _nonsingular(_compression_svals(d, x), tol)
+    if contains_zero:
+        points.append(0j)
+    points = sorted(points, key=lambda w: (w.real, w.imag))
+    r = max((abs(z) for z in points), default=0.0)
+    return ASpectrumResult(points=tuple(points), radius=float(r), contains_zero=contains_zero), radius
+
+
+def _on_spectrum(z: complex, spec: ASpectrumResult, radius: float, tol: ToleranceConfig) -> bool:
+    return any(abs(z - p) <= radius + tol.atol for p in spec.points)
 
 
 def a_spectrum(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> ASpectrumResult:
@@ -111,18 +106,7 @@ def a_spectrum(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig = DEF
     compression rank test of the invertibility module.  Left and right
     variants coincide with this set in finite dimensions.
     """
-    x = _require_member(d, x, tol)
-    px = d.proj @ x
-    scale = float(np.linalg.norm(px, 2)) if px.size else 0.0
-    radius = _cluster_radius(tol, scale)
-    eigs = np.linalg.eigvals(px)
-    points = _cluster([complex(z) for z in eigs if abs(z) > radius], radius)
-    inv = a_invertible(d, x, tol)
-    if not inv.invertible:
-        points.append(0j)
-    points = sorted(points, key=lambda w: (w.real, w.imag))
-    r = max((abs(z) for z in points), default=0.0)
-    return ASpectrumResult(points=tuple(points), radius=float(r), contains_zero=not inv.invertible)
+    return _spectrum(d, _require_member(d, x, tol), tol)[0]
 
 
 def a_spectral_radius(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> float:
@@ -187,10 +171,8 @@ def spectrum_witness(
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     x = _require_member(d, x, tol)
-    spec = a_spectrum(d, x, tol)
-    scale = float(np.linalg.norm(d.proj @ x, 2))
-    radius = _cluster_radius(tol, scale)
-    if not any(abs(lam - z) <= radius + tol.atol for z in spec.points):
+    spec, radius = _spectrum(d, x, tol)
+    if not _on_spectrum(lam, spec, radius, tol):
         raise ValueError(f"{lam} is not a point of the weighted spectrum")
     if d.rank == 0:
         return None
@@ -355,26 +337,21 @@ def boundary_mollifier(
     SpectrumPointError if an approach value lies on the spectrum.
     """
     x = _require_member(d, x, tol)
-    spec = a_spectrum(d, x, tol)
-    scale = float(np.linalg.norm(d.proj @ x, 2))
-    radius = _cluster_radius(tol, scale)
-    if not any(abs(lam - z) <= radius + tol.atol for z in spec.points):
+    spec, radius = _spectrum(d, x, tol)
+    if not _on_spectrum(lam, spec, radius, tol):
         raise ValueError(f"{lam} is not a point of the weighted spectrum")
     eye = np.eye(d.dim)
     shift = lam * eye - x
     steps: list[MollifierStep] = []
     for lam_n in approach:
-        if any(abs(lam_n - z) <= radius + tol.atol for z in spec.points):
+        if _on_spectrum(lam_n, spec, radius, tol):
             raise SpectrumPointError(f"approach value {lam_n} lies on the spectrum")
-        res: AInverseResult = a_invertible(d, lam_n * eye - x, tol)
+        res = _invert(d, lam_n * eye - x, tol)
         if not res.invertible:
             raise SpectrumPointError(f"approach value {lam_n} is not invertible against the weight")
-        y = res.canonical
-        norm_y = a_seminorm(d, y, tol)
-        if not norm_y.finite or norm_y.value <= tol.atol:
+        norm_y = _seminorm(d, res.canonical)
+        if norm_y <= tol.atol:
             raise ValueError("inverse has vanishing seminorm; weight is degenerate")
-        x_n = y / norm_y.value
-        left = a_seminorm(d, x_n @ shift, tol)
-        right = a_seminorm(d, shift @ x_n, tol)
-        steps.append(MollifierStep(x_n=x_n, left_defect=float(left.value), right_defect=float(right.value)))
+        x_n = res.canonical / norm_y
+        steps.append(MollifierStep(x_n=x_n, left_defect=_seminorm(d, x_n @ shift), right_defect=_seminorm(d, shift @ x_n)))
     return steps

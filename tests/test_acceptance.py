@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from aspec.cli import main
-from aspec.harness import CheckContext, RandomInstanceSpec, generate_instance
+from aspec.harness import CheckContext, RandomInstanceSpec, _hausdorff, generate_instance
 from aspec.invert import a_invertible, neumann_a_inverse, thvn_certificate
 from aspec.linalg import DEFAULT_TOL, max_abs
 from aspec.omega import demo_function, demo_weight, diagonal_truncation
@@ -222,25 +222,6 @@ def test_criterion_08_numerical_range(pool, classical_pool):
         worst = max(worst, dist)
         assert dist <= 1e-6
     _ok(8, "numerical range", f"classical Hausdorff max {worst:.2e}")
-
-
-def _hausdorff(p, q):
-    def seg_dist(z, a, b):
-        if a == b:
-            return abs(z - a)
-        t = ((z - a) * np.conj(b - a)).real / abs(b - a) ** 2
-        t = min(1.0, max(0.0, t))
-        return abs(z - (a + t * (b - a)))
-
-    def dist_to(z, poly):
-        if len(poly) == 1:
-            return abs(z - poly[0])
-        return min(seg_dist(z, poly[i], poly[(i + 1) % len(poly)]) for i in range(len(poly)))
-
-    return max(
-        max((dist_to(z, q) for z in p), default=0.0),
-        max((dist_to(z, p) for z in q), default=0.0),
-    )
 
 
 def test_criterion_09_block_permanence():

@@ -185,3 +185,10 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"] == "Unbounded"
+
+
+def test_cli_import_loads_neither_scipy_nor_the_property_suite():
+    probe = "import sys, aspec.cli; print([m for m in ('scipy', 'aspec.harness') if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

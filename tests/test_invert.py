@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from aspec.invert import a_invertible, neumann_a_inverse, thvn_certificate
-from aspec.linalg import approx_equal, max_abs
+from aspec.linalg import DEFAULT_TOL, approx_equal, max_abs
 from aspec.psd import psd_decompose
 from aspec.seminorm import NotMemberError, a_seminorm, random_member
 
@@ -159,6 +159,14 @@ def test_thvn_inequalities_and_equivalence():
         assert np.min(np.linalg.eigvalsh(xax - a / cert.c)) >= -slack
         axxa = a @ x @ x.conj().T @ a
         assert np.min(np.linalg.eigvalsh(cert.alpha * axxa - a @ a)) >= -slack
+        # numpy-only reference: top eigenvalue of the pencil (L^2, L C C* L) on the
+        # range, reduced to a Hermitian problem through the Cholesky factor of L C C* L
+        q, lam = d.range_basis, d.range_eigvals
+        comp = q.conj().T @ x @ q
+        chol_inv = np.linalg.inv(np.linalg.cholesky((comp @ comp.conj().T) * lam[:, None] * lam[None, :]))
+        reduced = chol_inv @ np.diag(lam**2) @ chol_inv.conj().T
+        alpha_ref = np.linalg.eigvalsh((reduced + reduced.conj().T) / 2)[-1] * (1 + DEFAULT_TOL.rtol)
+        assert cert.alpha == pytest.approx(alpha_ref, rel=1e-9)
     assert seen_invertible >= 20
 
 

@@ -22,7 +22,6 @@ from aspec.omega import (
     limit_at_infinity,
     parse_element,
     parse_rational,
-    scalar,
 )
 from aspec.psd import psd_decompose
 from aspec.seminorm import a_seminorm
@@ -80,7 +79,7 @@ def test_algebra_weight_times_function():
 
 
 def test_scalar_element():
-    half = scalar(Fraction(1, 2))
+    half = OmegaElement.constant(Fraction(1, 2))
     assert half.value_at_zero == Fraction(1, 2)
     assert (half + half).value_at_zero == 1
 
