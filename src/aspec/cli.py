@@ -169,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--a", required=True, help="weight matrix JSON file")
         p.add_argument("--x", required=True, help="matrix JSON file")
-        p.add_argument("--tol", type=float, default=None, help="absolute tolerance (scales the whole policy)")
+        p.add_argument("--tol", type=float, default=None, help="rank cutoff T, relative defect bound 100*T, accuracy target atol T (default 1e-10)")
         p.set_defaults(handler=handler)
         return p
 

@@ -18,7 +18,6 @@ from .linalg import (
     ToleranceConfig,
     check_same_shape,
     check_square,
-    max_abs,
 )
 from .psd import PsdDecomposition
 
@@ -38,12 +37,10 @@ def douglas_solve(x: ComplexMatrix, y: ComplexMatrix, tol: ToleranceConfig = DEF
     check_square(x, "X")
     check_same_shape(x, y)
     _, svals, vh = np.linalg.svd(y)
-    smax = svals[0] if svals.size else 0.0
-    null_mask = svals <= tol.rank_rtol * smax if smax > 0 else np.ones_like(svals, dtype=bool)
-    null_basis = vh[null_mask].conj().T  # columns span N(Y)
+    null_basis = vh[svals <= tol.cutoff(np.max(svals, initial=0.0))].conj().T  # columns span N(Y)
     if null_basis.shape[1]:
-        defect = max_abs(x @ null_basis)
-        if defect > tol.atol + tol.rtol * max_abs(x):
+        defect = float(np.linalg.norm(x @ null_basis))
+        if not tol.negligible(defect, float(np.linalg.norm(x))):
             raise NotMajorizedError(
                 f"N(Y) is not contained in N(X) (defect {defect:.3e}); no finite majorization constant exists"
             )
@@ -68,6 +65,6 @@ def power_factorize(
     check_square(x, "X")
     check_same_shape(x, b.a)
     gram_gap = float(np.min(np.linalg.eigvalsh(b.a - x.conj().T @ x)))
-    if gram_gap < -(tol.atol + tol.rtol * max_abs(b.a)):
+    if not tol.negligible(-gram_gap, float(np.linalg.norm(b.a))):
         raise ValueError(f"X*X is not dominated by B (eigenvalue defect {gram_gap:.3e})")
     return x @ b.pinv_power(alpha)

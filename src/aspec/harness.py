@@ -40,7 +40,7 @@ from .seminorm import (
     membership_certificate,
     random_member,
 )
-from .spectrum import a_numerical_range, a_spectral_radius, a_spectrum, gelfand_sequence, spectrum_witness
+from .spectrum import a_numerical_range, a_spectral_radius, a_spectrum, convex_hull, gelfand_sequence, spectrum_witness
 from . import douglas
 
 
@@ -129,9 +129,7 @@ class PropertyReport:
 
 def _hull_min_turn(points) -> float:
     """Smallest exterior angle over the convex hull of the points (pi if degenerate)."""
-    from .spectrum import _convex_hull
-
-    hull = _convex_hull([complex(z) for z in points], eps=1e-12)
+    hull = convex_hull([complex(z) for z in points], eps=1e-12)
     if len(hull) <= 2:
         return np.pi
     turns = []
@@ -608,9 +606,7 @@ def _prop_numrange_classical(ctx: CheckContext):
     x = ctx.normal_matrix()
     poly = a_numerical_range(dec, x, 360, ctx.tol)
     eigs = [complex(z) for z in np.linalg.eigvals(x)]
-    from .spectrum import _convex_hull
-
-    hull = _convex_hull(eigs, eps=1e-12)
+    hull = convex_hull(eigs, eps=1e-12)
     dist = _hausdorff(list(poly.vertices), hull)
     ctx.check(dist <= 1e-6 * max(1.0, max(abs(z) for z in eigs)), f"Hausdorff {dist:.3e}", "<= 1e-6 scale")
 

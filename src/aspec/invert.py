@@ -63,7 +63,7 @@ def range_compression(d: PsdDecomposition, x: ComplexMatrix) -> ComplexMatrix:
 
 def _nonsingular(svals: np.ndarray, tol: ToleranceConfig) -> bool:
     """Rank test on the compression's singular values (descending); rank 0 passes."""
-    return svals.size == 0 or svals[-1] > tol.rank_rtol * svals[0]
+    return svals.size == 0 or svals[-1] > tol.cutoff(svals[0])
 
 
 def _compression_svals(d: PsdDecomposition, x: ComplexMatrix) -> np.ndarray:
@@ -85,8 +85,8 @@ def a_invertible(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig = D
 
     Non-members are reported as not invertible.  The decision threshold ties
     to the same rank policy as the weight decomposition: the compression is
-    deemed invertible when its smallest singular value exceeds rank_rtol
-    times its largest.
+    deemed invertible when its smallest singular value exceeds the cutoff
+    of its largest.
     """
     try:
         x = _require_member(d, x, tol)

@@ -28,10 +28,14 @@ class MatrixFormatError(ValueError):
 class ToleranceConfig:
     """Single tolerance policy threaded through all modules.
 
-    atol: absolute comparison floor.
-    rtol: relative comparison factor, scaled by the largest entry involved.
-    rank_rtol: singular/eigenvalue cutoff relative to the largest one; values
-        below the cutoff are treated as exactly zero everywhere.
+    Each yes/no decision compares a defect with a unitarily invariant scale
+    of its own operand, so rescaling the operands never changes an answer.
+    rtol: a defect is negligible when at most rtol times that scale.
+    rank_rtol: singular values and eigenvalues at most rank_rtol times the
+        largest are exactly zero everywhere.
+    atol: no decision about an operand uses it; it is the accuracy target
+        of approx_equal, the property checks and the Neumann series, and the
+        floor of the witness bounds and guards and of the hull's eps.
     """
 
     atol: float = 1e-10
@@ -42,6 +46,14 @@ class ToleranceConfig:
         for name in ("atol", "rtol", "rank_rtol"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
+
+    def negligible(self, defect: float, scale: float) -> bool:
+        """True iff the defect is at most rtol times its operand's scale."""
+        return defect <= self.rtol * scale
+
+    def cutoff(self, scale: float) -> float:
+        """Largest magnitude counted as zero among values whose largest is ``scale``."""
+        return self.rank_rtol * scale
 
 
 DEFAULT_TOL = ToleranceConfig()
@@ -86,11 +98,11 @@ def read_matrix(source: Union[bytes, str, IO]) -> ComplexMatrix:
     if not isinstance(doc, dict):
         raise MatrixFormatError("top-level JSON value must be an object")
     try:
-        rows, cols, data = int(doc["rows"]), int(doc["cols"]), doc["data"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MatrixFormatError(f"missing or invalid field: {exc}") from exc
-    if rows < 1 or cols < 1:
-        raise MatrixFormatError("rows and cols must be positive")
+        rows, cols, data = doc["rows"], doc["cols"], doc["data"]
+    except KeyError as exc:
+        raise MatrixFormatError(f"missing field: {exc}") from exc
+    if any(not isinstance(n, int) or isinstance(n, bool) or n < 1 for n in (rows, cols)):
+        raise MatrixFormatError("rows and cols must be positive integers")
     if not isinstance(data, list) or len(data) != rows:
         raise MatrixFormatError(f"declared {rows} rows, data has {len(data) if isinstance(data, list) else 'no'} rows")
     out = np.empty((rows, cols), dtype=np.complex128)

@@ -134,15 +134,19 @@ def _integer_scaled(p) -> list[int]:
 
 
 def _positive_integer_roots(p) -> list[int]:
-    """Integer roots >= 1, by the rational root theorem on the scaled polynomial."""
-    if not p:
-        return []
+    """Integer roots >= 1, by the rational root theorem on the scaled polynomial.
+
+    Coefficients without a sign change have no positive root (Descartes).
+    Raises ValueError when the divisor scan would pass _ENUM_LIMIT.
+    """
     ints = _integer_scaled(p)
-    while ints and ints[0] == 0:
-        ints.pop(0)
-    if not ints:
+    if len({c > 0 for c in ints if c}) < 2:
         return []
+    while ints[0] == 0:
+        ints.pop(0)
     c0 = abs(ints[0])
+    if math.isqrt(c0) > _ENUM_LIMIT:
+        raise ValueError("coefficients too large for exact root search")
     roots = []
     for r in range(1, int(math.isqrt(c0)) + 1):
         if c0 % r == 0:

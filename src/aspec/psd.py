@@ -13,13 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import (
-    DEFAULT_TOL,
-    ComplexMatrix,
-    ToleranceConfig,
-    check_square,
-    max_abs,
-)
+from .linalg import DEFAULT_TOL, ComplexMatrix, ToleranceConfig, check_square
 
 
 class NotPsdError(ValueError):
@@ -36,7 +30,7 @@ class PsdDecomposition:
     """
 
     a: ComplexMatrix
-    # eigendecomposition of ``a``; eigvals already clamped and hard-zeroed
+    # eigendecomposition of ``a``; eigvals within the rank cutoff already hard-zeroed
     eigvals: np.ndarray = field(repr=False)
     eigvecs: np.ndarray = field(repr=False)
     rank: int
@@ -96,22 +90,22 @@ class PsdDecomposition:
 def psd_decompose(a: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> PsdDecomposition:
     """Validate the weight and compute its eigendecomposition.
 
-    Raises NotPsdError if ``a`` is not square, not Hermitian within tolerance,
-    or has an eigenvalue below -atol.  Eigenvalues in [-atol, 0] are clamped
-    to 0; eigenvalues at or below rank_rtol * max eigenvalue are hard-zeroed.
+    Raises NotPsdError if ``a`` is not square, if its Hermitian defect
+    ||A - A*||_F is not negligible against ||A||_F, or if an eigenvalue lies
+    below -cut, where cut = rank_rtol * max|eigenvalue|.  Eigenvalues in
+    [-cut, cut] are hard-zeroed; all decisions are invariant under A -> cA.
     """
     a = np.asarray(a, dtype=np.complex128)
     check_square(a, "weight")
-    herm_gap = max_abs(a - a.conj().T)
-    if herm_gap > tol.atol + tol.rtol * max_abs(a):
+    herm_gap = float(np.linalg.norm(a - a.conj().T))
+    if not tol.negligible(herm_gap, float(np.linalg.norm(a))):
         raise NotPsdError(f"weight is not Hermitian within tolerance (defect {herm_gap:.3e})")
     h = (a + a.conj().T) / 2
     w, u = np.linalg.eigh(h)
-    if w[0] < -tol.atol:
+    cut = tol.cutoff(float(np.max(np.abs(w))))
+    if w[0] < -cut:
         raise NotPsdError(f"weight has negative eigenvalue {w[0]:.3e}")
-    w = np.clip(w, 0.0, None)
-    lam_max = float(w[-1]) if w.size else 0.0
-    w = np.where(w > tol.rank_rtol * lam_max, w, 0.0) if lam_max > 0 else np.zeros_like(w)
+    w = np.where(w > cut, w, 0.0)
     retained = w > 0
     rank = int(np.count_nonzero(retained))
     gap = float(np.min(w[retained])) if rank else 0.0

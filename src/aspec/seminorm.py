@@ -20,7 +20,6 @@ from .linalg import (
     ToleranceConfig,
     check_same_shape,
     check_square,
-    max_abs,
 )
 from .psd import PsdDecomposition
 
@@ -52,17 +51,18 @@ class VectorState:
         return complex(self.h.conj() @ (z @ self.h)) / self.weight
 
 
-def _membership_defect(d: PsdDecomposition, x: ComplexMatrix) -> float:
-    comp = np.eye(d.dim) - d.proj
-    return max_abs(d.proj @ x @ comp)
-
-
 def a_membership(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """True iff X maps the null space of the weight into itself."""
+    """True iff X maps the null space of the weight into itself.
+
+    With P the range projection, the defect ||P X (I - P)||_F must be
+    negligible against ||X||_F; the answer is invariant under A -> cA,
+    X -> cX and unitary conjugation of (A, X).
+    """
     x = np.asarray(x, dtype=np.complex128)
     check_square(x, "X")
     check_same_shape(x, d.a)
-    return _membership_defect(d, x) <= tol.atol + tol.rtol * max_abs(x)
+    defect = float(np.linalg.norm(d.proj @ x @ (np.eye(d.dim) - d.proj)))
+    return tol.negligible(defect, float(np.linalg.norm(x)))
 
 
 def _require_member(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig) -> ComplexMatrix:
@@ -147,10 +147,10 @@ def random_member(d: PsdDecomposition, rng: np.random.Generator, scale: float = 
 
 
 def is_a_selfadjoint(a: ComplexMatrix, x: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """True iff A X is Hermitian within tolerance, i.e. A X = X* A."""
+    """True iff A X = X* A: ||AX - (AX)*||_F is negligible against ||AX||_F."""
     a = np.asarray(a, dtype=np.complex128)
     x = np.asarray(x, dtype=np.complex128)
     check_square(a, "A")
     check_same_shape(a, x)
     ax = a @ x
-    return max_abs(ax - ax.conj().T) <= tol.atol + tol.rtol * max_abs(ax)
+    return tol.negligible(float(np.linalg.norm(ax - ax.conj().T)), float(np.linalg.norm(ax)))

@@ -65,10 +65,6 @@ class MollifierStep:
     right_defect: float
 
 
-def _cluster_radius(tol: ToleranceConfig, scale: float) -> float:
-    return 10 * tol.atol + tol.rtol * scale
-
-
 def _cluster(values, radius: float) -> list[complex]:
     """Greedy centroid clustering of complex points within the given radius."""
     clusters: list[list[complex]] = []
@@ -83,9 +79,9 @@ def _cluster(values, radius: float) -> list[complex]:
 
 
 def _spectrum(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig) -> tuple[ASpectrumResult, float]:
-    """Spectrum of a member, with the cluster radius its points were merged at."""
+    """Spectrum of a member, with the cluster radius rtol * ||P X||_2 its points were merged at."""
     px = d.proj @ x
-    radius = _cluster_radius(tol, float(np.linalg.norm(px, 2)))
+    radius = tol.rtol * float(np.linalg.norm(px, 2))
     points = _cluster([complex(z) for z in np.linalg.eigvals(px) if abs(z) > radius], radius)
     contains_zero = not _nonsingular(_compression_svals(d, x), tol)
     if contains_zero:
@@ -95,8 +91,8 @@ def _spectrum(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig) -> tu
     return ASpectrumResult(points=tuple(points), radius=float(r), contains_zero=contains_zero), radius
 
 
-def _on_spectrum(z: complex, spec: ASpectrumResult, radius: float, tol: ToleranceConfig) -> bool:
-    return any(abs(z - p) <= radius + tol.atol for p in spec.points)
+def _on_spectrum(z: complex, spec: ASpectrumResult, radius: float) -> bool:
+    return any(abs(z - p) <= radius for p in spec.points)
 
 
 def a_spectrum(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> ASpectrumResult:
@@ -172,7 +168,7 @@ def spectrum_witness(
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     x = _require_member(d, x, tol)
     spec, radius = _spectrum(d, x, tol)
-    if not _on_spectrum(lam, spec, radius, tol):
+    if not _on_spectrum(lam, spec, radius):
         raise ValueError(f"{lam} is not a point of the weighted spectrum")
     if d.rank == 0:
         return None
@@ -193,7 +189,7 @@ def spectrum_witness(
     rng = np.random.default_rng(2024)
     order = np.argsort(np.abs(evals - target))
     for idx in order:
-        if abs(evals[idx] - target) > radius + tol.atol:
+        if abs(evals[idx] - target) > radius:
             break
         h = q @ (back * evecs[:, idx])
         nh = float(np.linalg.norm(h))
@@ -238,15 +234,16 @@ def _verify_witness(
         if abs(fax * faxa - abs(fax) ** 2 * fa2) > tol.atol + tol.rtol * big:
             return False
     shift = x - lam * np.eye(d.dim)
+    shift_norm, a_norm = float(np.linalg.norm(shift, 2)), float(np.linalg.norm(a, 2))
     for _ in range(spot_checks):
         y = random_member(d, rng)
         val = state(a @ shift @ y) if side == "right" else state(a @ y @ shift)
-        if abs(val) > tol.atol + tol.rtol * max(1.0, float(np.linalg.norm(y, 2)) * float(np.linalg.norm(shift, 2)) * float(np.linalg.norm(a, 2))):
+        if abs(val) > tol.atol + tol.rtol * max(1.0, float(np.linalg.norm(y, 2)) * shift_norm * a_norm):
             return False
     return True
 
 
-def _convex_hull(points: list[complex], eps: float) -> list[complex]:
+def convex_hull(points: list[complex], eps: float) -> list[complex]:
     """Monotone-chain hull, counterclockwise, robust to coincident and collinear points."""
     uniq: list[complex] = []
     for z in sorted(points, key=lambda w: (w.real, w.imag)):
@@ -313,7 +310,7 @@ def a_numerical_range(
         denom = float((v.conj() @ (d.a @ v)).real)
         touch.append(complex(v.conj() @ (ax @ v)) / denom)
     spread = max((abs(z) for z in touch), default=0.0)
-    hull = _convex_hull(touch, eps=tol.atol + tol.rtol * spread)
+    hull = convex_hull(touch, eps=tol.atol + tol.rtol * spread)
     return NumericalRangePolygon(
         directions=directions,
         vertices=tuple(hull),
@@ -338,13 +335,13 @@ def boundary_mollifier(
     """
     x = _require_member(d, x, tol)
     spec, radius = _spectrum(d, x, tol)
-    if not _on_spectrum(lam, spec, radius, tol):
+    if not _on_spectrum(lam, spec, radius):
         raise ValueError(f"{lam} is not a point of the weighted spectrum")
     eye = np.eye(d.dim)
     shift = lam * eye - x
     steps: list[MollifierStep] = []
     for lam_n in approach:
-        if _on_spectrum(lam_n, spec, radius, tol):
+        if _on_spectrum(lam_n, spec, radius):
             raise SpectrumPointError(f"approach value {lam_n} lies on the spectrum")
         res = _invert(d, lam_n * eye - x, tol)
         if not res.invertible:

@@ -19,10 +19,10 @@ from aspec.omega import demo_function, demo_weight, diagonal_truncation
 from aspec.psd import psd_decompose
 from aspec.seminorm import a_adjoint, a_seminorm, a_seminorm_oracle, random_member
 from aspec.spectrum import (
-    _convex_hull,
     a_numerical_range,
     a_spectral_radius,
     a_spectrum,
+    convex_hull,
     gelfand_sequence,
     spectrum_witness,
 )
@@ -217,7 +217,7 @@ def test_criterion_08_numerical_range(pool, classical_pool):
     for dec, x in classical_pool:
         poly = a_numerical_range(dec, x, 720)
         eigs = [complex(z) for z in np.linalg.eigvals(x)]
-        hull = _convex_hull(eigs, eps=1e-12)
+        hull = convex_hull(eigs, eps=1e-12)
         dist = _hausdorff(list(poly.vertices), hull)
         worst = max(worst, dist)
         assert dist <= 1e-6

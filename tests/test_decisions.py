@@ -1,4 +1,5 @@
-"""Every public entry point decides membership exactly once."""
+"""Decisions: each public entry point decides membership exactly once, and
+no yes/no answer changes under A -> cA, X -> cX or unitary conjugation."""
 
 import sys
 
@@ -59,3 +60,48 @@ def test_one_membership_decision_per_public_call(name, monkeypatch):
     calls = _count_membership_calls(monkeypatch)
     PUBLIC_CALLS[name](d, x, lam)
     assert len(calls) == 1
+
+
+def _random_unitary(rng, dim):
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    return q
+
+
+def _decisions(a, x):
+    """Every yes/no answer and count for (A, X), plus the seminorm (None for non-members)."""
+    d = psd_decompose(a)
+    out = {"rank": d.rank, "member": seminorm.a_membership(d, x), "invertible": invert.a_invertible(d, x).invertible}
+    if not out["member"]:
+        return out, None
+    spec = spectrum.a_spectrum(d, x)
+    out.update(contains_zero=spec.contains_zero, points=len(spec.points))
+    return out, seminorm.a_seminorm(d, x).value
+
+
+def test_decisions_are_invariant_under_scaling_and_unitary_conjugation():
+    rng = np.random.default_rng(2026)
+    failures = []
+    for dim in range(1, 9):
+        for rank in range(dim + 1):
+            g = _random_unitary(rng, dim)
+            vals = np.zeros(dim)
+            vals[:rank] = rng.uniform(0.5, 2.0, rank)
+            a = (g * vals) @ g.conj().T
+            # a member, and a generic matrix (a non-member unless rank is 0 or dim)
+            for x in (random_member(psd_decompose(a), rng), rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))):
+                u = _random_unitary(rng, dim)
+                variants = [(f"A*{c:g}", c * a, x, 1.0) for c in (1e-8, 1e8)]
+                variants += [(f"X*{c:g}", a, c * x, c) for c in (1e-8, 1e8)]
+                variants.append(("unitary", u.conj().T @ a @ u, u.conj().T @ x @ u, 1.0))
+                base, norm = _decisions(a, x)
+                for label, a2, x2, factor in variants:
+                    try:
+                        got, norm2 = _decisions(a2, x2)
+                    except Exception as exc:  # noqa: BLE001 - a raise is one more changed answer
+                        failures.append((dim, rank, label, repr(exc)))
+                        continue
+                    if got != base:
+                        failures.append((dim, rank, label, base, got))
+                    elif norm is not None and abs(norm2 - factor * norm) > 1e-7 * factor * norm:
+                        failures.append((dim, rank, label, "seminorm", factor * norm, norm2))
+    assert not failures, failures

@@ -36,6 +36,10 @@ def test_read_literal_entries():
 def test_read_shape_mismatch():
     with pytest.raises(MatrixFormatError):
         read_matrix('{"rows":2,"cols":1,"data":[[[1,0]]]}')
+    # sizes must be JSON integers, not floats, booleans or strings
+    for rows, cols in (("1.9", "true"), ('"1"', "1"), ("1", "1.0"), ("true", "1")):
+        with pytest.raises(MatrixFormatError):
+            read_matrix(f'{{"rows":{rows},"cols":{cols},"data":[[[1,0]]]}}')
 
 
 def test_read_rejects_malformed_json():

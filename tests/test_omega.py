@@ -158,6 +158,15 @@ def test_element_rejects_pole_on_domain():
         OmegaElement.of(parse_rational("1/(n-3)"), RationalExpr.constant(0))
 
 
+def test_pole_search_is_bounded():
+    # no sign change: no positive root, decided without a divisor scan
+    e = parse_element(f"odd=1/(n+{10**30});even=1")
+    assert e.odd_branch.pole_points() == []
+    # a sign change with a huge constant term is refused, not scanned
+    with pytest.raises(ValueError):
+        parse_element(f"odd=1/(n-{10**30});even=1")
+
+
 def test_truncation_growth():
     a_el, x_el = demo_weight(), demo_function()
     for n_points in (10, 100):

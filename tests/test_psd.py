@@ -59,6 +59,17 @@ def test_rejects_non_hermitian():
 def test_rejects_negative_eigenvalue():
     with pytest.raises(NotPsdError):
         psd_decompose(cdiag(1, -1))
+    with pytest.raises(NotPsdError):
+        psd_decompose(1e-12 * cdiag(1, -1))
+
+
+def test_rank_is_invariant_under_large_scale():
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        g, _ = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+        vals = np.zeros(8)
+        vals[:4] = rng.uniform(0.5, 2.0, 4)
+        assert psd_decompose(1e12 * ((g * vals) @ g.conj().T)).rank == 4
 
 
 def test_clamps_slightly_negative_eigenvalue():

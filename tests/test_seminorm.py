@@ -31,6 +31,8 @@ def test_membership_diagonal(d_rank1):
 def test_membership_rejects_null_space_mover(d_rank1):
     x = cmat([[0, 1], [0, 0]])
     assert not a_membership(d_rank1, x)
+    # tiny, yet it moves the null space: the decision must not depend on scale
+    assert not a_membership(d_rank1, 1e-11 * cmat([[1, 1], [0, 1]]))
     # state-supremum oracle: mixing the e1 and e2 vector states with weights
     # (eps, 1-eps) drives f(X*AX)/f(A) = (1-eps)/eps beyond every bound
     a = d_rank1.a
