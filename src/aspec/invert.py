@@ -5,11 +5,13 @@ the range of the weight is invertible as an ordinary r x r matrix.  The
 canonical inverse inverts that compression and is zero on the null space; the
 invertible form completes it by the identity on the null space, giving an
 inverse that is also invertible in the ordinary sense.  The certificate
-constants of the two-sided inequalities are read off the range data: c from
-the extreme eigenvalues of L^(-1/2) Q* X*AX Q L^(-1/2), with Q the range basis
-and L the retained eigenvalues, and alpha = 1 / sigma_min(C)^2 for the
-compression C = Q* X Q.  That closed form is the top eigenvalue of the pencil
-L^2 v = mu L C C* L v, which u = L v turns into u = mu C C* u.
+constants of the two-sided inequalities are read off the two compressions of
+the seminorm module, C = Q* X Q and M = L^(1/2) C L^(-1/2), with Q the range
+basis and L the retained eigenvalues.  For a range vector h = Q L^(-1/2) u the
+state ratio f(X*AX) / f(A) is |M u|^2 / |u|^2, so the pencil (X*AX, A) has
+the eigenvalues sigma(M)^2 and c = max(sigma_max(M), 1 / sigma_min(M))^2.
+The pencil (A^2, A X X* A) reads L^2 v = mu L C C* L v, which u = L v turns
+into u = mu C C* u, so alpha = 1 / sigma_min(C)^2.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from .linalg import DEFAULT_TOL, ComplexMatrix, ToleranceConfig
 from .psd import PsdDecomposition
-from .seminorm import NotMemberError, _require_member, _seminorm
+from .seminorm import NotMemberError, _require_member, _seminorm, compressed, range_compression
 
 
 class ConvergenceError(RuntimeError):
@@ -55,19 +57,9 @@ class ThvnCertificate:
     alpha: float
 
 
-def range_compression(d: PsdDecomposition, x: ComplexMatrix) -> ComplexMatrix:
-    """Q* X Q in an orthonormal basis Q of the range of the weight (rank x rank)."""
-    q = d.range_basis
-    return q.conj().T @ np.asarray(x, dtype=np.complex128) @ q
-
-
 def _nonsingular(svals: np.ndarray, tol: ToleranceConfig) -> bool:
     """Rank test on the compression's singular values (descending); rank 0 passes."""
     return svals.size == 0 or svals[-1] > tol.cutoff(svals[0])
-
-
-def _compression_svals(d: PsdDecomposition, x: ComplexMatrix) -> np.ndarray:
-    return np.linalg.svd(range_compression(d, x), compute_uv=False)
 
 
 def _invert(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig) -> AInverseResult:
@@ -127,31 +119,22 @@ def neumann_a_inverse(
     return total + (np.eye(d.dim) - p)
 
 
-def _range_pencil_eigvalsh(d: PsdDecomposition, m: ComplexMatrix) -> np.ndarray:
-    """Eigenvalues of the pencil (M, A) restricted to the range of the weight."""
-    q = d.range_basis
-    scale = d.range_eigvals**-0.5
-    t = (q.conj().T @ m @ q) * scale[:, None] * scale[None, :]
-    return np.linalg.eigvalsh((t + t.conj().T) / 2)
-
-
 def thvn_certificate(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> ThvnCertificate | None:
     """Certificate constants for weighted invertibility, or None when not invertible.
 
-    c comes from the extreme eigenvalues of the pencil (X*AX, A) on the
-    range.  alpha = 1 / sigma_min(C)^2, with C = Q* X Q the compression whose
-    singular values also decide invertibility: on the range, with L the
-    retained eigenvalues, the pencil (A^2, A X X* A) reads
-    L^2 v = mu L C C* L v, and u = L v turns it into u = mu C C* u.  Raises
-    NotMemberError for non-members.
+    c = max(sigma_max(M), 1 / sigma_min(M))^2 holds the extreme eigenvalues of
+    the pencil (X*AX, A) on the range, in closed form.  alpha =
+    1 / sigma_min(C)^2, from the singular values that also decide
+    invertibility; it is the top eigenvalue of the pencil (A^2, A X X* A).
+    Raises NotMemberError for non-members.
     """
     x = _require_member(d, x, tol)
-    svals = _compression_svals(d, x)
+    svals = np.linalg.svd(range_compression(d, x), compute_uv=False)
     if not _nonsingular(svals, tol):
         return None
     inflate = 1.0 + tol.rtol
     if d.rank == 0:
         return ThvnCertificate(c=inflate, alpha=inflate)
-    mus = _range_pencil_eigvalsh(d, x.conj().T @ d.a @ x)
-    c = max(float(mus[-1]), 1.0 / float(mus[0]))
+    m_svals = np.linalg.svd(compressed(d, x), compute_uv=False)
+    c = max(float(m_svals[0]), 1.0 / float(m_svals[-1])) ** 2
     return ThvnCertificate(c=c * inflate, alpha=inflate / float(svals[-1]) ** 2)

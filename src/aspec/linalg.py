@@ -35,7 +35,8 @@ class ToleranceConfig:
         largest are exactly zero everywhere.
     atol: no decision about an operand uses it; it is the accuracy target
         of approx_equal, the property checks and the Neumann series, and the
-        floor of the witness bounds and guards and of the hull's eps.
+        floor of the hull's eps.  Witness bounds are relative to their
+        terms' own size and have no absolute floor.
     """
 
     atol: float = 1e-10

@@ -1,11 +1,14 @@
 """Membership, seminorm, and adjoint calculus induced by the weight.
 
 A square matrix X has a finite weighted seminorm exactly when it leaves the
-null space of the weight invariant; for those members the seminorm is the
-operator norm of the compressed matrix A^(1/2) X (A^(1/2))^dagger.  An
-independent route to the same number goes through the supremum of the state
-functionals f(X*AX)/f(A), realized as a Hermitian eigenvalue problem; both
-are exposed so they can be cross-checked.
+null space of the weight invariant.  A member is known through its
+compression to the range: with Q an orthonormal range basis and L the
+retained eigenvalues, C = Q* X Q, and its similar form M = L^(1/2) C L^(-1/2)
+is A^(1/2) X (A^(1/2))^dagger on the range.  Every member-assuming core reads
+one of the two, built by range_compression and compressed; the seminorm is
+sigma_max(M).  An independent route to the same number goes through the
+supremum of the state functionals f(X*AX)/f(A) in the full space; both are
+exposed so they can be cross-checked.
 """
 
 from __future__ import annotations
@@ -87,15 +90,21 @@ def membership_certificate(d: PsdDecomposition, x: ComplexMatrix, tol: Tolerance
     return d.sqrt @ x @ d.pinv_power(0.25)
 
 
+def range_compression(d: PsdDecomposition, x: ComplexMatrix) -> ComplexMatrix:
+    """C = Q* X Q in an orthonormal basis Q of the range of the weight (rank x rank)."""
+    q = d.range_basis
+    return q.conj().T @ np.asarray(x, dtype=np.complex128) @ q
+
+
 def compressed(d: PsdDecomposition, x: ComplexMatrix) -> ComplexMatrix:
-    """The compression A^(1/2) X (A^(1/2))^dagger carrying all seminorm data."""
-    return d.sqrt @ x @ d.sqrt_pinv
+    """M = L^(1/2) C L^(-1/2), which is A^(1/2) X (A^(1/2))^dagger on the range (rank x rank)."""
+    s = np.sqrt(d.range_eigvals)
+    return range_compression(d, x) * s[:, None] / s[None, :]
 
 
 def _seminorm(d: PsdDecomposition, x: ComplexMatrix) -> float:
-    """Seminorm of a member: the operator norm of its compression."""
-    svals = np.linalg.svd(compressed(d, x), compute_uv=False)
-    return float(svals[0]) if svals.size else 0.0
+    """Seminorm of a member: sigma_max(M), 0 at rank 0."""
+    return float(np.linalg.svd(compressed(d, x), compute_uv=False).max(initial=0.0))
 
 
 def a_seminorm(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> ASeminormValue:

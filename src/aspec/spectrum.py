@@ -1,11 +1,13 @@
 """Weighted spectrum, spectral radius, numerical range, and boundary demos.
 
-Away from zero the weighted spectrum of a member X coincides with the
-ordinary eigenvalues of P X, where P projects onto the range of the weight;
-membership of zero is decided by the compression rank test, never by the
-eigensolver (P X always has structural zero eigenvalues when the weight is
-singular).  The numerical range is computed by support functions: each
-direction is one Hermitian generalized eigenproblem on the range.
+Everything here reads the two compressions of a member X to the range of the
+weight from the seminorm module: C = Q* X Q and its similar form
+M = L^(1/2) C L^(-1/2), with Q the range basis and L the retained eigenvalues.
+Away from zero the weighted spectrum is the set of eigenvalues of C; membership
+of zero is decided by the rank test on the singular values of C, never by the
+eigensolver.  The numerical range {f(AX)} is the ordinary numerical range of
+M, computed by support functions: each direction is one Hermitian eigenproblem
+of size rank.
 """
 
 from __future__ import annotations
@@ -15,10 +17,10 @@ from typing import Literal
 
 import numpy as np
 
-from .invert import _compression_svals, _invert, _nonsingular
+from .invert import _invert, _nonsingular
 from .linalg import DEFAULT_TOL, ComplexMatrix, ToleranceConfig
 from .psd import PsdDecomposition
-from .seminorm import VectorState, _require_member, _seminorm, compressed, random_member
+from .seminorm import VectorState, _require_member, _seminorm, compressed, random_member, range_compression
 
 
 class SpectrumPointError(ValueError):
@@ -79,11 +81,13 @@ def _cluster(values, radius: float) -> list[complex]:
 
 
 def _spectrum(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig) -> tuple[ASpectrumResult, float]:
-    """Spectrum of a member, with the cluster radius rtol * ||P X||_2 its points were merged at."""
-    px = d.proj @ x
-    radius = tol.rtol * float(np.linalg.norm(px, 2))
-    points = _cluster([complex(z) for z in np.linalg.eigvals(px) if abs(z) > radius], radius)
-    contains_zero = not _nonsingular(_compression_svals(d, x), tol)
+    """Spectrum of a member, with the cluster radius rtol * sigma_max(C) (= rtol * ||P X||_2) its points
+    were merged at; the same singular values of C decide zero."""
+    c = range_compression(d, x)
+    svals = np.linalg.svd(c, compute_uv=False)
+    radius = tol.rtol * float(svals.max(initial=0.0))
+    points = _cluster([complex(z) for z in np.linalg.eigvals(c) if abs(z) > radius], radius)
+    contains_zero = not _nonsingular(svals, tol)
     if contains_zero:
         points.append(0j)
     points = sorted(points, key=lambda w: (w.real, w.imag))
@@ -98,9 +102,9 @@ def _on_spectrum(z: complex, spec: ASpectrumResult, radius: float) -> bool:
 def a_spectrum(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> ASpectrumResult:
     """Weighted spectrum of a member X.
 
-    Nonzero part: clustered eigenvalues of P X.  Zero membership: the
-    compression rank test of the invertibility module.  Left and right
-    variants coincide with this set in finite dimensions.
+    Nonzero part: clustered eigenvalues of the compression C = Q* X Q.
+    Zero membership: the compression rank test of the invertibility module.
+    Left and right variants coincide with this set in finite dimensions.
     """
     return _spectrum(d, _require_member(d, x, tol), tol)[0]
 
@@ -126,9 +130,11 @@ def gelfand_sequence(
     if n_max < 1:
         raise ValueError("n_max must be positive")
     x = _require_member(d, x, tol)
+    if d.rank == 0:
+        return [0.0] * n_max
     w = compressed(d, x)
     terms: list[float] = []
-    cur = np.eye(d.dim, dtype=np.complex128)
+    cur = np.eye(d.rank, dtype=np.complex128)
     log_scale = 0.0
     dead = False
     for n in range(1, n_max + 1):
@@ -157,10 +163,10 @@ def spectrum_witness(
 ) -> VectorState | None:
     """Vector state certifying that lam belongs to the requested one-sided spectrum.
 
-    Right side: a state built on w with X*(A w) = conj(lam) (A w), which makes
-    f(A (X - lam) Y) vanish for every Y.  Left side: a state built from an
-    eigenvector of the compressed operator, which forces f(X*AX) = |f(AX)|^2
-    with f(AX) = lam.  The returned state is verified against its side's
+    Right side: a state built on w = Q L^(-1) v for an eigenvector v of C*,
+    so X*(A w) = conj(lam) (A w), which makes f(A (X - lam) Y) vanish for
+    every Y.  Left side: a state built on Q L^(-1/2) u for an eigenvector u
+    of M, which forces f(X*AX) = |f(AX)|^2 with f(AX) = lam.  The returned state is verified against its side's
     multiplicativity identity and spot-checked on random members; None is
     returned when no searched vector state verifies (an outcome, not an error).
     """
@@ -172,34 +178,22 @@ def spectrum_witness(
         raise ValueError(f"{lam} is not a point of the weighted spectrum")
     if d.rank == 0:
         return None
-    q = d.range_basis
     lam_r = d.range_eigvals
-    comp = q.conj().T @ x @ q
     if side == "left":
-        scaling = lam_r**0.5  # similarity to the compressed operator A^(1/2) X (A^(1/2))^+
-        m_r = comp * scaling[:, None] / scaling[None, :]
-        evals, evecs = np.linalg.eig(m_r)
-        target = lam
-        back = lam_r**-0.5
+        evals, evecs = np.linalg.eig(compressed(d, x))
+        target, back = lam, lam_r**-0.5
     else:
-        m_r = comp.conj().T
-        evals, evecs = np.linalg.eig(m_r)
-        target = np.conj(lam)
-        back = lam_r**-1.0
+        evals, evecs = np.linalg.eig(range_compression(d, x).conj().T)
+        target, back = np.conj(lam), lam_r**-1.0
     rng = np.random.default_rng(2024)
     order = np.argsort(np.abs(evals - target))
     for idx in order:
         if abs(evals[idx] - target) > radius:
             break
-        h = q @ (back * evecs[:, idx])
-        nh = float(np.linalg.norm(h))
-        if nh == 0.0:
-            continue
-        h = h / nh
-        weight = float((h.conj() @ (d.a @ h)).real)
-        if weight <= tol.atol:
-            continue
-        state = VectorState(h=h, weight=weight)
+        # a nonzero range vector, so <A h, h> >= gap > 0
+        h = d.range_basis @ (back * evecs[:, idx])
+        h = h / np.linalg.norm(h)
+        state = VectorState(h=h, weight=float((h.conj() @ (d.a @ h)).real))
         if _verify_witness(d, x, lam, side, state, tol, spot_checks, rng):
             return state
     return None
@@ -215,30 +209,39 @@ def _verify_witness(
     spot_checks: int,
     rng: np.random.Generator,
 ) -> bool:
+    """Side identities and spot checks of a candidate state, each against rtol times the size of its terms.
+
+    Every state has |f(AZ)| <= ||Z||_A, which sizes the left identity and the
+    spot checks.  With f(A^2) <= lambda_max(A), every term of the right
+    identities (f(AXX*A), f(AX) f(AX*A), |f(AX)|^2 f(A^2)) is at most
+    big = lambda_max(A) ||X||_A^2, which also sizes the rounding of the n x n
+    products when h leans on small eigenvalues.  Every bound scales with A
+    and X; no absolute floor enters.
+    """
     a = d.a
+    x_norm = _seminorm(d, x)
     fax = state(a @ x)
-    mag = max(1.0, abs(fax) ** 2)
-    bound = tol.atol + tol.rtol * mag
-    if abs(fax - lam) > bound:
+    if abs(fax - lam) > tol.rtol * x_norm:
         return False
     if side == "left":
-        if abs(state(x.conj().T @ a @ x) - abs(fax) ** 2) > bound:
+        if abs(state(x.conj().T @ a @ x) - abs(fax) ** 2) > tol.rtol * x_norm**2:
             return False
     else:
         faxxa = state(a @ x @ x.conj().T @ a)
         faxa = state(a @ x.conj().T @ a)
         fa2 = state(a @ a)
-        big = max(1.0, abs(faxxa), abs(fax * faxa), abs(fax) ** 2 * abs(fa2))
-        if abs(faxxa - fax * faxa) > tol.atol + tol.rtol * big:
+        big = float(d.eigvals.max()) * x_norm**2
+        if abs(faxxa - fax * faxa) > tol.rtol * big:
             return False
-        if abs(fax * faxa - abs(fax) ** 2 * fa2) > tol.atol + tol.rtol * big:
+        if abs(fax * faxa - abs(fax) ** 2 * fa2) > tol.rtol * big:
             return False
     shift = x - lam * np.eye(d.dim)
-    shift_norm, a_norm = float(np.linalg.norm(shift, 2)), float(np.linalg.norm(a, 2))
     for _ in range(spot_checks):
         y = random_member(d, rng)
+        # val = f(AXY) - lam f(AY) on the right (f(AYX) - lam f(AY) on the left),
+        # a difference of terms bounded by ||X||_A ||Y||_A and |lam| ||Y||_A
         val = state(a @ shift @ y) if side == "right" else state(a @ y @ shift)
-        if abs(val) > tol.atol + tol.rtol * max(1.0, float(np.linalg.norm(y, 2)) * shift_norm * a_norm):
+        if abs(val) > tol.rtol * (x_norm + abs(lam)) * _seminorm(d, y):
             return False
     return True
 
@@ -281,34 +284,29 @@ def a_numerical_range(
 ) -> NumericalRangePolygon:
     """Polygonal approximation of the weighted numerical range {f(AX)}.
 
-    Each direction solves one Hermitian generalized eigenproblem on the
-    range; the top eigenvalue is the support value (outer data) and the top
-    eigenvector's state gives the touching point (inner hull vertex).
+    For a range vector h = Q L^(-1/2) u, f(AX) = u* M u / |u|^2, so this is
+    the ordinary numerical range of M.  Each direction theta takes one eigh
+    of (e^{-i theta} M + e^{i theta} M*) / 2: the top eigenvalue is the
+    support value (outer data) and u* M u at its unit eigenvector u is the
+    touching point (inner hull vertex).
     """
     if directions < 3:
         raise ValueError("directions must be at least 3")
     x = _require_member(d, x, tol)
     if d.rank == 0:
         return NumericalRangePolygon(directions=directions, vertices=(), angles=(), support=())
-    q = d.range_basis
-    lam = d.range_eigvals
-    ax = d.a @ x
-    ax_r = q.conj().T @ ax @ q
-    scale = lam**-0.5
+    m = compressed(d, x)
     angles: list[float] = []
     support: list[float] = []
     touch: list[complex] = []
     for k in range(directions):
         theta = 2 * np.pi * k / directions
-        h_r = np.exp(-1j * theta) * ax_r
-        h_r = (h_r + h_r.conj().T) / 2
-        t = h_r * scale[:, None] * scale[None, :]
+        t = np.exp(-1j * theta) * m
         vals, vecs = np.linalg.eigh((t + t.conj().T) / 2)
         angles.append(theta)
         support.append(float(vals[-1]))
-        v = q @ (scale * vecs[:, -1])
-        denom = float((v.conj() @ (d.a @ v)).real)
-        touch.append(complex(v.conj() @ (ax @ v)) / denom)
+        u = vecs[:, -1]
+        touch.append(complex(u.conj() @ (m @ u)))
     spread = max((abs(z) for z in touch), default=0.0)
     hull = convex_hull(touch, eps=tol.atol + tol.rtol * spread)
     return NumericalRangePolygon(
@@ -346,9 +344,6 @@ def boundary_mollifier(
         res = _invert(d, lam_n * eye - x, tol)
         if not res.invertible:
             raise SpectrumPointError(f"approach value {lam_n} is not invertible against the weight")
-        norm_y = _seminorm(d, res.canonical)
-        if norm_y <= tol.atol:
-            raise ValueError("inverse has vanishing seminorm; weight is degenerate")
-        x_n = res.canonical / norm_y
+        x_n = res.canonical / _seminorm(d, res.canonical)
         steps.append(MollifierStep(x_n=x_n, left_defect=_seminorm(d, x_n @ shift), right_defect=_seminorm(d, shift @ x_n)))
     return steps

@@ -68,13 +68,23 @@ def _random_unitary(rng, dim):
 
 
 def _decisions(a, x):
-    """Every yes/no answer and count for (A, X), plus the seminorm (None for non-members)."""
+    """Every yes/no answer and count for (A, X), plus the seminorm (None for non-members).
+
+    For members with a nonzero weight this includes, at the largest-modulus
+    spectrum point, whether a witness is found on each side and, when that
+    point is not 0, the number of boundary mollifier steps.
+    """
     d = psd_decompose(a)
     out = {"rank": d.rank, "member": seminorm.a_membership(d, x), "invertible": invert.a_invertible(d, x).invertible}
     if not out["member"]:
         return out, None
     spec = spectrum.a_spectrum(d, x)
     out.update(contains_zero=spec.contains_zero, points=len(spec.points))
+    if spec.points:
+        lam = max(spec.points, key=abs)
+        out.update({side: spectrum.spectrum_witness(d, x, lam, side) is not None for side in ("left", "right")})
+        if lam != 0:
+            out["steps"] = len(spectrum.boundary_mollifier(d, x, lam, [lam * (1 + t) for t in (0.1, 0.01, 0.001)]))
     return out, seminorm.a_seminorm(d, x).value
 
 
@@ -90,8 +100,8 @@ def test_decisions_are_invariant_under_scaling_and_unitary_conjugation():
             # a member, and a generic matrix (a non-member unless rank is 0 or dim)
             for x in (random_member(psd_decompose(a), rng), rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))):
                 u = _random_unitary(rng, dim)
-                variants = [(f"A*{c:g}", c * a, x, 1.0) for c in (1e-8, 1e8)]
-                variants += [(f"X*{c:g}", a, c * x, c) for c in (1e-8, 1e8)]
+                variants = [(f"A*{c:g}", c * a, x, 1.0) for c in (1e-12, 1e-8, 1e8, 1e12)]
+                variants += [(f"X*{c:g}", a, c * x, c) for c in (1e-12, 1e-8, 1e8, 1e12)]
                 variants.append(("unitary", u.conj().T @ a @ u, u.conj().T @ x @ u, 1.0))
                 base, norm = _decisions(a, x)
                 for label, a2, x2, factor in variants:

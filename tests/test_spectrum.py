@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from aspec.linalg import DEFAULT_TOL
 from aspec.psd import psd_decompose
-from aspec.seminorm import NotMemberError, random_member
+from aspec.seminorm import NotMemberError, VectorState, random_member
 from aspec.spectrum import (
     SpectrumPointError,
+    _verify_witness,
     a_numerical_range,
     a_spectral_radius,
     a_spectrum,
@@ -90,6 +92,12 @@ def test_gelfand_nilpotent():
     assert terms[1:] == pytest.approx([0.0] * 4)
 
 
+def test_gelfand_zero_weight():
+    # every X is a member of the zero weight, with seminorm 0
+    d = psd_decompose(np.zeros((2, 2), dtype=complex))
+    assert gelfand_sequence(d, cmat([[1, 2], [3, 4]]), 4) == [0.0] * 4
+
+
 def test_gelfand_diagonal(d_rank1):
     # compressed matrix is the scalar [2]
     assert gelfand_sequence(d_rank1, cdiag(2, 3), 6) == pytest.approx([2.0] * 6)
@@ -140,6 +148,21 @@ def test_witness_diagonal_right(d_rank1):
     aw = d_rank1.a @ state.h
     resid = cdiag(2, 3).conj().T @ aw - np.conj(2.0) * aw
     assert np.linalg.norm(resid) <= 1e-9
+
+
+def test_witness_verification_rejects_random_states_at_every_scale():
+    rng = np.random.default_rng(5)
+    g, _ = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
+    d = psd_decompose((g * np.array([1.5, 1.0, 0.7, 0.0, 0.0])) @ g.conj().T)
+    x = random_member(d, rng)
+    for scale in (1.0, 1e-9):
+        lam = max(a_spectrum(d, scale * x).points, key=abs)
+        for _ in range(20):
+            h = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+            h /= np.linalg.norm(h)
+            state = VectorState(h=h, weight=float((h.conj() @ (d.a @ h)).real))
+            for side in ("left", "right"):
+                assert not _verify_witness(d, scale * x, lam, side, state, DEFAULT_TOL, 5, np.random.default_rng(0))
 
 
 def test_witness_rejects_non_spectrum_point(d_rank1):
