@@ -95,8 +95,9 @@ def neumann_a_inverse(
 ) -> ComplexMatrix:
     """Weighted inverse of (1 - X) by geometric series, for seminorm of X below 1.
 
-    Sums the powers of the compression P X P on the range and completes by
-    the identity on the null space.  Truncates once a term's seminorm drops
+    Sums the powers of M = L^(1/2) C L^(-1/2) in rank x rank, lifts the sum
+    once as Q L^(-1/2) (sum M^k) L^(1/2) Q*, and completes by the identity on
+    the null space.  Truncates once a term's seminorm sigma_max(M^k) drops
     below atol; raises ConvergenceError if max_terms is hit first.
     """
     if max_terms < 1:
@@ -105,18 +106,19 @@ def neumann_a_inverse(
     norm = _seminorm(d, x)
     if norm >= 1:
         raise ValueError(f"seminorm {norm:.6g} is not below 1; the series diverges")
-    p = d.proj
-    pxp = p @ x @ p
-    total = p.copy()
-    term = p.copy()
+    m = compressed(d, x)
+    total = np.eye(d.rank, dtype=np.complex128)
+    term = total
     for _ in range(max_terms):
-        term = term @ pxp
-        if _seminorm(d, term) < tol.atol:
+        term = term @ m
+        if np.linalg.svd(term, compute_uv=False).max(initial=0.0) < tol.atol:
             break
         total = total + term
     else:
         raise ConvergenceError(f"series still above atol after {max_terms} terms")
-    return total + (np.eye(d.dim) - p)
+    s = np.sqrt(d.range_eigvals)
+    q = d.range_basis
+    return (q / s) @ total @ (s[:, None] * q.conj().T) + (np.eye(d.dim) - d.proj)
 
 
 def thvn_certificate(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> ThvnCertificate | None:

@@ -124,10 +124,11 @@ def read_matrix(source: Union[bytes, str, IO]) -> ComplexMatrix:
 
 def matrix_to_obj(m: ComplexMatrix) -> dict:
     """Matrix as a JSON-serializable object in the wire format."""
+    m = np.asarray(m, dtype=np.complex128)
     return {
         "rows": int(m.shape[0]),
         "cols": int(m.shape[1]),
-        "data": [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=np.complex128)],
+        "data": np.stack((m.real, m.imag), axis=-1).tolist(),
     }
 
 

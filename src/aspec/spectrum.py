@@ -7,12 +7,15 @@ Away from zero the weighted spectrum is the set of eigenvalues of C; membership
 of zero is decided by the rank test on the singular values of C, never by the
 eigensolver.  The numerical range {f(AX)} is the ordinary numerical range of
 M, computed by support functions: each direction is one Hermitian eigenproblem
-of size rank.
+of size rank, and an antipodal pair of directions shares one, since the
+problem at theta + pi is the negative of the problem at theta.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import takewhile
 from typing import Literal
 
 import numpy as np
@@ -52,10 +55,8 @@ class NumericalRangePolygon:
 
     def contains(self, z: complex, slack: float) -> bool:
         """Membership in the outer half-plane intersection, within slack."""
-        return all(
-            (z * np.exp(-1j * theta)).real <= h + slack
-            for theta, h in zip(self.angles, self.support)
-        )
+        reach = (z * np.exp(-1j * np.asarray(self.angles))).real
+        return bool(np.all(reach <= np.asarray(self.support) + slack))
 
 
 @dataclass(frozen=True)
@@ -254,7 +255,9 @@ def convex_hull(points: list[complex], eps: float) -> list[complex]:
             uniq.append(z)
     dedup: list[complex] = []
     for z in uniq:
-        if all(abs(z - w) > eps for w in dedup):
+        # dedup is sorted by real part, so only its tail within eps of z.real can lie within eps of z
+        window = takewhile(lambda w: z.real - w.real <= eps, reversed(dedup))
+        if all(abs(z - w) > eps for w in window):
             dedup.append(z)
     if len(dedup) <= 2:
         return dedup
@@ -276,6 +279,32 @@ def convex_hull(points: list[complex], eps: float) -> list[complex]:
     return hull if len(hull) >= 2 else dedup[:1]
 
 
+def _support_data(m: ComplexMatrix, directions: int) -> tuple[list[float], list[float], list[complex]]:
+    """Angles, support values and touching points of the numerical range of M.
+
+    H(theta) = cos(theta) Re M + sin(theta) Im M is the Hermitian part of
+    e^{-i theta} M; its top eigenvalue is the support value at theta and
+    u* M u at its unit eigenvector u is the touching point.  Since
+    H(theta + pi) = -H(theta), the bottom eigenpair of the same eigh serves
+    the antipodal direction, so an even grid takes directions / 2 eighs.
+    """
+    re_m = (m + m.conj().T) / 2
+    im_m = (m - m.conj().T) / 2j
+    paired = directions % 2 == 0
+    half = directions // 2 if paired else directions
+    angles = [2 * np.pi * k / directions for k in range(directions)]
+    support = [0.0] * directions
+    touch = [0j] * directions
+    for k in range(half):
+        vals, vecs = np.linalg.eigh(math.cos(angles[k]) * re_m + math.sin(angles[k]) * im_m)
+        u = vecs[:, -1]
+        support[k], touch[k] = float(vals[-1]), complex(np.vdot(u, m @ u))
+        if paired:
+            u = vecs[:, 0]
+            support[k + half], touch[k + half] = -float(vals[0]), complex(np.vdot(u, m @ u))
+    return angles, support, touch
+
+
 def a_numerical_range(
     d: PsdDecomposition,
     x: ComplexMatrix,
@@ -285,28 +314,19 @@ def a_numerical_range(
     """Polygonal approximation of the weighted numerical range {f(AX)}.
 
     For a range vector h = Q L^(-1/2) u, f(AX) = u* M u / |u|^2, so this is
-    the ordinary numerical range of M.  Each direction theta takes one eigh
-    of (e^{-i theta} M + e^{i theta} M*) / 2: the top eigenvalue is the
-    support value (outer data) and u* M u at its unit eigenvector u is the
-    touching point (inner hull vertex).
+    the ordinary numerical range of M.  Each direction theta reads one
+    eigenpair of the Hermitian part of e^{-i theta} M: the top eigenvalue is
+    the support value (outer data) and u* M u at its unit eigenvector u is
+    the touching point (inner hull vertex).  An antipodal pair of directions
+    shares one eigh, so an even number of directions costs directions / 2
+    eighs of size rank.
     """
     if directions < 3:
         raise ValueError("directions must be at least 3")
     x = _require_member(d, x, tol)
     if d.rank == 0:
         return NumericalRangePolygon(directions=directions, vertices=(), angles=(), support=())
-    m = compressed(d, x)
-    angles: list[float] = []
-    support: list[float] = []
-    touch: list[complex] = []
-    for k in range(directions):
-        theta = 2 * np.pi * k / directions
-        t = np.exp(-1j * theta) * m
-        vals, vecs = np.linalg.eigh((t + t.conj().T) / 2)
-        angles.append(theta)
-        support.append(float(vals[-1]))
-        u = vecs[:, -1]
-        touch.append(complex(u.conj() @ (m @ u)))
+    angles, support, touch = _support_data(compressed(d, x), directions)
     spread = max((abs(z) for z in touch), default=0.0)
     hull = convex_hull(touch, eps=tol.atol + tol.rtol * spread)
     return NumericalRangePolygon(

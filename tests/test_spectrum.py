@@ -5,14 +5,16 @@ import pytest
 
 from aspec.linalg import DEFAULT_TOL
 from aspec.psd import psd_decompose
-from aspec.seminorm import NotMemberError, VectorState, random_member
+from aspec.seminorm import NotMemberError, VectorState, compressed, random_member
 from aspec.spectrum import (
     SpectrumPointError,
+    _support_data,
     _verify_witness,
     a_numerical_range,
     a_spectral_radius,
     a_spectrum,
     boundary_mollifier,
+    convex_hull,
     gelfand_sequence,
     spectrum_witness,
 )
@@ -212,6 +214,102 @@ def test_numerical_range_contains_spectrum():
         slack = 1e-7 * max(1.0, float(np.linalg.norm(d.a @ x, 2)))
         for z in a_spectrum(d, x).points:
             assert poly.contains(z, slack)
+
+
+def _numrange_cases():
+    """(weight, member) pairs of ranks 1-6: non-normal random members, and
+    diagonal members with repeated entries, whose H(theta) has repeated eigenvalues."""
+    rng = np.random.default_rng(31)
+    for rank in range(1, 7):
+        dim = rank + 1
+        g, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+        vals = np.zeros(dim)
+        vals[:rank] = rng.uniform(0.5, 1.5, rank)
+        d = psd_decompose((g * vals) @ g.conj().T)
+        yield d, random_member(d, rng)
+        entries = (1 + 2j, 1 + 2j, -1.0, -1.0, 0.5j, 3.0)[:rank]
+        yield psd_decompose(cdiag(*rng.uniform(0.5, 1.5, rank), 0)), cdiag(*entries, 7.0)
+
+
+@pytest.mark.parametrize("directions", [3, 7, 8, 720])
+def test_numerical_range_matches_one_eigh_per_direction(directions):
+    for d, x in _numrange_cases():
+        m = compressed(d, x)
+        scale = float(np.linalg.norm(m, 2))
+        poly = a_numerical_range(d, x, directions)
+        angles, support, touch = _support_data(m, directions)
+        assert list(poly.angles) == angles == [2 * np.pi * k / directions for k in range(directions)]
+        assert list(poly.support) == support
+        for theta, h, z in zip(angles, support, touch):
+            t = np.exp(-1j * theta) * m
+            ref = float(np.linalg.eigvalsh((t + t.conj().T) / 2)[-1])
+            assert abs(h - ref) <= 1e-12 * scale, (directions, theta, h, ref)
+            # the touching point lies on its support line
+            assert abs((z * np.exp(-1j * theta)).real - h) <= DEFAULT_TOL.rtol * scale, (directions, theta, z, h)
+        assert set(poly.vertices) <= set(touch)
+
+
+def _quadratic_hull(points, eps):
+    """convex_hull with the all-pairs second dedup pass, as a reference."""
+    uniq = []
+    for z in sorted(points, key=lambda w: (w.real, w.imag)):
+        if not uniq or abs(z - uniq[-1]) > eps:
+            uniq.append(z)
+    dedup = []
+    for z in uniq:
+        if all(abs(z - w) > eps for w in dedup):
+            dedup.append(z)
+    if len(dedup) <= 2:
+        return dedup
+
+    def cross(o, p, q):
+        return (p.real - o.real) * (q.imag - o.imag) - (p.imag - o.imag) * (q.real - o.real)
+
+    lower = []
+    for z in dedup:
+        while len(lower) >= 2 and cross(lower[-2], lower[-1], z) <= eps:
+            lower.pop()
+        lower.append(z)
+    upper = []
+    for z in reversed(dedup):
+        while len(upper) >= 2 and cross(upper[-2], upper[-1], z) <= eps:
+            upper.pop()
+        upper.append(z)
+    hull = lower[:-1] + upper[:-1]
+    return hull if len(hull) >= 2 else dedup[:1]
+
+
+def test_convex_hull_matches_quadratic_dedup():
+    eps = 1e-3
+    # z3 is within eps of z1 but not of its sorted neighbour z2, so only the windowed pass removes it
+    straddle = [0j, complex(0.5 * eps, 0.9), complex(0.9 * eps, 0.1 * eps), 1 + 0j, 1j]
+    assert _quadratic_hull(straddle, eps) == convex_hull(straddle, eps)
+    assert complex(0.9 * eps, 0.1 * eps) not in convex_hull(straddle + [-1 - 1j], eps)
+    rng = np.random.default_rng(37)
+    for trial in range(300):
+        n_centres = int(rng.integers(1, 8))
+        centres = rng.uniform(-5, 5, n_centres) * eps + 1j * rng.uniform(-5, 5, n_centres) * eps
+        points = [complex(c + eps * complex(*rng.uniform(-1, 1, 2))) for c in centres for _ in range(int(rng.integers(1, 5)))]
+        points += points[: int(rng.integers(0, len(points) + 1))]  # exact duplicates
+        start, step = complex(*rng.uniform(-5, 5, 2)) * eps, complex(*rng.uniform(-1, 1, 2)) * eps
+        points += [start + k * step for k in range(int(rng.integers(0, 6)))]  # a collinear run
+        rng.shuffle(points)
+        assert convex_hull(points, eps) == _quadratic_hull(points, eps), trial
+
+
+def test_numerical_range_contains_matches_scalar_loop():
+    rng = np.random.default_rng(41)
+    outcomes = set()
+    for d, x in _numrange_cases():
+        poly = a_numerical_range(d, x, 72)
+        reach = max(abs(h) for h in poly.support)
+        for _ in range(50):
+            z = complex(*rng.uniform(-1.2, 1.2, 2)) * reach
+            slack = float(rng.choice([0.0, 1e-7, 0.1])) * reach
+            expected = all((z * np.exp(-1j * theta)).real <= h + slack for theta, h in zip(poly.angles, poly.support))
+            assert poly.contains(z, slack) is expected
+            outcomes.add(expected)
+    assert outcomes == {True, False}
 
 
 def test_mollifier_scalar_resolvent(d_rank1):
