@@ -266,8 +266,9 @@ def _prop_douglas_factorization(ctx: CheckContext):
     ctx.check_psd_dominates(alpha * (y.conj().T @ y), x.conj().T @ x, "alpha Y*Y >= X*X")
     # now force a null vector of Y outside N(X): must be rejected
     u = _complex_gaussian(ctx.rng, ctx.dim)
-    u = u / np.linalg.norm(u)
-    y_sing = y @ (np.eye(ctx.dim) - np.outer(u, u.conj()))
+    # an exact orthonormal basis of u's complement: none at dim 1, where y_sing is exactly 0
+    comp = np.linalg.qr(u[:, None], mode="complete")[0][:, 1:]
+    y_sing = y @ comp @ comp.conj().T
     try:
         douglas.douglas_solve(np.eye(ctx.dim, dtype=np.complex128), y_sing, ctx.tol)
         ctx.fail("douglas_solve accepted", "NotMajorizedError for incompatible null spaces")
@@ -550,21 +551,30 @@ def _prop_witness_validity(ctx: CheckContext):
     x = ctx.member(dec)
     spec = a_spectrum(dec, x, ctx.tol)
     a = dec.a
+    atol, rtol = ctx.tol.atol, ctx.tol.rtol
+    # each defect meets the homogeneous bound spectrum_witness verifies against, which
+    # rejects wrong states at every scale, and the atol-floored bound, which near scale 1
+    # is usually the tighter of the two
+    x_norm = a_seminorm(dec, x, ctx.tol).value
+    big = float(dec.eigvals.max()) * x_norm**2
     for lam in spec.points:
         for side in ("left", "right"):
             state = spectrum_witness(dec, x, lam, side, ctx.tol, spot_checks=5)
             if state is None:
                 continue  # soft outcome, logged by callers that care
             fax = state(a @ x)
-            bound = ctx.tol.atol + ctx.tol.rtol * max(1.0, abs(fax) ** 2)
-            ctx.check(abs(fax - lam) <= bound, f"f(AX) = {fax}", f"= {lam}")
+            floor = atol + rtol * max(1.0, abs(fax) ** 2)
+            bound = min(floor, rtol * x_norm)
+            ctx.check(abs(fax - lam) <= bound, f"f(AX) = {fax}", f"within {bound:.1e} of {lam}")
             if side == "left":
                 dev = abs(state(x.conj().T @ a @ x) - abs(fax) ** 2)
+                bound = min(floor, rtol * x_norm**2)
                 ctx.check(dev <= bound, f"left witness defect {dev:.3e}", f"<= {bound:.1e}")
             else:
-                dev = abs(state(a @ x @ x.conj().T @ a) - fax * state(a @ x.conj().T @ a))
-                big = ctx.tol.atol + ctx.tol.rtol * max(1.0, abs(state(a @ x @ x.conj().T @ a)))
-                ctx.check(abs(dev) <= big, f"right witness defect {abs(dev):.3e}", f"<= {big:.1e}")
+                faxxa = state(a @ x @ x.conj().T @ a)
+                dev = abs(faxxa - fax * state(a @ x.conj().T @ a))
+                bound = min(atol + rtol * max(1.0, abs(faxxa)), rtol * big)
+                ctx.check(dev <= bound, f"right witness defect {dev:.3e}", f"<= {bound:.1e}")
 
 
 def _prop_numrange_contains_spectrum(ctx: CheckContext):

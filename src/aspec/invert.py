@@ -62,13 +62,20 @@ def _nonsingular(svals: np.ndarray, tol: ToleranceConfig) -> bool:
     return svals.size == 0 or svals[-1] > tol.cutoff(svals[0])
 
 
+def _inverse_compression(c: ComplexMatrix, tol: ToleranceConfig) -> ComplexMatrix | None:
+    """C^-1 for a compression that passes the rank test, else None."""
+    if not _nonsingular(np.linalg.svd(c, compute_uv=False), tol):
+        return None
+    return np.linalg.inv(c)
+
+
 def _invert(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig) -> AInverseResult:
     """Invertibility of a member and, when it holds, both inverses."""
-    c = range_compression(d, x)
-    if not _nonsingular(np.linalg.svd(c, compute_uv=False), tol):
+    c_inv = _inverse_compression(range_compression(d, x), tol)
+    if c_inv is None:
         return AInverseResult(invertible=False)
     q = d.range_basis
-    canonical = q @ np.linalg.inv(c) @ q.conj().T
+    canonical = q @ c_inv @ q.conj().T
     return AInverseResult(invertible=True, canonical=canonical, invertible_form=canonical + (np.eye(d.dim) - d.proj))
 
 

@@ -34,9 +34,9 @@ class ToleranceConfig:
     rank_rtol: singular values and eigenvalues at most rank_rtol times the
         largest are exactly zero everywhere.
     atol: no decision about an operand uses it; it is the accuracy target
-        of approx_equal, the property checks and the Neumann series, and the
-        floor of the hull's eps.  Witness bounds are relative to their
-        terms' own size and have no absolute floor.
+        of approx_equal, the property checks and the Neumann series.  Witness
+        bounds are relative to their terms' own size, and the hull's eps is
+        rtol times the spread of its points; neither has an absolute floor.
     """
 
     atol: float = 1e-10

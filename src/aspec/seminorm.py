@@ -6,7 +6,7 @@ compression to the range: with Q an orthonormal range basis and L the
 retained eigenvalues, C = Q* X Q, and its similar form M = L^(1/2) C L^(-1/2)
 is A^(1/2) X (A^(1/2))^dagger on the range.  Every member-assuming core reads
 one of the two, built by range_compression and compressed; the seminorm is
-sigma_max(M).  An independent route to the same number goes through the
+sigma_max(M), which range_seminorm reads off C alone.  An independent route to the same number goes through the
 supremum of the state functionals f(X*AX)/f(A) in the full space; both are
 exposed so they can be cross-checked.
 """
@@ -96,15 +96,25 @@ def range_compression(d: PsdDecomposition, x: ComplexMatrix) -> ComplexMatrix:
     return q.conj().T @ np.asarray(x, dtype=np.complex128) @ q
 
 
+def _similar_form(d: PsdDecomposition, c: ComplexMatrix) -> ComplexMatrix:
+    """L^(1/2) C L^(-1/2) for a rank x rank C."""
+    s = np.sqrt(d.range_eigvals)
+    return c * s[:, None] / s[None, :]
+
+
 def compressed(d: PsdDecomposition, x: ComplexMatrix) -> ComplexMatrix:
     """M = L^(1/2) C L^(-1/2), which is A^(1/2) X (A^(1/2))^dagger on the range (rank x rank)."""
-    s = np.sqrt(d.range_eigvals)
-    return range_compression(d, x) * s[:, None] / s[None, :]
+    return _similar_form(d, range_compression(d, x))
+
+
+def range_seminorm(d: PsdDecomposition, c: ComplexMatrix) -> float:
+    """Seminorm of the member whose compression is C: sigma_max(L^(1/2) C L^(-1/2)), 0 at rank 0."""
+    return float(np.linalg.svd(_similar_form(d, c), compute_uv=False).max(initial=0.0))
 
 
 def _seminorm(d: PsdDecomposition, x: ComplexMatrix) -> float:
     """Seminorm of a member: sigma_max(M), 0 at rank 0."""
-    return float(np.linalg.svd(compressed(d, x), compute_uv=False).max(initial=0.0))
+    return range_seminorm(d, range_compression(d, x))
 
 
 def a_seminorm(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> ASeminormValue:

@@ -8,7 +8,10 @@ of zero is decided by the rank test on the singular values of C, never by the
 eigensolver.  The numerical range {f(AX)} is the ordinary numerical range of
 M, computed by support functions: each direction is one Hermitian eigenproblem
 of size rank, and an antipodal pair of directions shares one, since the
-problem at theta + pi is the negative of the problem at theta.
+problem at theta + pi is the negative of the problem at theta.  Witnesses are
+found from eigenvectors of M and C* and verified on g = Q* h, since
+f(AZ) = g* L C_Z g / <A h, h> for members Z; the boundary mollifier inverts
+lam_n - C.  Only returned states and inverses are lifted to n x n.
 """
 
 from __future__ import annotations
@@ -20,10 +23,10 @@ from typing import Literal
 
 import numpy as np
 
-from .invert import _invert, _nonsingular
+from .invert import _inverse_compression, _nonsingular
 from .linalg import DEFAULT_TOL, ComplexMatrix, ToleranceConfig
 from .psd import PsdDecomposition
-from .seminorm import VectorState, _require_member, _seminorm, compressed, random_member, range_compression
+from .seminorm import VectorState, _require_member, compressed, range_compression, range_seminorm
 
 
 class SpectrumPointError(ValueError):
@@ -69,16 +72,23 @@ class MollifierStep:
 
 
 def _cluster(values, radius: float) -> list[complex]:
-    """Greedy centroid clustering of complex points within the given radius."""
-    clusters: list[list[complex]] = []
+    """Greedy centroid clustering of complex points within the given radius.
+
+    Each cluster's centroid is kept next to its members and recomputed only
+    when the cluster grows.
+    """
+    members: list[list[complex]] = []
+    centroids: list[complex] = []
     for z in sorted(values, key=lambda w: (w.real, w.imag)):
-        for cl in clusters:
-            if abs(z - np.mean(cl)) <= radius:
-                cl.append(z)
+        for k, centroid in enumerate(centroids):
+            if abs(z - centroid) <= radius:
+                members[k].append(z)
+                centroids[k] = np.mean(members[k])
                 break
         else:
-            clusters.append([z])
-    return sorted((complex(np.mean(cl)) for cl in clusters), key=lambda w: (w.real, w.imag))
+            members.append([z])
+            centroids.append(np.mean(members[-1]))
+    return sorted((complex(c) for c in centroids), key=lambda w: (w.real, w.imag))
 
 
 def _spectrum(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig) -> tuple[ASpectrumResult, float]:
@@ -164,12 +174,14 @@ def spectrum_witness(
 ) -> VectorState | None:
     """Vector state certifying that lam belongs to the requested one-sided spectrum.
 
-    Right side: a state built on w = Q L^(-1) v for an eigenvector v of C*,
-    so X*(A w) = conj(lam) (A w), which makes f(A (X - lam) Y) vanish for
-    every Y.  Left side: a state built on Q L^(-1/2) u for an eigenvector u
-    of M, which forces f(X*AX) = |f(AX)|^2 with f(AX) = lam.  The returned state is verified against its side's
-    multiplicativity identity and spot-checked on random members; None is
-    returned when no searched vector state verifies (an outcome, not an error).
+    Every candidate is h = Q g for a unit range vector g, found in rank x
+    rank.  Right side: g = L^(-1) v for an eigenvector v of C*, so
+    X*(A h) = conj(lam) (A h), which makes f(A (X - lam) Y) vanish for every
+    Y.  Left side: g = L^(-1/2) u for an eigenvector u of M, which forces
+    f(X*AX) = |f(AX)|^2 with f(AX) = lam.  The returned state is verified
+    against its side's multiplicativity identity and spot-checked on random
+    members; None is returned when no searched vector state verifies (an
+    outcome, not an error).
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
@@ -191,10 +203,10 @@ def spectrum_witness(
     for idx in order:
         if abs(evals[idx] - target) > radius:
             break
-        # a nonzero range vector, so <A h, h> >= gap > 0
-        h = d.range_basis @ (back * evecs[:, idx])
-        h = h / np.linalg.norm(h)
-        state = VectorState(h=h, weight=float((h.conj() @ (d.a @ h)).real))
+        # a nonzero range vector, so <A h, h> = g* L g >= gap > 0
+        g = back * evecs[:, idx]
+        g = g / np.linalg.norm(g)
+        state = VectorState(h=d.range_basis @ g, weight=float(lam_r @ np.abs(g) ** 2))
         if _verify_witness(d, x, lam, side, state, tol, spot_checks, rng):
             return state
     return None
@@ -212,43 +224,66 @@ def _verify_witness(
 ) -> bool:
     """Side identities and spot checks of a candidate state, each against rtol times the size of its terms.
 
+    Everything runs in rank x rank on g = Q* h.  For members Q* Z (I - P) = 0,
+    so f(AZ) = g* L C_Z g / w with w = <A h, h> and C_Z = Q* Z Q, and the
+    compression of a product of members is the product of compressions.  The
+    left identity reads f(X*AX) = (Cg)* L (Cg) / w; the right identities read
+    f(AXX*A) = |C* L g|^2 / w, f(AX*A) = (Lg)* C* (Lg) / w and
+    f(A^2) = |Lg|^2 / w.  Each spot check draws C_Y as a rank x rank complex
+    Gaussian, the distribution of Q* Y Q for a random member Y.
+
     Every state has |f(AZ)| <= ||Z||_A, which sizes the left identity and the
     spot checks.  With f(A^2) <= lambda_max(A), every term of the right
     identities (f(AXX*A), f(AX) f(AX*A), |f(AX)|^2 f(A^2)) is at most
-    big = lambda_max(A) ||X||_A^2, which also sizes the rounding of the n x n
-    products when h leans on small eigenvalues.  Every bound scales with A
-    and X; no absolute floor enters.
+    big = lambda_max(A) ||X||_A^2, which also sizes their rounding when h
+    leans on small eigenvalues.  Every bound scales with A and X; no
+    absolute floor enters.
     """
-    a = d.a
-    x_norm = _seminorm(d, x)
-    fax = state(a @ x)
+    lam_r = d.range_eigvals
+    c = range_compression(d, x)
+    g = d.range_basis.conj().T @ state.h
+    lg = lam_r * g
+
+    def f(cz: ComplexMatrix) -> complex:
+        """f(AZ) for the member Z whose compression is cz."""
+        return complex(lg.conj() @ (cz @ g)) / state.weight
+
+    x_norm = range_seminorm(d, c)
+    fax = f(c)
     if abs(fax - lam) > tol.rtol * x_norm:
         return False
     if side == "left":
-        if abs(state(x.conj().T @ a @ x) - abs(fax) ** 2) > tol.rtol * x_norm**2:
+        fxax = float(lam_r @ np.abs(c @ g) ** 2) / state.weight
+        if abs(fxax - abs(fax) ** 2) > tol.rtol * x_norm**2:
             return False
     else:
-        faxxa = state(a @ x @ x.conj().T @ a)
-        faxa = state(a @ x.conj().T @ a)
-        fa2 = state(a @ a)
+        faxxa = float(np.linalg.norm(c.conj().T @ lg)) ** 2 / state.weight
+        faxa = complex(lg.conj() @ (c.conj().T @ lg)) / state.weight
+        fa2 = float(np.linalg.norm(lg)) ** 2 / state.weight
         big = float(d.eigvals.max()) * x_norm**2
         if abs(faxxa - fax * faxa) > tol.rtol * big:
             return False
         if abs(fax * faxa - abs(fax) ** 2 * fa2) > tol.rtol * big:
             return False
-    shift = x - lam * np.eye(d.dim)
+    shift = c - lam * np.eye(d.rank)
+    shape = (d.rank, d.rank)
     for _ in range(spot_checks):
-        y = random_member(d, rng)
+        cy = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
         # val = f(AXY) - lam f(AY) on the right (f(AYX) - lam f(AY) on the left),
         # a difference of terms bounded by ||X||_A ||Y||_A and |lam| ||Y||_A
-        val = state(a @ shift @ y) if side == "right" else state(a @ y @ shift)
-        if abs(val) > tol.rtol * (x_norm + abs(lam)) * _seminorm(d, y):
+        val = f(shift @ cy) if side == "right" else f(cy @ shift)
+        if abs(val) > tol.rtol * (x_norm + abs(lam)) * range_seminorm(d, cy):
             return False
     return True
 
 
 def convex_hull(points: list[complex], eps: float) -> list[complex]:
-    """Monotone-chain hull, counterclockwise, robust to coincident and collinear points."""
+    """Monotone-chain hull, counterclockwise, robust to coincident and collinear points.
+
+    eps is a length: points within eps of each other are merged, and a chain
+    point within eps of the chord from its predecessor to the next point, or
+    beyond it, is dropped.  Scaling the points and eps together scales the hull.
+    """
     uniq: list[complex] = []
     for z in sorted(points, key=lambda w: (w.real, w.imag)):
         if not uniq or abs(z - uniq[-1]) > eps:
@@ -267,12 +302,12 @@ def convex_hull(points: list[complex], eps: float) -> list[complex]:
 
     lower: list[complex] = []
     for z in dedup:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], z) <= eps:
+        while len(lower) >= 2 and cross(lower[-2], lower[-1], z) <= eps * abs(z - lower[-2]):
             lower.pop()
         lower.append(z)
     upper: list[complex] = []
     for z in reversed(dedup):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], z) <= eps:
+        while len(upper) >= 2 and cross(upper[-2], upper[-1], z) <= eps * abs(z - upper[-2]):
             upper.pop()
         upper.append(z)
     hull = lower[:-1] + upper[:-1]
@@ -319,7 +354,8 @@ def a_numerical_range(
     the support value (outer data) and u* M u at its unit eigenvector u is
     the touching point (inner hull vertex).  An antipodal pair of directions
     shares one eigh, so an even number of directions costs directions / 2
-    eighs of size rank.
+    eighs of size rank.  The hull merges touching points within rtol times
+    their spread, so the polygon scales with X.
     """
     if directions < 3:
         raise ValueError("directions must be at least 3")
@@ -328,7 +364,7 @@ def a_numerical_range(
         return NumericalRangePolygon(directions=directions, vertices=(), angles=(), support=())
     angles, support, touch = _support_data(compressed(d, x), directions)
     spread = max((abs(z) for z in touch), default=0.0)
-    hull = convex_hull(touch, eps=tol.atol + tol.rtol * spread)
+    hull = convex_hull(touch, eps=tol.rtol * spread)
     return NumericalRangePolygon(
         directions=directions,
         vertices=tuple(hull),
@@ -346,24 +382,34 @@ def boundary_mollifier(
 ) -> list[MollifierStep]:
     """Normalized approximate inverses along an approach to a spectrum point.
 
-    For each approach value the canonical inverse of (value - X) is built and
-    normalized to unit seminorm; the two defect seminorms of the normalized
-    inverse against (lam - X) tend to zero along a valid approach.  Raises
+    For each approach value the canonical inverse of (value - X), which is
+    Q (value - C)^(-1) Q*, is built and normalized to unit seminorm; the two
+    defect seminorms of the normalized inverse against (lam - X) tend to zero
+    along a valid approach.  Inverse, seminorm and defects are read off
+    rank x rank compressions, and only x_n is lifted.  Raises
     SpectrumPointError if an approach value lies on the spectrum.
     """
     x = _require_member(d, x, tol)
     spec, radius = _spectrum(d, x, tol)
     if not _on_spectrum(lam, spec, radius):
         raise ValueError(f"{lam} is not a point of the weighted spectrum")
-    eye = np.eye(d.dim)
-    shift = lam * eye - x
+    c = range_compression(d, x)
+    eye = np.eye(d.rank)
+    shift = lam * eye - c
+    q = d.range_basis
     steps: list[MollifierStep] = []
     for lam_n in approach:
         if _on_spectrum(lam_n, spec, radius):
             raise SpectrumPointError(f"approach value {lam_n} lies on the spectrum")
-        res = _invert(d, lam_n * eye - x, tol)
-        if not res.invertible:
+        inverse = _inverse_compression(lam_n * eye - c, tol)
+        if inverse is None:
             raise SpectrumPointError(f"approach value {lam_n} is not invertible against the weight")
-        x_n = res.canonical / _seminorm(d, res.canonical)
-        steps.append(MollifierStep(x_n=x_n, left_defect=_seminorm(d, x_n @ shift), right_defect=_seminorm(d, shift @ x_n)))
+        r_n = inverse / range_seminorm(d, inverse)
+        steps.append(
+            MollifierStep(
+                x_n=q @ r_n @ q.conj().T,
+                left_defect=range_seminorm(d, r_n @ shift),
+                right_defect=range_seminorm(d, shift @ r_n),
+            )
+        )
     return steps

@@ -170,6 +170,9 @@ def test_criterion_07_witness_validity(pool, classical_pool):
     for spec, dec, x in pool:
         rng = np.random.default_rng(spec.seed + 99)
         shiftless = a_spectrum(dec, x)
+        # homogeneous bounds, as spectrum_witness verifies: they reject wrong states at every scale
+        x_norm = a_seminorm(dec, x).value
+        big = float(dec.eigvals.max()) * x_norm**2
         for lam in shiftless.points:
             for side in ("left", "right"):
                 state = spectrum_witness(dec, x, lam, side)
@@ -179,8 +182,11 @@ def test_criterion_07_witness_validity(pool, classical_pool):
                 a = dec.a
                 fax = state(a @ x)
                 assert abs(fax - lam) <= 1e-8 * max(1.0, abs(lam))
+                assert abs(fax - lam) <= 1e-8 * x_norm
                 if side == "left":
-                    assert abs(state(x.conj().T @ a @ x) - abs(fax) ** 2) <= 1e-8 * max(1.0, abs(fax) ** 2)
+                    dev = abs(state(x.conj().T @ a @ x) - abs(fax) ** 2)
+                    assert dev <= 1e-8 * max(1.0, abs(fax) ** 2)
+                    assert dev <= 1e-8 * x_norm**2
                 else:
                     lhs = state(a @ x @ x.conj().T @ a)
                     mid = fax * state(a @ x.conj().T @ a)
@@ -188,6 +194,8 @@ def test_criterion_07_witness_validity(pool, classical_pool):
                     scale = max(1.0, abs(lhs))
                     assert abs(lhs - mid) <= 1e-8 * scale
                     assert abs(mid - rhs) <= 1e-8 * scale
+                    assert abs(lhs - mid) <= 1e-8 * big
+                    assert abs(mid - rhs) <= 1e-8 * big
                 shift = x - lam * np.eye(dec.dim)
                 for _ in range(20):
                     y = random_member(dec, rng)

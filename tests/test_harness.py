@@ -80,6 +80,12 @@ def test_suite_passes_on_modest_run():
     assert not failing, failing
 
 
+def test_suite_passes_at_dim_one():
+    reports = run_property_suite(trials=10, dims=(1,))
+    failing = [(r.suite, [f.to_obj() for f in r.failures[:2]]) for r in reports if not r.passed]
+    assert not failing, failing
+
+
 def test_forced_failures_replay_identically():
     # zero tolerances make ordinary rounding count as failure: the failure
     # path itself must be deterministic and fully serializable

@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+from aspec.harness import RandomInstanceSpec, generate_instance
 from aspec.linalg import DEFAULT_TOL
 from aspec.psd import psd_decompose
 from aspec.seminorm import NotMemberError, VectorState, compressed, random_member
 from aspec.spectrum import (
     SpectrumPointError,
+    _cluster,
+    _spectrum,
     _support_data,
     _verify_witness,
     a_numerical_range,
@@ -267,12 +270,12 @@ def _quadratic_hull(points, eps):
 
     lower = []
     for z in dedup:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], z) <= eps:
+        while len(lower) >= 2 and cross(lower[-2], lower[-1], z) <= eps * abs(z - lower[-2]):
             lower.pop()
         lower.append(z)
     upper = []
     for z in reversed(dedup):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], z) <= eps:
+        while len(upper) >= 2 and cross(upper[-2], upper[-1], z) <= eps * abs(z - upper[-2]):
             upper.pop()
         upper.append(z)
     hull = lower[:-1] + upper[:-1]
@@ -340,3 +343,170 @@ def test_mollifier_rejects_spectrum_point(d_rank1):
 def test_mollifier_requires_spectrum_point(d_rank1):
     with pytest.raises(ValueError):
         boundary_mollifier(d_rank1, cdiag(2, 3), 7.0, [7.5])
+
+
+def test_numerical_range_vertex_count_is_scale_invariant():
+    d = psd_decompose(cdiag(1, 0.8, 0.5, 0))
+    x = random_member(d, np.random.default_rng(3))
+    count = len(a_numerical_range(d, x, 720).vertices)
+    for c in (1e-12, 1e-8, 1e8):
+        assert len(a_numerical_range(d, c * x, 720).vertices) == count, c
+
+
+def _quadratic_cluster(values, radius):
+    """_cluster recomputing every cluster's mean at every comparison, as a reference."""
+    clusters = []
+    for z in sorted(values, key=lambda w: (w.real, w.imag)):
+        for cl in clusters:
+            if abs(z - np.mean(cl)) <= radius:
+                cl.append(z)
+                break
+        else:
+            clusters.append([z])
+    return sorted((complex(np.mean(cl)) for cl in clusters), key=lambda w: (w.real, w.imag))
+
+
+def test_cluster_matches_quadratic_reference():
+    rng = np.random.default_rng(43)
+    radius = 1e-3
+    # a point at distance exactly radius joins; one just beyond starts its own cluster
+    straddle = [0j, complex(radius, 0), complex(0, radius * (1 + 1e-12)), complex(2.5 * radius, 0)]
+    assert _cluster(straddle, radius) == _quadratic_cluster(straddle, radius)
+    for trial in range(200):
+        sizes = rng.choice([1, 2, 3, 8, 9, 64], size=int(rng.integers(1, 5)))
+        points = []
+        for size in sizes:
+            centre = complex(*rng.uniform(-1, 1, 2))
+            # offsets straddle the radius, so some points join a cluster and some start a new one
+            spread = radius * rng.choice([0.3, 1.0, 1.7])
+            points += [centre + spread * complex(*rng.uniform(-1, 1, 2)) for _ in range(size)]
+        rng.shuffle(points)
+        assert _cluster(points, radius) == _quadratic_cluster(points, radius), trial
+
+
+def _rank3_member():
+    rng = np.random.default_rng(47)
+    g, _ = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+    vals = np.zeros(8)
+    vals[:3] = rng.uniform(0.5, 1.5, 3)
+    d = psd_decompose((g * vals) @ g.conj().T)
+    return d, random_member(d, rng)
+
+
+def test_witness_and_mollifier_work_in_range_coordinates(monkeypatch):
+    import aspec.seminorm
+    import aspec.spectrum
+
+    d, x = _rank3_member()
+    lam = max(a_spectrum(d, x).points, key=abs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("random_member called")
+
+    monkeypatch.setattr(aspec.seminorm, "random_member", forbidden)
+    monkeypatch.setattr(aspec.spectrum, "random_member", forbidden, raising=False)
+    shapes = []
+    inside_membership = [False]
+    membership = aspec.seminorm.a_membership
+
+    def recorded_membership(*args, **kwargs):
+        inside_membership[0] = True
+        try:
+            return membership(*args, **kwargs)
+        finally:
+            inside_membership[0] = False
+
+    monkeypatch.setattr(aspec.seminorm, "a_membership", recorded_membership)
+    for name in ("svd", "eig", "eigvals", "eigh", "eigvalsh", "inv", "pinv", "solve", "norm", "qr", "det"):
+        original = getattr(np.linalg, name)
+
+        def wrapper(*args, _original=original, **kwargs):
+            if not inside_membership[0]:
+                shapes.extend(np.shape(arg) for arg in args if isinstance(arg, np.ndarray))
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, wrapper)
+    for side in ("left", "right"):
+        assert spectrum_witness(d, x, lam, side) is not None
+    steps = boundary_mollifier(d, x, lam, [lam * (1 + t) for t in (0.5, 0.25, 0.125)])
+    assert len(steps) == 3
+    assert shapes
+    # every operand is rank x rank (or a vector of length rank)
+    assert all(set(shape) == {d.rank} for shape in shapes), shapes
+
+
+def test_mollifier_matches_full_space_inverse_and_defects():
+    from aspec.invert import a_invertible
+    from aspec.seminorm import a_seminorm_oracle
+
+    d, x = _rank3_member()
+    lam = max(a_spectrum(d, x).points, key=abs)
+    approach = [lam * (1 + t) for t in (0.5, 0.25, 0.125)]
+    shift = lam * np.eye(d.dim) - x
+    for lam_n, step in zip(approach, boundary_mollifier(d, x, lam, approach)):
+        canonical = a_invertible(d, lam_n * np.eye(d.dim) - x).canonical
+        x_n = canonical / a_seminorm_oracle(d, canonical)
+        assert np.abs(step.x_n - x_n).max() <= 1e-10 * np.abs(x_n).max()
+        assert step.left_defect == pytest.approx(a_seminorm_oracle(d, x_n @ shift), rel=1e-9)
+        assert step.right_defect == pytest.approx(a_seminorm_oracle(d, shift @ x_n), rel=1e-9)
+
+
+def _reference_witness(d, x, lam, side, tol=DEFAULT_TOL, spot_checks=20):
+    """spectrum_witness with every state value taken in n x n, as a reference."""
+    if d.rank == 0:
+        return None
+    radius = _spectrum(d, x, tol)[1]
+    lam_r = d.range_eigvals
+    if side == "left":
+        evals, evecs = np.linalg.eig(compressed(d, x))
+        target, back = lam, lam_r**-0.5
+    else:
+        evals, evecs = np.linalg.eig((d.range_basis.conj().T @ x @ d.range_basis).conj().T)
+        target, back = np.conj(lam), lam_r**-1.0
+    rng = np.random.default_rng(2024)
+    a = d.a
+    x_norm = float(np.linalg.svd(compressed(d, x), compute_uv=False).max())
+    big = float(d.eigvals.max()) * x_norm**2
+    for idx in np.argsort(np.abs(evals - target)):
+        if abs(evals[idx] - target) > radius:
+            break
+        h = d.range_basis @ (back * evecs[:, idx])
+        h = h / np.linalg.norm(h)
+        state = VectorState(h=h, weight=float((h.conj() @ (a @ h)).real))
+        fax = state(a @ x)
+        ok = abs(fax - lam) <= tol.rtol * x_norm
+        if ok and side == "left":
+            ok = abs(state(x.conj().T @ a @ x) - abs(fax) ** 2) <= tol.rtol * x_norm**2
+        elif ok:
+            faxa = state(a @ x.conj().T @ a)
+            ok = abs(state(a @ x @ x.conj().T @ a) - fax * faxa) <= tol.rtol * big
+            ok = ok and abs(fax * faxa - abs(fax) ** 2 * state(a @ a)) <= tol.rtol * big
+        shift = x - lam * np.eye(d.dim)
+        for _ in range(spot_checks if ok else 0):
+            y = random_member(d, rng)
+            val = state(a @ shift @ y) if side == "right" else state(a @ y @ shift)
+            y_norm = float(np.linalg.svd(compressed(d, y), compute_uv=False).max())
+            if abs(val) > tol.rtol * (x_norm + abs(lam)) * y_norm:
+                ok = False
+                break
+        if ok:
+            return state
+    return None
+
+
+def test_witness_found_flags_match_full_space_reference():
+    pairs = [(dim, rank) for dim in range(1, 9) for rank in range(dim + 1)]
+    checked = found = 0
+    for i in range(60):
+        dim, rank = pairs[i % len(pairs)]
+        a, x = generate_instance(RandomInstanceSpec(dim=dim, rank=rank, member_only=True, seed=500 + i))
+        d = psd_decompose(a)
+        for scale in (1.0, 1e-9, 1e9):
+            xs = scale * x
+            for lam in a_spectrum(d, xs).points:
+                for side in ("left", "right"):
+                    state = spectrum_witness(d, xs, lam, side)
+                    assert (state is None) == (_reference_witness(d, xs, lam, side) is None), (i, scale, lam, side)
+                    checked += 1
+                    found += state is not None
+    assert checked > 300 and found > checked // 2, (checked, found)
