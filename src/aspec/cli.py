@@ -50,52 +50,37 @@ def _emit(obj: dict) -> int:
     return 0
 
 
-def _cmd_seminorm(args) -> int:
-    tol = _tolerance(args.tol)
-    d = psd_decompose(_load(args.a), tol)
-    value = a_seminorm(d, _load(args.x), tol)
+def _cmd_seminorm(d, x, tol, args) -> int:
+    value = a_seminorm(d, x, tol)
     return _emit({"member": value.finite, "value": value.value if value.finite else None})
 
 
-def _cmd_adjoint(args) -> int:
-    tol = _tolerance(args.tol)
-    d = psd_decompose(_load(args.a), tol)
-    return _emit({"adjoint": matrix_to_obj(a_adjoint(d, _load(args.x), tol))})
+def _cmd_adjoint(d, x, tol, args) -> int:
+    return _emit({"adjoint": matrix_to_obj(a_adjoint(d, x, tol))})
 
 
-def _cmd_invert(args) -> int:
-    tol = _tolerance(args.tol)
-    d = psd_decompose(_load(args.a), tol)
-    res = a_invertible(d, _load(args.x), tol)
+def _cmd_invert(d, x, tol, args) -> int:
+    res = a_invertible(d, x, tol)
     inverse = None
     if res.invertible:
         inverse = matrix_to_obj(res.invertible_form if args.invertible_form else res.canonical)
     return _emit({"invertible": res.invertible, "inverse": inverse})
 
 
-def _cmd_spectrum(args) -> int:
-    tol = _tolerance(args.tol)
-    d = psd_decompose(_load(args.a), tol)
-    spec = a_spectrum(d, _load(args.x), tol)
+def _cmd_spectrum(d, x, tol, args) -> int:
+    spec = a_spectrum(d, x, tol)
     return _emit({"points": _points(spec.points), "radius": spec.radius, "contains_zero": spec.contains_zero})
 
 
-def _cmd_radius(args) -> int:
-    tol = _tolerance(args.tol)
-    d = psd_decompose(_load(args.a), tol)
-    x = _load(args.x)
-    spec = a_spectrum(d, x, tol)
-    out = {"radius": spec.radius}
+def _cmd_radius(d, x, tol, args) -> int:
+    out = {"radius": a_spectrum(d, x, tol).radius}
     if args.gelfand is not None:
         out["gelfand"] = [float(t) for t in gelfand_sequence(d, x, args.gelfand, tol)]
     return _emit(out)
 
 
-def _cmd_numrange(args) -> int:
-    tol = _tolerance(args.tol)
-    d = psd_decompose(_load(args.a), tol)
-    poly = a_numerical_range(d, _load(args.x), args.directions, tol)
-    return _emit({"vertices": _points(poly.vertices)})
+def _cmd_numrange(d, x, tol, args) -> int:
+    return _emit({"vertices": _points(a_numerical_range(d, x, args.directions, tol).vertices)})
 
 
 def _classification_obj(result: InverseClassification) -> dict:
@@ -166,11 +151,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def matrix_cmd(name: str, handler, help_text: str):
+        """A subcommand on (--a, --x): the tolerance, the weight and then X are loaded once, in that order."""
+
+        def run(args) -> int:
+            tol = _tolerance(args.tol)
+            d = psd_decompose(_load(args.a), tol)
+            return handler(d, _load(args.x), tol, args)
+
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--a", required=True, help="weight matrix JSON file")
         p.add_argument("--x", required=True, help="matrix JSON file")
         p.add_argument("--tol", type=float, default=None, help="rank cutoff T, relative defect bound 100*T, accuracy target atol T (default 1e-10)")
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=run)
         return p
 
     matrix_cmd("seminorm", _cmd_seminorm, "membership and weighted seminorm")

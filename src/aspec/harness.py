@@ -313,9 +313,7 @@ def _prop_membership_rejects(ctx: CheckContext):
     if dec.rank == ctx.dim:
         return
     # a matrix sending a null vector onto the range is not a member
-    q = dec.range_basis
-    null_basis = dec.eigvecs[:, dec.eigvals == 0]
-    x = np.outer(q[:, 0], null_basis[:, 0].conj())
+    x = np.outer(dec.range_basis[:, 0], dec.null_basis[:, 0].conj())
     ctx.instance["x"] = matrix_to_obj(x)
     ctx.check(not a_membership(dec, x, ctx.tol), "accepted as member", "null-space mover rejected")
 

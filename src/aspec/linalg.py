@@ -32,7 +32,8 @@ class ToleranceConfig:
     of its own operand, so rescaling the operands never changes an answer.
     rtol: a defect is negligible when at most rtol times that scale.
     rank_rtol: singular values and eigenvalues at most rank_rtol times the
-        largest are exactly zero everywhere.
+        largest are exactly zero everywhere; lam is a spectrum point iff
+        sigma_min(C - lam) is at most rank_rtol times sigma_max(C).
     atol: no decision about an operand uses it; it is the accuracy target
         of approx_equal, the property checks and the Neumann series.  Witness
         bounds are relative to their terms' own size, and the hull's eps is

@@ -46,6 +46,11 @@ class PsdDecomposition:
         return self.eigvecs[:, self.eigvals > 0]
 
     @property
+    def null_basis(self) -> np.ndarray:
+        """Orthonormal basis N of the null space, shape (dim, dim - rank)."""
+        return self.eigvecs[:, self.eigvals == 0]
+
+    @property
     def range_eigvals(self) -> np.ndarray:
         """Retained (positive) eigenvalues, shape (rank,)."""
         return self.eigvals[self.eigvals > 0]

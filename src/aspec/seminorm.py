@@ -57,14 +57,15 @@ class VectorState:
 def a_membership(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """True iff X maps the null space of the weight into itself.
 
-    With P the range projection, the defect ||P X (I - P)||_F must be
-    negligible against ||X||_F; the answer is invariant under A -> cA,
-    X -> cX and unitary conjugation of (A, X).
+    With Q and N orthonormal bases of the range and the null space, the
+    defect ||Q* X N||_F, which equals ||P X (I - P)||_F for the range
+    projection P, must be negligible against ||X||_F; the answer is invariant
+    under A -> cA, X -> cX and unitary conjugation of (A, X).
     """
     x = np.asarray(x, dtype=np.complex128)
     check_square(x, "X")
     check_same_shape(x, d.a)
-    defect = float(np.linalg.norm(d.proj @ x @ (np.eye(d.dim) - d.proj)))
+    defect = float(np.linalg.norm(d.range_basis.conj().T @ x @ d.null_basis))
     return tol.negligible(defect, float(np.linalg.norm(x)))
 
 

@@ -3,15 +3,17 @@
 Everything here reads the two compressions of a member X to the range of the
 weight from the seminorm module: C = Q* X Q and its similar form
 M = L^(1/2) C L^(-1/2), with Q the range basis and L the retained eigenvalues.
-Away from zero the weighted spectrum is the set of eigenvalues of C; membership
-of zero is decided by the rank test on the singular values of C, never by the
-eigensolver.  The numerical range {f(AX)} is the ordinary numerical range of
-M, computed by support functions: each direction is one Hermitian eigenproblem
-of size rank, and an antipodal pair of directions shares one, since the
-problem at theta + pi is the negative of the problem at theta.  Witnesses are
-found from eigenvectors of M and C* and verified on g = Q* h, since
-f(AZ) = g* L C_Z g / <A h, h> for members Z; the boundary mollifier inverts
-lam_n - C.  Only returned states and inverses are lifted to n x n.
+lam is a point of the weighted spectrum iff lam - C fails the rank test,
+sigma_min(C - lam) <= cutoff(sigma_max(C)), which at lam = 0 is the test that
+decides invertibility.  That one test groups the eigenvalues of C into points,
+picks the witness candidates and rejects approach values.  The numerical range
+{f(AX)} is the ordinary numerical range of M, computed by support functions:
+each direction is one Hermitian eigenproblem of size rank, and an antipodal
+pair of directions shares one, since the problem at theta + pi is the
+negative of the problem at theta.  Witnesses are found from the null singular
+vectors of C - lam and verified on g = Q* h, since f(AZ) = g* L C_Z g /
+<A h, h> for members Z; the boundary mollifier inverts lam_n - C.  Only
+returned states and inverses are lifted to n x n.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from typing import Literal
 
 import numpy as np
 
-from .invert import _inverse_compression, _nonsingular
 from .linalg import DEFAULT_TOL, ComplexMatrix, ToleranceConfig
 from .psd import PsdDecomposition
 from .seminorm import VectorState, _require_member, compressed, range_compression, range_seminorm
@@ -71,53 +72,67 @@ class MollifierStep:
     right_defect: float
 
 
-def _cluster(values, radius: float) -> list[complex]:
-    """Greedy centroid clustering of complex points within the given radius.
+def _cutoff(c: ComplexMatrix, tol: ToleranceConfig) -> float:
+    """The cutoff of sigma_max(C), which every point test compares sigma_min(C - lam) with."""
+    return tol.cutoff(float(np.linalg.svd(c, compute_uv=False).max(initial=0.0)))
 
-    Each cluster's centroid is kept next to its members and recomputed only
-    when the cluster grows.
+
+def _shifted_svals(c: ComplexMatrix, lam: complex) -> np.ndarray:
+    """Singular values of C - lam, descending."""
+    return np.linalg.svd(c - lam * np.eye(len(c)), compute_uv=False)
+
+
+def _is_point(svals: np.ndarray, cut: float) -> bool:
+    """The one spectral decision, from the singular values of C - lam and the cutoff of sigma_max(C):
+    lam is a point iff sigma_min(C - lam) <= cut.  Never at rank 0; at lam = 0 it decides invertibility."""
+    return svals.size > 0 and bool(svals[-1] <= cut)
+
+
+def _spectrum(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig) -> ASpectrumResult:
+    """Spectrum of a member: the eigenvalues of C, grouped by the rank test of lam - C.
+
+    In (Re, Im) order each eigenvalue joins its nearest group when the grown
+    group's centroid is a point, and otherwise starts a new group.  When 0 is
+    a point it anchors a group that is reported as exactly 0.  The svd of a
+    centroid's shift is skipped when the Bauer-Fike bound
+    sigma_min(C - mu) >= dist(mu, eig(C)) / cond(V), with V the eigenvectors,
+    already clears the cutoff by more than a rounding margin.
     """
-    members: list[list[complex]] = []
-    centroids: list[complex] = []
-    for z in sorted(values, key=lambda w: (w.real, w.imag)):
-        for k, centroid in enumerate(centroids):
-            if abs(z - centroid) <= radius:
-                members[k].append(z)
-                centroids[k] = np.mean(members[k])
-                break
-        else:
-            members.append([z])
-            centroids.append(np.mean(members[-1]))
-    return sorted((complex(c) for c in centroids), key=lambda w: (w.real, w.imag))
-
-
-def _spectrum(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig) -> tuple[ASpectrumResult, float]:
-    """Spectrum of a member, with the cluster radius rtol * sigma_max(C) (= rtol * ||P X||_2) its points
-    were merged at; the same singular values of C decide zero."""
     c = range_compression(d, x)
     svals = np.linalg.svd(c, compute_uv=False)
-    radius = tol.rtol * float(svals.max(initial=0.0))
-    points = _cluster([complex(z) for z in np.linalg.eigvals(c) if abs(z) > radius], radius)
-    contains_zero = not _nonsingular(svals, tol)
-    if contains_zero:
-        points.append(0j)
-    points = sorted(points, key=lambda w: (w.real, w.imag))
-    r = max((abs(z) for z in points), default=0.0)
-    return ASpectrumResult(points=tuple(points), radius=float(r), contains_zero=contains_zero), radius
-
-
-def _on_spectrum(z: complex, spec: ASpectrumResult, radius: float) -> bool:
-    return any(abs(z - p) <= radius for p in spec.points)
+    cut = tol.cutoff(float(svals.max(initial=0.0)))
+    contains_zero = _is_point(svals, cut)
+    groups: list[list[complex]] = [[0j]] if contains_zero else []
+    centroids: list[complex] = [0j] if contains_zero else []
+    if d.rank:
+        evals, evecs = np.linalg.eig(c)
+        v_svals = np.linalg.svd(evecs, compute_uv=False)
+        inv_cond = float(v_svals[-1] / v_svals[0])  # the columns of V are unit vectors, so v_svals[0] >= 1
+        clear = cut + 8 * d.rank * np.finfo(float).eps * float(svals[0])
+        for z in sorted((complex(w) for w in evals), key=lambda w: (w.real, w.imag)):
+            if centroids:
+                k = min(range(len(centroids)), key=lambda i: abs(centroids[i] - z))
+                grown = complex(np.mean(groups[k] + [z]))
+                if np.abs(evals - grown).min() * inv_cond <= clear and _is_point(_shifted_svals(c, grown), cut):
+                    groups[k].append(z)
+                    centroids[k] = grown
+                    continue
+            groups.append([z])
+            centroids.append(z)
+    points = sorted([0j] * contains_zero + centroids[contains_zero:], key=lambda w: (w.real, w.imag))
+    return ASpectrumResult(points=tuple(points), radius=max(map(abs, points), default=0.0), contains_zero=contains_zero)
 
 
 def a_spectrum(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> ASpectrumResult:
     """Weighted spectrum of a member X.
 
-    Nonzero part: clustered eigenvalues of the compression C = Q* X Q.
-    Zero membership: the compression rank test of the invertibility module.
-    Left and right variants coincide with this set in finite dimensions.
+    The points are the lam at which lam - C, for the compression C = Q* X Q,
+    fails the rank test sigma_min(C - lam) <= cutoff(sigma_max(C)).  They are
+    found as groups of eigenvalues of C; 0 is tested directly and reported
+    exactly.  Left and right variants coincide with this set in finite
+    dimensions.
     """
-    return _spectrum(d, _require_member(d, x, tol), tol)[0]
+    return _spectrum(d, _require_member(d, x, tol), tol)
 
 
 def a_spectral_radius(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> float:
@@ -174,37 +189,31 @@ def spectrum_witness(
 ) -> VectorState | None:
     """Vector state certifying that lam belongs to the requested one-sided spectrum.
 
-    Every candidate is h = Q g for a unit range vector g, found in rank x
-    rank.  Right side: g = L^(-1) v for an eigenvector v of C*, so
-    X*(A h) = conj(lam) (A h), which makes f(A (X - lam) Y) vanish for every
-    Y.  Left side: g = L^(-1/2) u for an eigenvector u of M, which forces
-    f(X*AX) = |f(AX)|^2 with f(AX) = lam.  The returned state is verified
-    against its side's multiplicativity identity and spot-checked on random
-    members; None is returned when no searched vector state verifies (an
-    outcome, not an error).
+    One svd of C - lam decides that lam is a point (else ValueError) and
+    supplies the candidates: the singular vectors whose singular values pass
+    the cutoff, most singular first.  Every candidate is h = Q g for a unit
+    range vector g.  Right side: g = L^(-1) v for a left singular vector v,
+    so X*(A h) = conj(lam) (A h), which makes f(A (X - lam) Y) vanish for
+    every Y.  Left side: g is a right singular vector, so C g = lam g, which
+    forces f(X*AX) = |f(AX)|^2 with f(AX) = lam.  The returned state is
+    verified against its side's multiplicativity identity and spot-checked on
+    random members; None is returned when no searched vector state verifies
+    (an outcome, not an error).
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     x = _require_member(d, x, tol)
-    spec, radius = _spectrum(d, x, tol)
-    if not _on_spectrum(lam, spec, radius):
+    c = range_compression(d, x)
+    cut = _cutoff(c, tol)
+    u, svals, vh = np.linalg.svd(c - lam * np.eye(d.rank))
+    if not _is_point(svals, cut):
         raise ValueError(f"{lam} is not a point of the weighted spectrum")
-    if d.rank == 0:
-        return None
     lam_r = d.range_eigvals
-    if side == "left":
-        evals, evecs = np.linalg.eig(compressed(d, x))
-        target, back = lam, lam_r**-0.5
-    else:
-        evals, evecs = np.linalg.eig(range_compression(d, x).conj().T)
-        target, back = np.conj(lam), lam_r**-1.0
     rng = np.random.default_rng(2024)
-    order = np.argsort(np.abs(evals - target))
-    for idx in order:
-        if abs(evals[idx] - target) > radius:
-            break
-        # a nonzero range vector, so <A h, h> = g* L g >= gap > 0
-        g = back * evecs[:, idx]
+    for idx in np.flatnonzero(svals <= cut)[::-1]:
+        # (C - lam) g = 0 on the left, (C - lam)* L g = 0 on the right; a nonzero range
+        # vector, so <A h, h> = g* L g >= gap > 0
+        g = vh[idx].conj() if side == "left" else u[:, idx] / lam_r
         g = g / np.linalg.norm(g)
         state = VectorState(h=d.range_basis @ g, weight=float(lam_r @ np.abs(g) ** 2))
         if _verify_witness(d, x, lam, side, state, tol, spot_checks, rng):
@@ -386,24 +395,23 @@ def boundary_mollifier(
     Q (value - C)^(-1) Q*, is built and normalized to unit seminorm; the two
     defect seminorms of the normalized inverse against (lam - X) tend to zero
     along a valid approach.  Inverse, seminorm and defects are read off
-    rank x rank compressions, and only x_n is lifted.  Raises
-    SpectrumPointError if an approach value lies on the spectrum.
+    rank x rank compressions, and only x_n is lifted.  lam and each approach
+    value are put to the rank test of the spectrum: ValueError if lam is not
+    a point, SpectrumPointError if an approach value is one.
     """
     x = _require_member(d, x, tol)
-    spec, radius = _spectrum(d, x, tol)
-    if not _on_spectrum(lam, spec, radius):
-        raise ValueError(f"{lam} is not a point of the weighted spectrum")
     c = range_compression(d, x)
+    cut = _cutoff(c, tol)
+    if not _is_point(_shifted_svals(c, lam), cut):
+        raise ValueError(f"{lam} is not a point of the weighted spectrum")
     eye = np.eye(d.rank)
     shift = lam * eye - c
     q = d.range_basis
     steps: list[MollifierStep] = []
     for lam_n in approach:
-        if _on_spectrum(lam_n, spec, radius):
+        if _is_point(_shifted_svals(c, lam_n), cut):
             raise SpectrumPointError(f"approach value {lam_n} lies on the spectrum")
-        inverse = _inverse_compression(lam_n * eye - c, tol)
-        if inverse is None:
-            raise SpectrumPointError(f"approach value {lam_n} is not invertible against the weight")
+        inverse = np.linalg.inv(lam_n * eye - c)
         r_n = inverse / range_seminorm(d, inverse)
         steps.append(
             MollifierStep(

@@ -67,6 +67,21 @@ def _random_unitary(rng, dim):
     return q
 
 
+def _defective_members(g, rank, rng):
+    """Members on the weight with eigenbasis g whose compressions are conjugated Jordan blocks:
+    the nilpotent J_rank(0), and J_2(2) next to simple eigenvalues of modulus below 1."""
+    dim = len(g)
+    w = _random_unitary(rng, rank)
+    nilpotent = np.eye(rank, k=1, dtype=complex)
+    mixed = np.diag(np.r_[2.0, 2.0, rng.uniform(0.1, 0.9, rank - 2) * np.exp(2j * np.pi * rng.uniform(size=rank - 2))])
+    mixed[0, 1] = 1.0
+    for c0 in (nilpotent, mixed):
+        blk = np.zeros((dim, dim), dtype=complex)
+        blk[:rank, :rank] = w @ c0 @ w.conj().T
+        blk[rank:, rank:] = rng.standard_normal((dim - rank, dim - rank))
+        yield g @ blk @ g.conj().T
+
+
 def _decisions(a, x):
     """Every yes/no answer and count for (A, X), plus the seminorm (None for non-members).
 
@@ -97,8 +112,11 @@ def test_decisions_are_invariant_under_scaling_and_unitary_conjugation():
             vals = np.zeros(dim)
             vals[:rank] = rng.uniform(0.5, 2.0, rank)
             a = (g * vals) @ g.conj().T
-            # a member, and a generic matrix (a non-member unless rank is 0 or dim)
-            for x in (random_member(psd_decompose(a), rng), rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))):
+            # a member, a generic matrix (a non-member unless rank is 0 or dim) and, from rank 2 on, defective members
+            xs = [random_member(psd_decompose(a), rng), rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))]
+            if rank >= 2:
+                xs += _defective_members(g, rank, np.random.default_rng([2026, dim, rank]))
+            for x in xs:
                 u = _random_unitary(rng, dim)
                 variants = [(f"A*{c:g}", c * a, x, 1.0) for c in (1e-12, 1e-8, 1e8, 1e12)]
                 variants += [(f"X*{c:g}", a, c * x, c) for c in (1e-12, 1e-8, 1e8, 1e12)]

@@ -6,10 +6,9 @@ import pytest
 from aspec.harness import RandomInstanceSpec, generate_instance
 from aspec.linalg import DEFAULT_TOL
 from aspec.psd import psd_decompose
-from aspec.seminorm import NotMemberError, VectorState, compressed, random_member
+from aspec.seminorm import NotMemberError, VectorState, compressed, random_member, range_compression
 from aspec.spectrum import (
     SpectrumPointError,
-    _cluster,
     _spectrum,
     _support_data,
     _verify_witness,
@@ -353,35 +352,105 @@ def test_numerical_range_vertex_count_is_scale_invariant():
         assert len(a_numerical_range(d, c * x, 720).vertices) == count, c
 
 
-def _quadratic_cluster(values, radius):
-    """_cluster recomputing every cluster's mean at every comparison, as a reference."""
-    clusters = []
-    for z in sorted(values, key=lambda w: (w.real, w.imag)):
-        for cl in clusters:
-            if abs(z - np.mean(cl)) <= radius:
-                cl.append(z)
-                break
-        else:
-            clusters.append([z])
-    return sorted((complex(np.mean(cl)) for cl in clusters), key=lambda w: (w.real, w.imag))
+def _brute_force_points(c, tol=DEFAULT_TOL):
+    """_spectrum's grouping of the eigenvalues of C with the rank test of every grown centroid
+    taken by svd (no Bauer-Fike skip) and every mean recomputed, as a reference."""
+    cut = tol.cutoff(np.linalg.svd(c, compute_uv=False).max(initial=0.0))
+
+    def point(mu):
+        return len(c) > 0 and np.linalg.svd(c - mu * np.eye(len(c)), compute_uv=False)[-1] <= cut
+
+    zero = point(0j)
+    groups = [[0j]] if zero else []
+    for z in sorted(map(complex, np.linalg.eig(c)[0]), key=lambda w: (w.real, w.imag)):
+        if groups:
+            k = min(range(len(groups)), key=lambda i: abs(complex(np.mean(groups[i])) - z))
+            if point(complex(np.mean(groups[k] + [z]))):
+                groups[k].append(z)
+                continue
+        groups.append([z])
+    points = [0j if zero and i == 0 else complex(np.mean(g)) for i, g in enumerate(groups)]
+    return tuple(sorted(points, key=lambda w: (w.real, w.imag)))
 
 
-def test_cluster_matches_quadratic_reference():
+def _random_unitary(rng, n):
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q
+
+
+def _jordan(k, ev):
+    return ev * np.eye(k) + np.eye(k, k=1)
+
+
+def _grouping_cases(rng):
+    """Compressions of rank 1-7: normal, non-normal, repeated-eigenvalue and Jordan matrices."""
+    for _ in range(10):
+        for r in range(1, 8):
+            u = _random_unitary(rng, r)
+            w = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
+            yield (u * (rng.standard_normal(r) + 1j * rng.standard_normal(r))) @ u.conj().T
+            yield w
+            repeated = rng.choice([1.0, -1.0, 2j], size=r)
+            yield w @ np.diag(repeated) @ np.linalg.inv(w)
+            yield (u * repeated) @ u.conj().T
+            j = np.zeros((r, r), dtype=complex)
+            at = 0
+            while at < r:
+                k = min(int(rng.integers(1, 4)), r - at)
+                j[at : at + k, at : at + k] = _jordan(k, rng.choice([0.0, 1.0, 1.0 + 1e-9, -2j]))
+                at += k
+            yield u @ j @ u.conj().T
+
+
+def test_spectrum_grouping_matches_brute_force_rank_test():
     rng = np.random.default_rng(43)
-    radius = 1e-3
-    # a point at distance exactly radius joins; one just beyond starts its own cluster
-    straddle = [0j, complex(radius, 0), complex(0, radius * (1 + 1e-12)), complex(2.5 * radius, 0)]
-    assert _cluster(straddle, radius) == _quadratic_cluster(straddle, radius)
-    for trial in range(200):
-        sizes = rng.choice([1, 2, 3, 8, 9, 64], size=int(rng.integers(1, 5)))
-        points = []
-        for size in sizes:
-            centre = complex(*rng.uniform(-1, 1, 2))
-            # offsets straddle the radius, so some points join a cluster and some start a new one
-            spread = radius * rng.choice([0.3, 1.0, 1.7])
-            points += [centre + spread * complex(*rng.uniform(-1, 1, 2)) for _ in range(size)]
-        rng.shuffle(points)
-        assert _cluster(points, radius) == _quadratic_cluster(points, radius), trial
+    merged = 0
+    for c0 in _grouping_cases(rng):
+        r = len(c0)
+        d = psd_decompose(np.diag(np.r_[rng.uniform(0.5, 1.5, r), 0.0]).astype(complex))
+        x = np.zeros((r + 1, r + 1), dtype=complex)
+        x[:r, :r], x[r, r] = c0, 5.0
+        spec = _spectrum(d, x, DEFAULT_TOL)
+        assert spec.points == _brute_force_points(range_compression(d, x)), c0
+        merged += len(spec.points) < r
+    assert merged > 100, merged
+
+
+def _jordan_member(k, ev, seed):
+    """A unitarily conjugated Jordan block J_k(ev) as the compression of a member, on a rank-k weight in dim k+1."""
+    rng = np.random.default_rng(seed)
+    g = _random_unitary(rng, k + 1)
+    vals = np.zeros(k + 1)
+    vals[:k] = rng.uniform(0.5, 1.5, k)
+    w = _random_unitary(rng, k)
+    blk = np.zeros((k + 1, k + 1), dtype=complex)
+    blk[:k, :k] = w @ _jordan(k, ev) @ w.conj().T
+    blk[k, k] = 3.0
+    return psd_decompose((g * vals) @ g.conj().T), g @ blk @ g.conj().T
+
+
+@pytest.mark.parametrize("k, ev", [(2, 1.0), (3, 1.0), (4, 1.0), (2, 0.0), (3, 0.0), (4, 0.0), (5, 0.0)])
+def test_defective_member_has_one_point_with_witnesses(k, ev):
+    for seed in range(50):
+        d, x = _jordan_member(k, ev, seed)
+        spec = a_spectrum(d, x)
+        assert len(spec.points) == 1, (seed, spec.points)
+        lam = spec.points[0]
+        assert abs(lam - ev) <= 1e-12
+        assert spec.contains_zero == (lam == 0) == (ev == 0)
+        for side in ("left", "right"):
+            assert spectrum_witness(d, x, lam, side) is not None, (seed, side)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_mollifier_at_defective_point_rejects_only_the_point(k):
+    for seed in range(50):
+        d, x = _jordan_member(k, 1.0, seed)
+        (lam,) = a_spectrum(d, x).points
+        approach = [lam + t for t in (0.5, 0.25, 0.125, 0.01)]
+        assert len(boundary_mollifier(d, x, lam, approach)) == len(approach)
+        with pytest.raises(SpectrumPointError):
+            boundary_mollifier(d, x, lam, approach + [lam])
 
 
 def _rank3_member():
@@ -455,13 +524,14 @@ def _reference_witness(d, x, lam, side, tol=DEFAULT_TOL, spot_checks=20):
     """spectrum_witness with every state value taken in n x n, as a reference."""
     if d.rank == 0:
         return None
-    radius = _spectrum(d, x, tol)[1]
+    c = d.range_basis.conj().T @ x @ d.range_basis
+    radius = tol.rtol * float(np.linalg.svd(c, compute_uv=False).max())  # candidate eigenvalues lie within rtol * sigma_max(C)
     lam_r = d.range_eigvals
     if side == "left":
         evals, evecs = np.linalg.eig(compressed(d, x))
         target, back = lam, lam_r**-0.5
     else:
-        evals, evecs = np.linalg.eig((d.range_basis.conj().T @ x @ d.range_basis).conj().T)
+        evals, evecs = np.linalg.eig(c.conj().T)
         target, back = np.conj(lam), lam_r**-1.0
     rng = np.random.default_rng(2024)
     a = d.a
