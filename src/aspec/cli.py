@@ -3,6 +3,12 @@
 Matrices are read from files in the wire format of the linalg module; every
 subcommand prints exactly one JSON object to stdout and diagnostics to
 stderr.  ``ASPEC_SEED`` overrides ``--seed`` for the property suite.
+
+Importing this module loads no numerical code and not numpy: each subcommand
+imports what it runs when it runs.  ``seminorm`` and ``adjoint`` load linalg,
+psd and seminorm; ``invert`` adds invert; ``spectrum``, ``radius`` and
+``numrange`` add spectrum; ``omega`` loads omega alone, with no numpy; and
+``proptest`` loads the whole package through the property suite.
 """
 
 from __future__ import annotations
@@ -12,23 +18,10 @@ import json
 import os
 import sys
 
-from .invert import a_invertible
-from .linalg import DEFAULT_TOL, ToleranceConfig, matrix_to_obj, read_matrix
-from .omega import (
-    InverseClassification,
-    a_inverse_classify,
-    demo_function,
-    demo_weight,
-    element_to_literal,
-    is_well_supported,
-    parse_element,
-)
-from .psd import psd_decompose
-from .seminorm import a_adjoint, a_seminorm
-from .spectrum import a_numerical_range, a_spectrum, gelfand_sequence
 
+def _tolerance(value: float | None):
+    from .linalg import DEFAULT_TOL, ToleranceConfig
 
-def _tolerance(value: float | None) -> ToleranceConfig:
     if value is None:
         return DEFAULT_TOL
     # one knob scales the whole default policy (atol 1e-10 reproduces the defaults)
@@ -36,6 +29,8 @@ def _tolerance(value: float | None) -> ToleranceConfig:
 
 
 def _load(path: str):
+    from .linalg import read_matrix
+
     with open(path, "rb") as fh:
         return read_matrix(fh)
 
@@ -45,21 +40,29 @@ def _points(values) -> list[list[float]]:
 
 
 def _emit(obj: dict) -> int:
-    json.dump(obj, sys.stdout)
-    sys.stdout.write("\n")
+    # one dumps call: json.dump writes through the pure-Python encoder, dumps through the C one
+    sys.stdout.write(json.dumps(obj) + "\n")
     return 0
 
 
 def _cmd_seminorm(d, x, tol, args) -> int:
+    from .seminorm import a_seminorm
+
     value = a_seminorm(d, x, tol)
     return _emit({"member": value.finite, "value": value.value if value.finite else None})
 
 
 def _cmd_adjoint(d, x, tol, args) -> int:
+    from .linalg import matrix_to_obj
+    from .seminorm import a_adjoint
+
     return _emit({"adjoint": matrix_to_obj(a_adjoint(d, x, tol))})
 
 
 def _cmd_invert(d, x, tol, args) -> int:
+    from .invert import a_invertible
+    from .linalg import matrix_to_obj
+
     res = a_invertible(d, x, tol)
     inverse = None
     if res.invertible:
@@ -68,11 +71,15 @@ def _cmd_invert(d, x, tol, args) -> int:
 
 
 def _cmd_spectrum(d, x, tol, args) -> int:
+    from .spectrum import a_spectrum
+
     spec = a_spectrum(d, x, tol)
     return _emit({"points": _points(spec.points), "radius": spec.radius, "contains_zero": spec.contains_zero})
 
 
 def _cmd_radius(d, x, tol, args) -> int:
+    from .spectrum import a_spectrum, gelfand_sequence
+
     out = {"radius": a_spectrum(d, x, tol).radius}
     if args.gelfand is not None:
         out["gelfand"] = [float(t) for t in gelfand_sequence(d, x, args.gelfand, tol)]
@@ -80,10 +87,13 @@ def _cmd_radius(d, x, tol, args) -> int:
 
 
 def _cmd_numrange(d, x, tol, args) -> int:
+    from .spectrum import a_numerical_range
+
     return _emit({"vertices": _points(a_numerical_range(d, x, args.directions, tol).vertices)})
 
 
-def _classification_obj(result: InverseClassification) -> dict:
+def _classification_obj(result) -> dict:
+    """An omega.InverseClassification as a JSON object."""
     out: dict = {"verdict": result.verdict.value}
     if result.witness is not None:
         v0 = result.witness.value_at_zero
@@ -100,11 +110,15 @@ def _classification_obj(result: InverseClassification) -> dict:
 
 
 def _cmd_omega_classify(args) -> int:
+    from .omega import a_inverse_classify, parse_element
+
     result = a_inverse_classify(parse_element(args.a), parse_element(args.x))
     return _emit(_classification_obj(result))
 
 
 def _cmd_omega_demo(_args) -> int:
+    from .omega import a_inverse_classify, demo_function, demo_weight, element_to_literal, is_well_supported
+
     a, x = demo_weight(), demo_function()
     out = _classification_obj(a_inverse_classify(a, x))
     out["a"] = element_to_literal(a)
@@ -126,7 +140,7 @@ def _parse_dims(text: str) -> tuple[int, ...]:
 
 
 def _cmd_proptest(args) -> int:
-    from .harness import run_property_suite  # the property suite loads only for this subcommand
+    from .harness import run_property_suite
 
     seed = args.seed
     env_seed = os.environ.get("ASPEC_SEED")
@@ -154,6 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
         """A subcommand on (--a, --x): the tolerance, the weight and then X are loaded once, in that order."""
 
         def run(args) -> int:
+            from .psd import psd_decompose
+
             tol = _tolerance(args.tol)
             d = psd_decompose(_load(args.a), tol)
             return handler(d, _load(args.x), tol, args)

@@ -21,7 +21,7 @@ class ShapeError(ValueError):
 
 
 class MatrixFormatError(ValueError):
-    """A matrix document is malformed: bad JSON, shape mismatch, or non-finite entry."""
+    """A matrix document is malformed: bad JSON, shape mismatch, or a non-finite or out-of-range entry."""
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,10 @@ DEFAULT_TOL = ToleranceConfig()
 
 def as_matrix(values) -> ComplexMatrix:
     """Coerce to a 2-D complex128 array and validate entries are finite."""
-    m = np.asarray(values, dtype=np.complex128)
+    try:
+        m = np.asarray(values, dtype=np.complex128)
+    except OverflowError as exc:
+        raise MatrixFormatError(f"matrix entry out of float64 range: {exc}") from exc
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ShapeError(f"expected a 2-D matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
@@ -117,7 +120,10 @@ def read_matrix(source: Union[bytes, str, IO]) -> ComplexMatrix:
             re, im = entry
             if not isinstance(re, (int, float)) or not isinstance(im, (int, float)) or isinstance(re, bool) or isinstance(im, bool):
                 raise MatrixFormatError(f"entry ({i},{j}): components must be numbers")
-            out[i, j] = complex(re, im)
+            try:
+                out[i, j] = complex(re, im)
+            except OverflowError as exc:
+                raise MatrixFormatError(f"entry ({i},{j}): integer out of float64 range") from exc
     if not np.all(np.isfinite(out.real)) or not np.all(np.isfinite(out.imag)):
         raise MatrixFormatError("matrix contains a non-finite entry")
     return out

@@ -14,6 +14,10 @@ The expression grammar (whitespace insignificant):
     rationalLiteral := integer ('/' integer)?
 
 Element literals combine two expressions: ``odd=<expr>;even=<expr>``.
+
+The algebra is pure Python.  Only ``diagonal_truncation`` builds a numpy
+matrix, and it imports numpy when called, so classifying elements never
+loads numpy.
 """
 
 from __future__ import annotations
@@ -22,9 +26,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 _ENUM_LIMIT = 1_000_000  # largest exact sign-analysis enumeration we accept
 
@@ -607,6 +612,8 @@ def element_to_literal(e: OmegaElement) -> str:
 def diagonal_truncation(e: OmegaElement, points: int) -> np.ndarray:
     """Diagonal matrix of the element's values at the first ``points`` points
     t = 1, 1/2, ..., 1/points (float64)."""
+    import numpy as np
+
     if points < 1:
         raise ValueError("points must be >= 1")
     values = [float(e.value_at(k)) for k in range(1, points + 1)]

@@ -187,8 +187,26 @@ def test_console_entry_point(tmp_path):
     assert json.loads(proc.stdout)["verdict"] == "Unbounded"
 
 
-def test_cli_import_loads_neither_scipy_nor_the_property_suite():
-    probe = "import sys, aspec.cli; print([m for m in ('scipy', 'aspec.harness') if m in sys.modules])"
+def _loaded_after(code: str, modules) -> list[str]:
+    """Which of ``modules`` a fresh interpreter holds after running ``code``."""
+    probe = f"import json, sys\n{code}\nprint(json.dumps([m for m in {tuple(modules)!r} if m in sys.modules]))"
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=False)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return json.loads(proc.stdout.splitlines()[-1])  # the last line: what main printed comes first
+
+
+def test_cli_import_loads_neither_scipy_nor_the_property_suite(tmp_path):
+    unused = ("numpy", "scipy", "aspec.omega", "aspec.spectrum", "aspec.invert", "aspec.douglas", "aspec.harness")
+    assert _loaded_after("import aspec.cli", unused) == []
+    # the exact sequence-space algebra runs without numpy
+    assert _loaded_after("from aspec.cli import main; assert main(['omega', 'demo-e009']) == 0", ["numpy"]) == []
+    classify = "from aspec.cli import main; assert main(['omega', 'classify', '--a', 'odd=1/n;even=1', '--x', 'odd=n;even=2']) == 0"
+    assert _loaded_after(classify, ["numpy"]) == []
+    # a matrix subcommand loads linalg, psd and seminorm, and nothing it does not call
+    pair = json.dumps({"rows": 2, "cols": 2, "data": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]]})
+    (tmp_path / "m.json").write_text(pair)
+    path = str(tmp_path / "m.json")
+    seminorm = f"from aspec.cli import main; assert main(['seminorm', '--a', {path!r}, '--x', {path!r}]) == 0"
+    assert _loaded_after(seminorm, ("aspec.seminorm", "aspec.spectrum", "aspec.invert", "aspec.omega", "aspec.douglas")) == [
+        "aspec.seminorm"
+    ]
