@@ -8,6 +8,7 @@ numerical modules can assume well-formed input.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import IO, Union
 
@@ -46,8 +47,9 @@ class ToleranceConfig:
 
     def __post_init__(self):
         for name in ("atol", "rtol", "rank_rtol"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
 
     def negligible(self, defect: float, scale: float) -> bool:
         """True iff the defect is at most rtol times its operand's scale."""

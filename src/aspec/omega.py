@@ -22,6 +22,7 @@ loads numpy.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -392,8 +393,14 @@ class _Parser:
         raise OmegaSyntaxError(f"unexpected character {ch!r}" if ch else "unexpected end of input", self.pos)
 
 
+@functools.lru_cache
 def parse_rational(text: str) -> RationalExpr:
-    """Parse an expression in the module grammar into a reduced RationalExpr."""
+    """Parse an expression in the module grammar into a reduced RationalExpr.
+
+    Each text is parsed once: the result, a frozen RationalExpr of Fraction
+    tuples, is shared by every later call with the same text (the most recent
+    128 texts are kept).  A syntax error is not cached and raises every time.
+    """
     return _Parser(text).parse()
 
 

@@ -171,6 +171,16 @@ def test_tol_override_changes_policy(files, capsys):
     assert json.loads(out)["member"] is True
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_tol_is_an_error(files, capsys, value):
+    # a non-member pair: an infinite tolerance would otherwise call it a member with seminorm 0
+    a = files("a", cdiag(1, 0))
+    x = files("x", cmat([[0, 1], [0, 0]]))
+    code, out, err = run_cli(capsys, "seminorm", "--a", a, "--x", x, "--tol", value)
+    assert code == 1 and out == ""
+    assert "must be finite and nonnegative" in err
+
+
 def test_missing_file_is_an_error(capsys, tmp_path):
     code, out, err = run_cli(capsys, "seminorm", "--a", str(tmp_path / "nope.json"), "--x", str(tmp_path / "nope.json"))
     assert code != 0 and out == "" and err

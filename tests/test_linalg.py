@@ -89,6 +89,13 @@ def test_approx_equal_shape_mismatch():
         approx_equal(np.eye(2, dtype=complex), np.eye(3, dtype=complex))
 
 
+@pytest.mark.parametrize("field", ["atol", "rtol", "rank_rtol"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_tolerance_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite and nonnegative"):
+        ToleranceConfig(**{field: value})
+
+
 def test_tolerance_validation():
     with pytest.raises(ValueError):
         ToleranceConfig(atol=-1.0)

@@ -50,6 +50,16 @@ def test_parse_reports_position():
     assert err.value.position == 4
 
 
+def test_parse_is_memoized_and_errors_raise_every_time():
+    first = parse_rational("(3*n+1)/(n+2)")
+    assert parse_rational("(3*n+1)/(n+2)") is first
+    assert first == RationalExpr.make((1, 3), (2, 1))
+    for _ in range(2):
+        with pytest.raises(OmegaSyntaxError) as err:
+            parse_rational("1 + * 2")
+        assert err.value.position == 4
+
+
 def test_limits():
     assert limit_at_infinity(parse_rational("1/(2*n)")) == Limit.finite(0)
     assert limit_at_infinity(parse_rational("2*n")).kind.value == "+inf"

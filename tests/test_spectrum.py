@@ -1,5 +1,8 @@
 """Weighted spectrum, radius, Gelfand sequence, witnesses, numerical range."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from aspec.psd import psd_decompose
 from aspec.seminorm import NotMemberError, VectorState, compressed, random_member, range_compression
 from aspec.spectrum import (
     SpectrumPointError,
+    _block_size,
     _spectrum,
     _support_data,
     _verify_witness,
@@ -249,6 +253,117 @@ def test_numerical_range_matches_one_eigh_per_direction(directions):
             # the touching point lies on its support line
             assert abs((z * np.exp(-1j * theta)).real - h) <= DEFAULT_TOL.rtol * scale, (directions, theta, z, h)
         assert set(poly.vertices) <= set(touch)
+
+
+def _support_reference(m, directions):
+    """Supports and touching points with one eigh per antipodal pair of directions, as a reference."""
+    re_m = (m + m.conj().T) / 2
+    im_m = (m - m.conj().T) / 2j
+    paired = directions % 2 == 0
+    half = directions // 2 if paired else directions
+    support, touch = [0.0] * directions, [0j] * directions
+    for k in range(half):
+        theta = 2 * np.pi * k / directions
+        vals, vecs = np.linalg.eigh(math.cos(theta) * re_m + math.sin(theta) * im_m)
+        ends = [(k, vals[-1], vecs[:, -1])] + ([(k + half, -vals[0], vecs[:, 0])] if paired else [])
+        for i, h, u in ends:
+            support[i], touch[i] = float(h), complex(np.vdot(u, m @ u))
+    return support, touch
+
+
+# half of it, 1283, is a multiple of no block size at ranks 1-16, so the last stacked block is partial
+_UNEVEN_DIRECTIONS = 2566
+
+
+@pytest.mark.parametrize("rank", [*range(1, 9), 16, 63, 64, 65])
+def test_stacked_supports_equal_one_eigh_per_direction(rank):
+    rng = np.random.default_rng(100 + rank)
+    ms = [rng.standard_normal((rank, rank)) + 1j * rng.standard_normal((rank, rank))]
+    if rank <= 6:
+        ms += [compressed(d, x) for d, x in _numrange_cases() if d.rank == rank]
+    counts = [3, 7, 8, 72, 720]
+    if rank <= 16:
+        assert (_UNEVEN_DIRECTIONS // 2) % _block_size(rank)
+        counts.append(_UNEVEN_DIRECTIONS)
+    for m in ms:
+        scale = float(np.linalg.norm(m, 2))
+        for directions in counts:
+            _, support, touch = _support_data(m, directions)
+            ref_support, ref_touch = _support_reference(m, directions)
+            assert support == ref_support, (rank, directions)
+            assert max(abs(z - w) for z, w in zip(touch, ref_touch)) <= 1e-13 * scale, (rank, directions)
+
+
+def test_stacked_kernels_keep_memory_flat():
+    # a stack of every direction's eigenvectors at rank 64 alone would take 720 KiB
+    rng = np.random.default_rng(47)
+    g, _ = np.linalg.qr(rng.standard_normal((65, 65)) + 1j * rng.standard_normal((65, 65)))
+    d = psd_decompose((g * np.r_[rng.uniform(0.5, 1.5, 64), 0.0]) @ g.conj().T)
+    x = random_member(d, rng)
+    assert d.rank == 64
+    for run in (lambda: a_numerical_range(d, x, 720), lambda: gelfand_sequence(d, x, 64)):
+        run()
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+
+
+def _gelfand_reference(d, x, n_max):
+    """The root-norm sequence with one 2-norm per power, as a reference."""
+    w = compressed(d, x)
+    terms, cur, log_scale, dead = [], np.eye(d.rank, dtype=complex), 0.0, False
+    for n in range(1, n_max + 1):
+        if not dead:
+            cur = cur @ w
+            nrm = float(np.linalg.norm(cur, 2))
+            dead = nrm == 0.0
+            if not dead:
+                log_scale += np.log(nrm)
+                cur = cur / nrm
+        terms.append(0.0 if dead else float(np.exp(log_scale / n)))
+    return terms
+
+
+def _assert_gelfand_matches(d, x, n_max, rel=1e-13):
+    terms, ref = gelfand_sequence(d, x, n_max), _gelfand_reference(d, x, n_max)
+    assert len(terms) == n_max
+    assert all((t == r == 0.0) or abs(t - r) <= rel * r for t, r in zip(terms, ref)), (n_max, terms, ref)
+    return terms
+
+
+@pytest.mark.parametrize("rank", [2, 8, 16])
+def test_stacked_gelfand_matches_one_norm_per_power(rank):
+    rng = np.random.default_rng(200 + rank)
+    dim = rank + 1
+    g, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    d = psd_decompose((g * np.r_[rng.uniform(0.5, 1.5, rank), 0.0]) @ g.conj().T)
+    x = random_member(d, rng)
+    block = _block_size(rank)
+    for scale in (1.0, 1e-12, 1e12):
+        for n_max in sorted({1, block - 1, block, block + 1, 64} - {0}):
+            assert all(t > 0.0 for t in _assert_gelfand_matches(d, scale * x, n_max))
+    # entries near 1e-170 square to 0, so a Frobenius rescale would end the sequence there; the
+    # log-scale bookkeeping of both sides rounds in proportion to |log scale|, and so does the bound
+    for scale in (1e-170, 1e150):
+        assert all(t > 0.0 for t in _assert_gelfand_matches(d, scale * x, 64, rel=1e-13 * abs(math.log(scale))))
+
+
+def test_stacked_gelfand_nilpotent_members_end_in_exact_zeros():
+    # C is strictly upper triangular on the range, so C^3 = 0 exactly; the zero
+    # compression of the second pair vanishes from the first power on
+    d3 = psd_decompose(cdiag(1, 2, 3, 0))
+    x3 = cmat([[0, 1, 2, 0], [0, 0, 3, 0], [0, 0, 0, 0], [5, 6, 7, 8]])
+    d1 = psd_decompose(cdiag(1, 0))
+    x1 = cmat([[0, 0], [1, 0]])
+    for d, x, index in ((d3, x3, 3), (d1, x1, 1)):
+        for scale in (1.0, 1e-12, 1e12):
+            for n_max in sorted({1, index - 1, index, index + 1, 64, _block_size(d.rank) + 1} - {0}):
+                terms = _assert_gelfand_matches(d, scale * x, n_max)
+                assert all(t > 0.0 for t in terms[: index - 1]) and terms[index - 1 :] == [0.0] * (n_max - index + 1)
 
 
 def _quadratic_hull(points, eps):
