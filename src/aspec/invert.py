@@ -16,11 +16,12 @@ into u = mu C C* u, so alpha = 1 / sigma_min(C)^2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, ComplexMatrix, ToleranceConfig
+from .linalg import DEFAULT_TOL, ComplexMatrix, ToleranceConfig, frobenius_norm
 from .psd import PsdDecomposition
 from .seminorm import NotMemberError, _require_member, _seminorm, compressed, range_compression
 
@@ -98,7 +99,12 @@ def neumann_a_inverse(
     Sums the powers of M = L^(1/2) C L^(-1/2) in rank x rank, lifts the sum
     once as Q L^(-1/2) (sum M^k) L^(1/2) Q*, and completes by the identity on
     the null space.  Truncates once a term's seminorm sigma_max(M^k) drops
-    below atol; raises ConvergenceError if max_terms is hit first.
+    below atol; raises ConvergenceError if max_terms is hit first.  The stop
+    is read off the bracket sigma_max(T) <= ||T||_F <= sqrt(rank) sigma_max(T):
+    a term whose Frobenius norm lies below atol stops the series, one whose
+    Frobenius norm is at least sqrt(rank) atol does not, and only a term
+    between the two, within a rounding margin, takes an svd.  So the terms
+    kept, and the sum, are those of one svd per term.
     """
     if max_terms < 1:
         raise ValueError("max_terms must be positive")
@@ -109,9 +115,14 @@ def neumann_a_inverse(
     m = compressed(d, x)
     total = np.eye(d.rank, dtype=np.complex128)
     term = total
+    # the Frobenius norm decides alone outside [atol, sqrt(rank) atol], widened by a margin that covers
+    # the rounding of both norms
+    margin = 8 * d.rank * np.finfo(float).eps
+    below, above = tol.atol * (1 - margin), math.sqrt(d.rank) * tol.atol * (1 + margin)
     for _ in range(max_terms):
         term = term @ m
-        if np.linalg.svd(term, compute_uv=False).max(initial=0.0) < tol.atol:
+        fro = frobenius_norm(term)
+        if fro < below or (fro < above and np.linalg.svd(term, compute_uv=False)[0] < tol.atol):
             break
         total = total + term
     else:

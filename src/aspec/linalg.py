@@ -151,6 +151,22 @@ def max_abs(m: ComplexMatrix) -> float:
     return float(np.max(np.abs(m))) if m.size else 0.0
 
 
+def frobenius_norm(m: ComplexMatrix) -> float:
+    """||M||_F, exact to rounding at every scale of M.
+
+    np.linalg.norm squares the entries unscaled: near 1e-170 the squares
+    underflow to 0 and near 1e160 they overflow to inf.  While max|M| lies
+    in (1e-100, 1e100) no square overflows, and the squares lost to
+    underflow, each below 2^-1022, weigh nothing against max|M|^2, so its
+    value is kept.  Otherwise the entries are divided by max|M| before they
+    are squared and the norm is scaled back.
+    """
+    scale = max_abs(m)
+    if 1e-100 < scale < 1e100:
+        return float(np.linalg.norm(m))
+    return scale * float(np.linalg.norm(m / scale)) if scale > 0 else 0.0
+
+
 def approx_equal(m: ComplexMatrix, n: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Entrywise closeness: max |M-N| <= atol + rtol * max(|M|_max, |N|_max)."""
     check_same_shape(m, n)

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, ComplexMatrix, ToleranceConfig, check_square
+from .linalg import DEFAULT_TOL, ComplexMatrix, ToleranceConfig, check_square, frobenius_norm
 
 
 class NotPsdError(ValueError):
@@ -102,8 +102,8 @@ def psd_decompose(a: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> PsdDe
     """
     a = np.asarray(a, dtype=np.complex128)
     check_square(a, "weight")
-    herm_gap = float(np.linalg.norm(a - a.conj().T))
-    if not tol.negligible(herm_gap, float(np.linalg.norm(a))):
+    herm_gap = frobenius_norm(a - a.conj().T)
+    if not tol.negligible(herm_gap, frobenius_norm(a)):
         raise NotPsdError(f"weight is not Hermitian within tolerance (defect {herm_gap:.3e})")
     h = (a + a.conj().T) / 2
     w, u = np.linalg.eigh(h)

@@ -23,6 +23,7 @@ from .linalg import (
     ToleranceConfig,
     check_same_shape,
     check_square,
+    frobenius_norm,
 )
 from .psd import PsdDecomposition
 
@@ -60,13 +61,15 @@ def a_membership(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig = D
     With Q and N orthonormal bases of the range and the null space, the
     defect ||Q* X N||_F, which equals ||P X (I - P)||_F for the range
     projection P, must be negligible against ||X||_F; the answer is invariant
-    under A -> cA, X -> cX and unitary conjugation of (A, X).
+    under A -> cA, X -> cX and unitary conjugation of (A, X).  Both norms are
+    taken by frobenius_norm, so neither underflows nor overflows at extreme
+    scales of X.
     """
     x = np.asarray(x, dtype=np.complex128)
     check_square(x, "X")
     check_same_shape(x, d.a)
-    defect = float(np.linalg.norm(d.range_basis.conj().T @ x @ d.null_basis))
-    return tol.negligible(defect, float(np.linalg.norm(x)))
+    defect = frobenius_norm(d.range_basis.conj().T @ x @ d.null_basis)
+    return tol.negligible(defect, frobenius_norm(x))
 
 
 def _require_member(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig) -> ComplexMatrix:
@@ -173,4 +176,4 @@ def is_a_selfadjoint(a: ComplexMatrix, x: ComplexMatrix, tol: ToleranceConfig = 
     check_square(a, "A")
     check_same_shape(a, x)
     ax = a @ x
-    return tol.negligible(float(np.linalg.norm(ax - ax.conj().T)), float(np.linalg.norm(ax)))
+    return tol.negligible(frobenius_norm(ax - ax.conj().T), frobenius_norm(ax))

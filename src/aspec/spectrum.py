@@ -12,14 +12,18 @@ each direction is one Hermitian eigenproblem of size rank, and an antipodal
 pair of directions shares one, since the problem at theta + pi is the
 negative of the problem at theta.  Witnesses are found from the null singular
 vectors of C - lam and verified on g = Q* h, since f(AZ) = g* L C_Z g /
-<A h, h> for members Z; the boundary mollifier inverts lam_n - C.  Only
-returned states and inverses are lifted to n x n.
+<A h, h> for members Z; that f(A (X - lam) Y) (or f(A Y (X - lam))) vanishes
+for every Y is checked by its supremum over ||Y||_A <= 1, which is a ratio
+of two rank-vector norms, so no Y is drawn.  The boundary mollifier inverts
+lam_n - C.  Only returned states and inverses are lifted to n x n.
 
 The numerical range and the Gelfand sequence solve many rank x rank problems
 of one size.  They stack them into blocks of about _BLOCK_ENTRIES complex
 entries and make one LAPACK call per block, so Python overhead is paid per
 block, not per problem: a block holds 1024 problems at rank 2, 64 at rank 8
-and one from rank 46 on, and memory stays flat at every rank.
+and one from rank 46 on, and memory stays flat at every rank.  The Gelfand
+sequence reads each power's 2-norm as the root of the top eigenvalue of its
+Gram matrix, one eigvalsh per block.
 """
 
 from __future__ import annotations
@@ -167,9 +171,12 @@ def gelfand_sequence(
     entry modulus, which is zero exactly when the power is and, unlike the
     Frobenius norm, neither overflows nor underflows on the way; the logs of
     the scales are summed, so powers never overflow even for radius above 1.
-    The 2-norms of a block of rescaled powers come from one stacked svd.  A
-    zero power makes every later term 0.  The sequence is bounded below by
-    the spectral radius and converges to it.
+    The 2-norm of a rescaled power P is the square root of the top eigenvalue
+    of its Gram matrix P* P, and the Gram matrices of a block of powers take
+    one stacked eigvalsh, which needs no singular vectors and costs less than
+    an svd.  The rescaled entries are at most 1 in modulus, so the Gram
+    entries are at most rank.  A zero power makes every later term 0.  The
+    sequence is bounded below by the spectral radius and converges to it.
     """
     if n_max < 1:
         raise ValueError("n_max must be positive")
@@ -195,7 +202,9 @@ def gelfand_sequence(
             cur = cur / scale
             block[j], logs[n + j] = cur, log_scale
         if count:
-            norms[n : n + count] = np.linalg.svd(block[:count], compute_uv=False)[:, 0]
+            powers = block[:count]
+            gram = powers.conj().transpose(0, 2, 1) @ powers
+            norms[n : n + count] = np.sqrt(np.linalg.eigvalsh(gram)[:, -1])
         n += count
     terms = np.exp((logs[:n] + np.log(norms[:n])) / np.arange(1, n + 1)).tolist()
     return terms + [0.0] * (n_max - n)
@@ -210,7 +219,6 @@ def spectrum_witness(
     lam: complex,
     side: Side,
     tol: ToleranceConfig = DEFAULT_TOL,
-    spot_checks: int = 20,
 ) -> VectorState | None:
     """Vector state certifying that lam belongs to the requested one-sided spectrum.
 
@@ -221,9 +229,11 @@ def spectrum_witness(
     so X*(A h) = conj(lam) (A h), which makes f(A (X - lam) Y) vanish for
     every Y.  Left side: g is a right singular vector, so C g = lam g, which
     forces f(X*AX) = |f(AX)|^2 with f(AX) = lam.  The returned state is
-    verified against its side's multiplicativity identity and spot-checked on
-    random members; None is returned when no searched vector state verifies
-    (an outcome, not an error).
+    verified against its side's multiplicativity identity and against the
+    exact supremum of |f(A (X - lam) Y)| (right) or |f(A Y (X - lam))| (left)
+    over ||Y||_A <= 1.  C and the seminorm of X are computed once for all
+    candidates.  None is returned when no searched vector state verifies (an
+    outcome, not an error).
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
@@ -234,47 +244,70 @@ def spectrum_witness(
     if not _is_point(svals, cut):
         raise ValueError(f"{lam} is not a point of the weighted spectrum")
     lam_r = d.range_eigvals
-    rng = np.random.default_rng(2024)
+    x_norm = range_seminorm(d, c)
     for idx in np.flatnonzero(svals <= cut)[::-1]:
         # (C - lam) g = 0 on the left, (C - lam)* L g = 0 on the right; a nonzero range
         # vector, so <A h, h> = g* L g >= gap > 0
         g = vh[idx].conj() if side == "left" else u[:, idx] / lam_r
         g = g / np.linalg.norm(g)
         state = VectorState(h=d.range_basis @ g, weight=float(lam_r @ np.abs(g) ** 2))
-        if _verify_witness(d, x, lam, side, state, tol, spot_checks, rng):
+        if _verify_witness(d, c, x_norm, lam, side, state, tol):
             return state
     return None
 
 
+def _witness_supremum(d: PsdDecomposition, c: ComplexMatrix, lam: complex, side: Side, g: np.ndarray) -> float:
+    """sup over members Y with ||Y||_A <= 1 of |f(A (X - lam) Y)| (right) or |f(A Y (X - lam))| (left).
+
+    f is the vector state of h = Q g and c the compression C of X.  With
+    w = g* L g = |L^(1/2) g|^2 and D = L^(1/2) C_Y L^(-1/2), so that
+    ||Y||_A = ||D||, the right value is
+    (L^(-1/2) (C - lam)* L g)* D (L^(1/2) g) / w and the left one
+    (L^(1/2) g)* D (L^(1/2) (C - lam) g) / w.  The supremum of |u* D v| over
+    ||D|| <= 1 is |u| |v|, so the supremum is |L^(-1/2) (C - lam)* L g| /
+    |L^(1/2) g| on the right and |L^(1/2) (C - lam) g| / |L^(1/2) g| on the
+    left.
+    """
+    lam_r = d.range_eigvals
+    root = np.sqrt(lam_r)
+    if side == "left":
+        reach = root * (c @ g - lam * g)
+    else:
+        lg = lam_r * g
+        reach = (c.conj().T @ lg - np.conj(lam) * lg) / root
+    return float(np.linalg.norm(reach) / np.linalg.norm(root * g))
+
+
 def _verify_witness(
     d: PsdDecomposition,
-    x: ComplexMatrix,
+    c: ComplexMatrix,
+    x_norm: float,
     lam: complex,
     side: Side,
     state: VectorState,
     tol: ToleranceConfig,
-    spot_checks: int,
-    rng: np.random.Generator,
 ) -> bool:
-    """Side identities and spot checks of a candidate state, each against rtol times the size of its terms.
+    """Side identities and annihilation supremum of a candidate state, each against rtol times its terms' size.
 
-    Everything runs in rank x rank on g = Q* h.  For members Q* Z (I - P) = 0,
-    so f(AZ) = g* L C_Z g / w with w = <A h, h> and C_Z = Q* Z Q, and the
+    c is the compression C = Q* X Q of X and x_norm its seminorm.  Everything
+    runs in rank x rank on g = Q* h.  For members Q* Z (I - P) = 0, so
+    f(AZ) = g* L C_Z g / w with w = <A h, h> and C_Z = Q* Z Q, and the
     compression of a product of members is the product of compressions.  The
     left identity reads f(X*AX) = (Cg)* L (Cg) / w; the right identities read
     f(AXX*A) = |C* L g|^2 / w, f(AX*A) = (Lg)* C* (Lg) / w and
-    f(A^2) = |Lg|^2 / w.  Each spot check draws C_Y as a rank x rank complex
-    Gaussian, the distribution of Q* Y Q for a random member Y.
+    f(A^2) = |Lg|^2 / w.  Last, f(A (X - lam) Y) (right) or f(A Y (X - lam))
+    (left) must vanish for every member Y: its supremum over ||Y||_A <= 1,
+    from _witness_supremum, is compared with rtol (||X||_A + |lam|), the size
+    of the two terms of the difference f(AXY) - lam f(AY).  The supremum
+    bounds the value at every Y, so no Y is drawn.
 
-    Every state has |f(AZ)| <= ||Z||_A, which sizes the left identity and the
-    spot checks.  With f(A^2) <= lambda_max(A), every term of the right
-    identities (f(AXX*A), f(AX) f(AX*A), |f(AX)|^2 f(A^2)) is at most
-    big = lambda_max(A) ||X||_A^2, which also sizes their rounding when h
-    leans on small eigenvalues.  Every bound scales with A and X; no
-    absolute floor enters.
+    Every state has |f(AZ)| <= ||Z||_A, which sizes the left identity.  With
+    f(A^2) <= lambda_max(A), every term of the right identities (f(AXX*A),
+    f(AX) f(AX*A), |f(AX)|^2 f(A^2)) is at most big = lambda_max(A)
+    ||X||_A^2, which also sizes their rounding when h leans on small
+    eigenvalues.  Every bound scales with A and X; no absolute floor enters.
     """
     lam_r = d.range_eigvals
-    c = range_compression(d, x)
     g = d.range_basis.conj().T @ state.h
     lg = lam_r * g
 
@@ -282,7 +315,6 @@ def _verify_witness(
         """f(AZ) for the member Z whose compression is cz."""
         return complex(lg.conj() @ (cz @ g)) / state.weight
 
-    x_norm = range_seminorm(d, c)
     fax = f(c)
     if abs(fax - lam) > tol.rtol * x_norm:
         return False
@@ -299,16 +331,7 @@ def _verify_witness(
             return False
         if abs(fax * faxa - abs(fax) ** 2 * fa2) > tol.rtol * big:
             return False
-    shift = c - lam * np.eye(d.rank)
-    shape = (d.rank, d.rank)
-    for _ in range(spot_checks):
-        cy = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
-        # val = f(AXY) - lam f(AY) on the right (f(AYX) - lam f(AY) on the left),
-        # a difference of terms bounded by ||X||_A ||Y||_A and |lam| ||Y||_A
-        val = f(shift @ cy) if side == "right" else f(cy @ shift)
-        if abs(val) > tol.rtol * (x_norm + abs(lam)) * range_seminorm(d, cy):
-            return False
-    return True
+    return _witness_supremum(d, c, lam, side, g) <= tol.rtol * (x_norm + abs(lam))
 
 
 def convex_hull(points: list[complex], eps: float) -> list[complex]:

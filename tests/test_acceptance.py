@@ -197,10 +197,11 @@ def test_criterion_07_witness_validity(pool, classical_pool):
                     assert abs(lhs - mid) <= 1e-8 * big
                     assert abs(mid - rhs) <= 1e-8 * big
                 shift = x - lam * np.eye(dec.dim)
+                shift_norm, a_norm = float(np.linalg.norm(shift, 2)), float(np.linalg.norm(a, 2))
                 for _ in range(20):
                     y = random_member(dec, rng)
                     val = state(a @ shift @ y) if side == "right" else state(a @ y @ shift)
-                    norms = float(np.linalg.norm(y, 2)) * float(np.linalg.norm(shift, 2)) * float(np.linalg.norm(a, 2))
+                    norms = float(np.linalg.norm(y, 2)) * shift_norm * a_norm
                     assert abs(val) <= 1e-7 * max(1.0, norms)
     assert checked >= 500
     # classical case: every point admits a witness on both sides

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from aspec.invert import a_invertible, neumann_a_inverse, thvn_certificate
-from aspec.linalg import DEFAULT_TOL, approx_equal, max_abs
+from aspec.invert import ConvergenceError, a_invertible, neumann_a_inverse, thvn_certificate
+from aspec.linalg import DEFAULT_TOL, ToleranceConfig, approx_equal, max_abs
 from aspec.psd import psd_decompose
-from aspec.seminorm import NotMemberError, a_seminorm, random_member
+from aspec.seminorm import NotMemberError, a_seminorm, compressed, random_member
 
 from conftest import cdiag, cmat
 
@@ -113,6 +113,75 @@ def test_neumann_matches_canonical():
         res = a_invertible(d, np.eye(dim, dtype=complex) - x)
         assert res.invertible
         assert approx_equal(d.a @ y, d.a @ res.canonical)
+
+
+def _neumann_reference(d, x, tol=DEFAULT_TOL, max_terms=10_000):
+    """neumann_a_inverse with one svd per term deciding the stop, as a reference."""
+    m = compressed(d, x)
+    total = term = np.eye(d.rank, dtype=np.complex128)
+    for _ in range(max_terms):
+        term = term @ m
+        if np.linalg.svd(term, compute_uv=False).max(initial=0.0) < tol.atol:
+            break
+        total = total + term
+    else:
+        raise ConvergenceError("reference did not converge")
+    s = np.sqrt(d.range_eigvals)
+    q = d.range_basis
+    return (q / s) @ total @ (s[:, None] * q.conj().T) + (np.eye(d.dim) - d.proj)
+
+
+def _neumann_cases():
+    """Members at seminorms up to 0.99 and ranks 0-8, 16 and 64: random, normal with equal singular values
+    (so ||T||_F = sqrt(rank) sigma_max(T) and every term falls between the bracket's ends), nilpotent."""
+    rng = np.random.default_rng(31)
+    for rank in (0, 1, 2, 3, 5, 8, 16, 64):
+        dim = rank + 1
+        g, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+        d = psd_decompose((g * np.r_[rng.uniform(0.5, 1.5, rank), 0.0]) @ g.conj().T)
+        x = random_member(d, rng)
+        norm = a_seminorm(d, x).value
+        for target in (0.1, 0.5, 0.9, 0.99) if rank <= 16 else (0.1, 0.5, 0.9):
+            yield d, x * (target / norm) if norm > 0 else x
+            yield d, target * d.proj
+        u, _ = np.linalg.qr(rng.standard_normal((rank, rank)) + 1j * rng.standard_normal((rank, rank)))
+        nil = d.range_basis @ (u @ np.triu(rng.standard_normal((rank, rank)), 1) @ u.conj().T) @ d.range_basis.conj().T
+        nil_norm = a_seminorm(d, nil).value
+        yield d, nil * (0.5 / nil_norm) if nil_norm else nil  # the zero member at ranks 0 and 1
+
+
+@pytest.mark.parametrize("atol", [1e-10, 1e-4, 0.3])
+def test_neumann_bracket_keeps_the_terms_of_one_svd_per_term(atol, monkeypatch):
+    tol = ToleranceConfig(atol=atol)
+    calls = {"ref": 0, "new": 0}
+    counting = ["ref"]
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls[counting[0]] += 1
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    cases = list(_neumann_cases())
+    for d, x in cases:
+        counting[0] = "ref"
+        ref = _neumann_reference(d, x, tol)
+        counting[0] = "new"
+        assert np.array_equal(neumann_a_inverse(d, x, tol), ref), (d.rank, atol)
+    # beyond the one svd of the seminorm per call, the equal-singular-value members straddle, so the
+    # svd branch is taken, but far less often than once per term
+    assert len(cases) < calls["new"] < calls["ref"] / 4, calls
+
+
+def test_neumann_bracket_raises_where_one_svd_per_term_does(d_rank1):
+    for max_terms in (1, 3, 50):
+        with pytest.raises(ConvergenceError):
+            _neumann_reference(d_rank1, cdiag(0.9, 0), max_terms=max_terms)
+        with pytest.raises(ConvergenceError):
+            neumann_a_inverse(d_rank1, cdiag(0.9, 0), max_terms=max_terms)
+    zero_atol = ToleranceConfig(atol=0.0)
+    with pytest.raises(ConvergenceError):
+        neumann_a_inverse(d_rank1, cdiag(0.5, 0), zero_atol, max_terms=200)
 
 
 def test_thvn_identity_element(d_rank1):

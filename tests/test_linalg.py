@@ -15,6 +15,7 @@ from aspec.linalg import (
     ToleranceConfig,
     approx_equal,
     as_matrix,
+    frobenius_norm,
     read_matrix,
     write_matrix,
 )
@@ -117,3 +118,11 @@ def test_approx_equal_reflexive_symmetric(m, n):
     n = n.astype(np.complex128)
     assert approx_equal(m, m)
     assert approx_equal(m, n) == approx_equal(n, m)
+
+
+def test_frobenius_norm_is_exact_to_rounding_at_every_scale():
+    m = np.array([[3, 4j], [0, -12]], dtype=np.complex128)  # ||M||_F = 13
+    for scale in (1.0, 2.0**-1000, 1e-170, 1e160, 2.0**1000):
+        assert frobenius_norm(scale * m) == pytest.approx(13 * scale, rel=1e-15)
+    assert frobenius_norm(np.zeros((2, 2), dtype=np.complex128)) == 0.0
+    assert frobenius_norm(np.zeros((0, 0), dtype=np.complex128)) == 0.0

@@ -109,3 +109,11 @@ def test_power_addition_and_null_space_stability():
         for s in (0.25, 0.5, 2.0):
             again = psd_decompose(fractional_power(d, s))
             assert approx_equal(again.proj, d.proj)
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e160])
+def test_non_hermitian_weight_rejected_where_squares_underflow_or_overflow(scale):
+    # unscaled squares make both the Hermitian gap and ||A||_F 0 at 1e-170 and inf at 1e160
+    with pytest.raises(NotPsdError, match="not Hermitian"):
+        psd_decompose(scale * cmat([[1, 1], [0, 1]]))
+    assert psd_decompose(scale * cdiag(1, 0)).rank == 1

@@ -176,3 +176,20 @@ def test_random_member_is_member():
     d = psd_decompose(cdiag(2.0, 1.0, 0.0, 0.0))
     for _ in range(10):
         assert a_membership(d, random_member(d, rng))
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e160])
+def test_decisions_hold_where_squared_entries_underflow_or_overflow(scale):
+    # the squares of these entries underflow to 0 at 1e-170 and overflow to inf at 1e160, so a norm
+    # that squares unscaled would compare 0 <= 0 or inf <= inf and accept both pairs
+    e12 = cmat([[0, 1], [0, 0]])
+    d = psd_decompose(cdiag(1, 0))
+    assert not a_membership(d, scale * e12)
+    assert not is_a_selfadjoint(d.a, scale * e12)
+    d_scaled = psd_decompose(cdiag(scale, 0))
+    assert d_scaled.rank == 1
+    assert not a_membership(d_scaled, e12)
+    assert not is_a_selfadjoint(scale * cdiag(1, 0), e12)
+    # and a member stays one, the self-adjoint projection stays self-adjoint
+    assert a_membership(d, scale * cdiag(1, 2))
+    assert is_a_selfadjoint(d.a, scale * cdiag(1, 0))

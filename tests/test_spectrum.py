@@ -1,7 +1,9 @@
 """Weighted spectrum, radius, Gelfand sequence, witnesses, numerical range."""
 
+import importlib.util
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,13 +11,22 @@ import pytest
 from aspec.harness import RandomInstanceSpec, generate_instance
 from aspec.linalg import DEFAULT_TOL
 from aspec.psd import psd_decompose
-from aspec.seminorm import NotMemberError, VectorState, compressed, random_member, range_compression
+from aspec.seminorm import (
+    NotMemberError,
+    VectorState,
+    a_seminorm_oracle,
+    compressed,
+    random_member,
+    range_compression,
+    range_seminorm,
+)
 from aspec.spectrum import (
     SpectrumPointError,
     _block_size,
     _spectrum,
     _support_data,
     _verify_witness,
+    _witness_supremum,
     a_numerical_range,
     a_spectral_radius,
     a_spectrum,
@@ -165,12 +176,14 @@ def test_witness_verification_rejects_random_states_at_every_scale():
     x = random_member(d, rng)
     for scale in (1.0, 1e-9):
         lam = max(a_spectrum(d, scale * x).points, key=abs)
+        c = range_compression(d, scale * x)
+        x_norm = range_seminorm(d, c)
         for _ in range(20):
             h = rng.standard_normal(5) + 1j * rng.standard_normal(5)
             h /= np.linalg.norm(h)
             state = VectorState(h=h, weight=float((h.conj() @ (d.a @ h)).real))
             for side in ("left", "right"):
-                assert not _verify_witness(d, scale * x, lam, side, state, DEFAULT_TOL, 5, np.random.default_rng(0))
+                assert not _verify_witness(d, c, x_norm, lam, side, state, DEFAULT_TOL)
 
 
 def test_witness_rejects_non_spectrum_point(d_rank1):
@@ -335,7 +348,7 @@ def _assert_gelfand_matches(d, x, n_max, rel=1e-13):
     return terms
 
 
-@pytest.mark.parametrize("rank", [2, 8, 16])
+@pytest.mark.parametrize("rank", [2, 8, 16, 48, 64])
 def test_stacked_gelfand_matches_one_norm_per_power(rank):
     rng = np.random.default_rng(200 + rank)
     dim = rank + 1
@@ -695,3 +708,147 @@ def test_witness_found_flags_match_full_space_reference():
                     checked += 1
                     found += state is not None
     assert checked > 300 and found > checked // 2, (checked, found)
+
+
+def _spot_checked_witness(d, x, lam, side, tol=DEFAULT_TOL, spot_checks=20):
+    """spectrum_witness as verified before the closed-form supremum, as a reference: the same candidates
+    and side identities, then spot_checks Gaussian C_Y per candidate from one generator seeded 2024.
+
+    The draws of a candidate are taken at once; after a failure the generator is set to where a loop of
+    single draws, stopping at that failure, would have left it."""
+    c = range_compression(d, x)
+    r, lam_r = d.rank, d.range_eigvals
+    cut = tol.cutoff(float(np.linalg.svd(c, compute_uv=False).max(initial=0.0)))
+    shift = c - lam * np.eye(r)
+    u, svals, vh = np.linalg.svd(shift)
+    x_norm = range_seminorm(d, c)
+    big = float(d.eigvals.max()) * x_norm**2
+    root = np.sqrt(lam_r)
+    rng = np.random.default_rng(2024)
+    for idx in np.flatnonzero(svals <= cut)[::-1]:
+        g = vh[idx].conj() if side == "left" else u[:, idx] / lam_r
+        g = g / np.linalg.norm(g)
+        lg, w = lam_r * g, float(lam_r @ np.abs(g) ** 2)
+        fax = complex(lg.conj() @ (c @ g)) / w
+        if abs(fax - lam) > tol.rtol * x_norm:
+            continue
+        if side == "left":
+            if abs(float(lam_r @ np.abs(c @ g) ** 2) / w - abs(fax) ** 2) > tol.rtol * x_norm**2:
+                continue
+        else:
+            faxxa = float(np.linalg.norm(c.conj().T @ lg)) ** 2 / w
+            faxa = complex(lg.conj() @ (c.conj().T @ lg)) / w
+            fa2 = float(np.linalg.norm(lg)) ** 2 / w
+            if abs(faxxa - fax * faxa) > tol.rtol * big or abs(fax * faxa - abs(fax) ** 2 * fa2) > tol.rtol * big:
+                continue
+        start = rng.bit_generator.state
+        draws = rng.standard_normal((spot_checks, 2, r, r))
+        cy = (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2)
+        vals = ((cy @ g) @ (lg.conj() @ shift) if side == "right" else (cy @ (shift @ g)) @ lg.conj()) / w
+        y_norms = np.linalg.svd(cy * (root[:, None] / root[None, :]), compute_uv=False)[:, 0]
+        passed = np.abs(vals) <= tol.rtol * (x_norm + abs(lam)) * y_norms
+        if passed.all():
+            return VectorState(h=d.range_basis @ g, weight=w)
+        rng.bit_generator.state = start
+        rng.standard_normal((int(np.argmin(passed)) + 1, 2, r, r))
+    return None
+
+
+def _analysis_pairs(count):
+    """The member pairs of the first count ops of the analysis-64 benchmark workload at seed 1."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return [inputs.analysis_pair(1, k) for k in range(count)]
+
+
+def test_witness_found_flags_match_spot_checked_verification():
+    # 200 seeded instances at every point, and the analysis-64 pairs at the point that workload
+    # certifies (the largest modulus), each at three scales of X
+    pairs = [(dim, rank) for dim in range(1, 9) for rank in range(dim + 1)]
+    cases = []
+    for i in range(200):
+        dim, rank = pairs[i % len(pairs)]
+        a, x = generate_instance(RandomInstanceSpec(dim=dim, rank=rank, member_only=True, seed=7000 + i))
+        cases.append((psd_decompose(a), x, False))
+    cases += [(psd_decompose(a), x, True) for a, x in _analysis_pairs(8)]
+    checked = found = 0
+    for d, x, largest in cases:
+        for scale in (1.0, 1e-9, 1e9):
+            xs = scale * x
+            points = a_spectrum(d, xs).points
+            for lam in [max(points, key=abs)] if largest else points:
+                for side in ("left", "right"):
+                    state, ref = spectrum_witness(d, xs, lam, side), _spot_checked_witness(d, xs, lam, side)
+                    assert (state is None) == (ref is None), (d.dim, d.rank, scale, lam, side)
+                    # and the same candidate is returned
+                    assert state is None or np.array_equal(state.h, ref.h)
+                    checked += 1
+                    found += state is not None
+    assert checked > 3000 and found > checked // 2, (checked, found)
+
+
+def test_witness_supremum_bounds_drawn_members_and_is_attained():
+    # from rank 2 on, where a random range vector is far from a witness and the supremum is not rounding
+    rng = np.random.default_rng(61)
+    for i, (dim, rank) in enumerate(((2, 2), (3, 2), (5, 3), (6, 6), (8, 5))):
+        a, x = generate_instance(RandomInstanceSpec(dim=dim, rank=rank, member_only=True, seed=800 + i))
+        d = psd_decompose(a)
+        a, q, lam_r = d.a, d.range_basis, d.range_eigvals
+        root = np.sqrt(lam_r)
+        lam = max(a_spectrum(d, x).points, key=abs)
+        c = range_compression(d, x)
+        shift = x - lam * np.eye(dim)
+        # 2000 members P G P in the full space, and their seminorms sigma_max(A^(1/2) Y (A^(1/2))^+)
+        gauss = rng.standard_normal((2000, dim, dim)) + 1j * rng.standard_normal((2000, dim, dim))
+        ys = d.proj @ gauss @ d.proj
+        y_norms = np.linalg.svd(d.sqrt @ ys @ d.sqrt_pinv, compute_uv=False)[:, 0]
+        for _ in range(3):
+            h = q @ (rng.standard_normal(rank) + 1j * rng.standard_normal(rank))
+            h /= np.linalg.norm(h)
+            state = VectorState(h=h, weight=float((h.conj() @ (a @ h)).real))
+            g = q.conj().T @ h
+            for side in ("left", "right"):
+                sup = _witness_supremum(d, c, lam, side, g)
+                if side == "right":
+                    vals = (ys @ h) @ (h.conj() @ a @ shift)
+                    u, v = (c.conj().T - np.conj(lam) * np.eye(rank)) @ (lam_r * g) / root, root * g
+                else:
+                    vals = (h.conj() @ a @ ys) @ (shift @ h)
+                    u, v = root * g, root * ((c - lam * np.eye(rank)) @ g)
+                best = float(np.max(np.abs(vals) / state.weight / y_norms))
+                assert best <= sup * (1 + DEFAULT_TOL.rtol), (dim, rank, side, best, sup)
+                # the member whose D = L^(1/2) C_Y L^(-1/2) is u v* / (|u| |v|) attains it
+                top = q @ ((u[:, None] * v.conj()[None, :]) / root[:, None] * root[None, :]) @ q.conj().T
+                top /= np.linalg.norm(u) * np.linalg.norm(v)
+                val = state(a @ shift @ top) if side == "right" else state(a @ top @ shift)
+                assert abs(val) == pytest.approx(sup, rel=1e-12)
+                assert a_seminorm_oracle(d, top) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_witness_perturbed_by_1e6_is_rejected_at_every_scale():
+    # at rank 1 every range vector gives the same state, so the perturbations start at rank 2
+    rng = np.random.default_rng(71)
+    pairs = [(dim, rank) for dim in range(2, 9) for rank in range(2, dim + 1)]
+    rejected = 0
+    for i in range(len(pairs) * 2):
+        dim, rank = pairs[i % len(pairs)]
+        a, x = generate_instance(RandomInstanceSpec(dim=dim, rank=rank, member_only=True, seed=900 + i))
+        d = psd_decompose(a)
+        q = d.range_basis
+        for scale in (1.0, 1e-9, 1e9):
+            xs = scale * x
+            c = range_compression(d, xs)
+            x_norm = range_seminorm(d, c)
+            for lam in a_spectrum(d, xs).points:
+                for side in ("left", "right"):
+                    state = spectrum_witness(d, xs, lam, side)
+                    assert _verify_witness(d, c, x_norm, lam, side, state, DEFAULT_TOL)
+                    step = rng.standard_normal(rank) + 1j * rng.standard_normal(rank)
+                    g = q.conj().T @ state.h + 1e-6 * step / np.linalg.norm(step)
+                    h = q @ g / np.linalg.norm(g)
+                    moved = VectorState(h=h, weight=float((h.conj() @ (d.a @ h)).real))
+                    assert not _verify_witness(d, c, x_norm, lam, side, moved, DEFAULT_TOL), (i, scale, lam, side)
+                    rejected += 1
+    assert rejected > 1000, rejected
