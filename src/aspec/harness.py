@@ -374,9 +374,8 @@ def _prop_seminorm_submultiplicative(ctx: CheckContext):
 
 def _prop_seminorm_zero_law(ctx: CheckContext):
     dec = ctx.weight()
-    comp = np.eye(ctx.dim) - dec.proj
     m = _complex_gaussian(ctx.rng, (ctx.dim, ctx.dim))
-    x0 = comp @ m @ comp
+    x0 = dec.null_proj @ m @ dec.null_proj
     ctx.instance["x"] = matrix_to_obj(x0)
     val = a_seminorm(dec, x0, ctx.tol)
     ctx.check(val.finite and val.value <= ctx.tol.atol + ctx.tol.rtol, f"seminorm {val.value}", "0 for AX = 0")
@@ -471,8 +470,7 @@ def _prop_invert_non_uniqueness(ctx: CheckContext):
     res = a_invertible(dec, x, ctx.tol)
     if not res.invertible:
         return
-    comp = np.eye(ctx.dim) - dec.proj
-    z = comp @ _complex_gaussian(ctx.rng, (ctx.dim, ctx.dim)) @ comp
+    z = dec.null_proj @ _complex_gaussian(ctx.rng, (ctx.dim, ctx.dim)) @ dec.null_proj
     _inverse_identities(ctx, dec, x, res.canonical + z, "canonical + null-supported Z")
 
 

@@ -70,7 +70,7 @@ def _invert(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig) -> AInv
         return AInverseResult(invertible=False)
     q = d.range_basis
     canonical = q @ np.linalg.inv(c) @ q.conj().T
-    return AInverseResult(invertible=True, canonical=canonical, invertible_form=canonical + (np.eye(d.dim) - d.proj))
+    return AInverseResult(invertible=True, canonical=canonical, invertible_form=canonical + d.null_proj)
 
 
 def a_invertible(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> AInverseResult:
@@ -129,7 +129,7 @@ def neumann_a_inverse(
         raise ConvergenceError(f"series still above atol after {max_terms} terms")
     s = np.sqrt(d.range_eigvals)
     q = d.range_basis
-    return (q / s) @ total @ (s[:, None] * q.conj().T) + (np.eye(d.dim) - d.proj)
+    return (q / s) @ total @ (s[:, None] * q.conj().T) + d.null_proj
 
 
 def thvn_certificate(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> ThvnCertificate | None:

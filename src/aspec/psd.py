@@ -91,6 +91,11 @@ class PsdDecomposition:
         """Orthogonal projection onto the range."""
         return self.power(0)
 
+    @cached_property
+    def null_proj(self) -> ComplexMatrix:
+        """Orthogonal projection onto the null space, I - P."""
+        return np.eye(self.dim) - self.proj
+
 
 def psd_decompose(a: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> PsdDecomposition:
     """Validate the weight and compute its eigendecomposition.

@@ -161,12 +161,10 @@ def random_member(d: PsdDecomposition, rng: np.random.Generator, scale: float = 
     The construction keeps the null space of the weight invariant, so
     membership holds by design (up to rounding).
     """
-    n = d.dim
-    shape = (n, n)
+    shape = (d.dim, d.dim)
     m = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * (scale / np.sqrt(2))
     m2 = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * (scale / np.sqrt(2))
-    comp = np.eye(n) - d.proj
-    return d.proj @ m @ d.proj + comp @ m2 @ comp
+    return d.proj @ m @ d.proj + d.null_proj @ m2 @ d.null_proj
 
 
 def is_a_selfadjoint(a: ComplexMatrix, x: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> bool:

@@ -23,12 +23,19 @@ entries and make one LAPACK call per block, so Python overhead is paid per
 block, not per problem: a block holds 1024 problems at rank 2, 64 at rank 8
 and one from rank 46 on, and memory stays flat at every rank.  The Gelfand
 sequence reads each power's 2-norm as the root of the top eigenvalue of its
-Gram matrix, one eigvalsh per block.
+Gram matrix, one eigvalsh per block.  The numerical range deals its spans
+(runs of blocks that share one touching-point product) to one worker per
+CPU when the BLAS runs one thread per call, since the stacked eigh releases
+the GIL; small inputs start no thread.  Each span is formed and solved as in
+one thread, so the results have the same bits at every worker count.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from itertools import takewhile
 from typing import Literal
@@ -41,6 +48,11 @@ from .seminorm import VectorState, _require_member, compressed, range_compressio
 
 
 _BLOCK_ENTRIES = 4096  # complex entries per stacked array (64 KiB), so memory stays flat at every rank
+# Hermitian entries (problems times rank^2) per numerical-range worker at least, so below twice this no thread
+# starts.  On a 2-core x86 VM a stacked eigh costs 0.15-0.2 us per entry at ranks 4-64 and a thread's start
+# and join about 0.05 ms, yet two workers lost to one below about 16k entries, where most spans are uneven.
+_WORKER_MIN_ENTRIES = 2 * _BLOCK_ENTRIES
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def _block_size(rank: int) -> int:
@@ -371,6 +383,55 @@ def convex_hull(points: list[complex], eps: float) -> list[complex]:
     return hull if len(hull) >= 2 else dedup[:1]
 
 
+def _worker_cpus() -> int:
+    """CPUs the numerical range may keep busy at once.
+
+    These are the CPUs this process may run on (its affinity where the
+    platform reports one, else the machine's count) when the BLAS under
+    numpy runs one thread per call, and one otherwise: a BLAS with threads
+    of its own makes concurrent calls wait on its pool, and on 2 CPUs two
+    threads of rank-64 eigh calls then took 1.5x as long as one thread.
+    OpenBLAS, MKL and OpenMP read their thread count from the variables in
+    _BLAS_THREAD_VARS when they load, and use every CPU when none is set.
+    """
+    caps = [os.environ[var] for var in _BLAS_THREAD_VARS if var in os.environ]
+    if not caps or any(cap.strip() != "1" for cap in caps):
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity outside Linux
+        return os.cpu_count() or 1
+
+
+def _run_chunks(work: Callable[[Sequence[int]], None], chunks: list[Sequence[int]]) -> None:
+    """work(chunk) for every chunk: the first in the calling thread, each other on a thread of its own.
+
+    Every started thread is joined before this returns or raises, so no
+    worker outlives the call; an exception raised in a worker is re-raised
+    here, after the joins.
+    """
+    errors: list[BaseException] = []
+
+    def guarded(chunk: Sequence[int]) -> None:
+        try:
+            work(chunk)
+        except BaseException as exc:  # handed to the calling thread, which re-raises it
+            errors.append(exc)
+
+    threads: list[threading.Thread] = []
+    try:
+        for chunk in chunks[1:]:
+            thread = threading.Thread(target=guarded, args=(chunk,))
+            thread.start()
+            threads.append(thread)
+        work(chunks[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
 def _support_data(m: ComplexMatrix, directions: int) -> tuple[list[float], list[float], list[complex]]:
     """Angles, support values and touching points of the numerical range of M.
 
@@ -384,38 +445,62 @@ def _support_data(m: ComplexMatrix, directions: int) -> tuple[list[float], list[
     come from one product of those rows with M^T.  Each H(theta) gets the
     same bits as in an eigh of its own, so the support values equal those
     of one eigh per antipodal pair.
+
+    Spans are dealt round-robin to workers, one per CPU of _worker_cpus,
+    at most one per span and per _WORKER_MIN_ENTRIES entries: the calling
+    thread takes the first share and a thread each the others, since the
+    stacked eigh releases the GIL.  Each worker writes its spans' slices
+    of the results from an eigenvector buffer of its own and holds one
+    block's arrays at a time, and every span is formed and solved as in a
+    single thread, so the outputs have the same bits at every worker
+    count.  One span, or fewer than 2 * _WORKER_MIN_ENTRIES entries in
+    all, runs in the calling thread and starts no thread.
     """
     re_m = (m + m.conj().T) / 2
     im_m = (m - m.conj().T) / 2j
     paired = directions % 2 == 0
     half = directions // 2 if paired else directions
-    angles = [2 * np.pi * k / directions for k in range(directions)]
+    thetas = 2 * np.pi * np.arange(half) / directions  # the bits of 2 pi k / directions
     # complex already, as the products with Re M and Im M would cast them
-    cos = np.array([math.cos(t) for t in angles[:half]], dtype=np.complex128)[:, None, None]
-    sin = np.array([math.sin(t) for t in angles[:half]], dtype=np.complex128)[:, None, None]
+    cos = np.array([math.cos(t) for t in thetas.tolist()], dtype=np.complex128)[:, None, None]
+    sin = np.array([math.sin(t) for t in thetas.tolist()], dtype=np.complex128)[:, None, None]
+    del thetas  # not held while the workers run, which is where the memory peaks
     ends = [-1, 0] if paired else [-1]  # the top eigenpair serves theta, the bottom one theta + pi
     rank = len(m)
     step = _block_size(rank)  # Hermitian problems per eigh
     span = step * max(1, rank // len(ends))  # directions per touch-point product, whose rows fit the budget
     support = np.empty((len(ends), half))
     touch = np.empty((len(ends), half), dtype=np.complex128)
-    u = np.empty((len(ends), min(span, half), rank), dtype=np.complex128)
     m_t, ones = m.T, np.ones(rank, dtype=np.complex128)
-    for start in range(0, half, span):
-        stop = min(start + span, half)
-        for lo in range(start, stop, step):
-            hi = min(lo + step, stop)
-            vals, vecs = np.linalg.eigh(cos[lo:hi] * re_m + sin[lo:hi] * im_m)
-            for row, end in enumerate(ends):
-                support[row, lo:hi] = vals[:, end]
-                u[row, lo - start : hi - start] = vecs[:, :, end]
-        # u* M u for each unit eigenvector row u: rows @ M^T holds the vectors M u, and the product
-        # with ones sums each row of conj(u) * (M u)
-        rows = u[:, : stop - start]
-        touch[:, start:stop] = (rows.conj() * (rows @ m_t)) @ ones
+
+    def solve(starts: Sequence[int]) -> None:
+        """Fill support and touch for the spans that begin at starts."""
+        u = np.empty((len(ends), min(span, half), rank), dtype=np.complex128)
+        for start in starts:
+            stop = min(start + span, half)
+            for lo in range(start, stop, step):
+                hi = min(lo + step, stop)
+                h = cos[lo:hi] * re_m
+                h += sin[lo:hi] * im_m
+                vals, vecs = np.linalg.eigh(h)
+                for row, end in enumerate(ends):
+                    support[row, lo:hi] = vals[:, end]
+                    u[row, lo - start : hi - start] = vecs[:, :, end]
+                del h, vals, vecs
+            # u* M u for each unit eigenvector row u: rows @ M^T holds the vectors M u, and the product
+            # with ones sums each row of conj(u) * (M u)
+            rows = u[:, : stop - start]
+            mu = rows @ m_t
+            touch[:, start:stop] = np.multiply(rows.conj(), mu, out=mu) @ ones
+            del mu
+
+    starts = range(0, half, span)
+    workers = min(len(starts), half * rank * rank // _WORKER_MIN_ENTRIES)
+    workers = min(workers, _worker_cpus()) if workers > 1 else 1
+    _run_chunks(solve, [starts[i::workers] for i in range(workers)])
     if paired:
         support[1] *= -1
-    return angles, support.ravel().tolist(), touch.ravel().tolist()
+    return (2 * np.pi * np.arange(directions) / directions).tolist(), support.ravel().tolist(), touch.ravel().tolist()
 
 
 def a_numerical_range(
@@ -434,8 +519,11 @@ def a_numerical_range(
     shares one Hermitian eigenproblem, so an even number of directions costs
     directions / 2 problems of size rank, solved in stacked blocks of about
     4096 entries: 720 directions take one eigh at rank 2, 23 at rank 16 and
-    360 from rank 46 on.  The hull merges touching points within rtol times
-    their spread, so the polygon scales with X.
+    360 from rank 46 on.  With a one-thread BLAS the blocks are solved on
+    one worker per CPU, whole spans at a time, from rank 7 at 720
+    directions; the polygon has the same bits at every worker count.  The
+    hull merges touching points within rtol times their spread, so the
+    polygon scales with X.
     """
     if directions < 3:
         raise ValueError("directions must be at least 3")

@@ -46,6 +46,18 @@ def test_zero_weight():
     assert approx_equal(d.proj, np.zeros((2, 2), dtype=complex))
 
 
+def test_null_projection_is_identity_minus_range_projection():
+    rng = np.random.default_rng(5)
+    for dim, rank in ((1, 0), (1, 1), (3, 1), (5, 3), (4, 4)):
+        g, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+        d = psd_decompose((g * np.r_[rng.uniform(0.5, 1.5, rank), np.zeros(dim - rank)]) @ g.conj().T)
+        assert d.rank == rank
+        # the same bits as the expression it replaces, so seeded draws through it do not change
+        assert np.array_equal(d.null_proj, np.eye(dim) - d.proj)
+        assert d.null_proj is d.null_proj
+        assert approx_equal(d.null_proj @ d.a, np.zeros((dim, dim), dtype=complex))
+
+
 def test_rejects_non_square():
     with pytest.raises(Exception):
         psd_decompose(np.zeros((2, 3), dtype=complex))

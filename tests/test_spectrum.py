@@ -2,6 +2,9 @@
 
 import importlib.util
 import math
+import os
+import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -21,12 +24,14 @@ from aspec.seminorm import (
     range_seminorm,
 )
 from aspec.spectrum import (
+    _BLAS_THREAD_VARS,
     SpectrumPointError,
     _block_size,
     _spectrum,
     _support_data,
     _verify_witness,
     _witness_supremum,
+    _worker_cpus,
     a_numerical_range,
     a_spectral_radius,
     a_spectrum,
@@ -307,14 +312,150 @@ def test_stacked_supports_equal_one_eigh_per_direction(rank):
             assert max(abs(z - w) for z, w in zip(touch, ref_touch)) <= 1e-13 * scale, (rank, directions)
 
 
-def test_stacked_kernels_keep_memory_flat():
-    # a stack of every direction's eigenvectors at rank 64 alone would take 720 KiB
+def _weight_of_rank(rank, rng):
+    """A weight of the given rank at dim rank + 1, in a random unitary basis."""
+    g, _ = np.linalg.qr(rng.standard_normal((rank + 1, rank + 1)) + 1j * rng.standard_normal((rank + 1, rank + 1)))
+    return psd_decompose((g * np.r_[rng.uniform(0.5, 1.5, rank), 0.0]) @ g.conj().T)
+
+
+def _force_workers(monkeypatch, workers):
+    """Split the numerical range over `workers` workers whatever the machine and the size of the problem."""
+    monkeypatch.setattr("aspec.spectrum._worker_cpus", lambda: workers)
+    monkeypatch.setattr("aspec.spectrum._WORKER_MIN_ENTRIES", 1)
+
+
+def _record_threads(monkeypatch):
+    """The list of threads started from now on."""
+    started = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Recorded)
+    return started
+
+
+def _spans(rank, directions):
+    """Number of touch-point spans the numerical range of a rank x rank M splits into."""
+    ends = 2 if directions % 2 == 0 else 1
+    return -(-(directions // ends) // (_block_size(rank) * max(1, rank // ends)))
+
+
+def test_workers_share_cpus_only_with_a_one_thread_blas(monkeypatch):
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    for var in _BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    assert _worker_cpus() == 1  # the BLAS starts a thread per CPU
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    assert _worker_cpus() == cpus
+    for var in _BLAS_THREAD_VARS:
+        monkeypatch.setenv(var, "1")
+    assert _worker_cpus() == cpus
+    monkeypatch.setenv("MKL_NUM_THREADS", "2")
+    assert _worker_cpus() == 1
+
+
+@pytest.mark.parametrize("rank", [1, 8, 16, 48, 64, 65])
+def test_numerical_range_bits_do_not_depend_on_worker_count(monkeypatch, rank):
+    rng = np.random.default_rng(200 + rank)
+    d = _weight_of_rank(rank, rng)
+    x = random_member(d, rng)
+    # fresh result buffers hold NaN, so a slot no worker writes cannot pass for a value
+    empty = np.empty
+
+    def nan_empty(*args, **kwargs):
+        out = empty(*args, **kwargs)
+        out.fill(np.nan)
+        return out
+
+    monkeypatch.setattr(np, "empty", nan_empty)
+    started = _record_threads(monkeypatch)
+    for directions in (3, 7, 720, 2566):
+        polys = []
+        for workers in (1, 2, 3, 4):
+            _force_workers(monkeypatch, workers)
+            started.clear()
+            polys.append(a_numerical_range(d, x, directions))
+            assert len(started) == min(workers, _spans(rank, directions)) - 1, (rank, directions, workers)
+            assert not any(t.is_alive() for t in started)
+        assert not np.isnan(polys[0].support).any() and not np.isnan(polys[0].vertices).any()
+        for poly in polys[1:]:
+            assert (poly.angles, poly.support, poly.vertices) == (polys[0].angles, polys[0].support, polys[0].vertices)
+
+
+def test_numerical_range_workers_outnumbering_cpus_keep_the_bits(monkeypatch):
+    # eight workers on at most a few CPUs, switching threads every few microseconds
+    rng = np.random.default_rng(7)
+    m = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    _force_workers(monkeypatch, 1)
+    expected = _support_data(m, _UNEVEN_DIRECTIONS)
+    _force_workers(monkeypatch, 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(5):
+            assert _support_data(m, _UNEVEN_DIRECTIONS) == expected
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_small_numerical_ranges_start_no_thread(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the numerical range started a thread")
+
+    monkeypatch.setattr("aspec.spectrum._worker_cpus", lambda: 4)
+    monkeypatch.setattr(threading, "Thread", refuse)
+    rng = np.random.default_rng(11)
+    # the ranks and direction counts of the property suite, each one span
+    cases = [(rank, directions) for rank in range(2, 9) for directions in (72, 360)]
+    # several spans, but too little work to share
+    cases += [(2, 4100), (6, 720)]
+    for rank, directions in cases:
+        d = _weight_of_rank(rank, rng)
+        poly = a_numerical_range(d, random_member(d, rng), directions)
+        assert len(poly.support) == directions
+
+
+@pytest.mark.parametrize("failing", ["worker", "caller"])
+def test_numerical_range_eigh_failure_surfaces_after_every_join(monkeypatch, failing):
+    _force_workers(monkeypatch, 4)
+    started = _record_threads(monkeypatch)
+    caller = threading.current_thread()
+    error = np.linalg.LinAlgError(f"eigh failed in the {failing}")
+    eigh = np.linalg.eigh
+
+    def failing_eigh(h):
+        if (threading.current_thread() is caller) == (failing == "caller"):
+            raise error
+        return eigh(h)
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    m = np.random.default_rng(3).standard_normal((16, 16)) + 0j
+    with pytest.raises(np.linalg.LinAlgError) as info:
+        _support_data(m, 720)
+    assert info.value is error
+    assert len(started) == 2 and not any(t.is_alive() for t in started)
+
+
+def test_stacked_kernels_keep_memory_flat(monkeypatch):
+    # a stack of every direction's eigenvectors at rank 64 alone would take 720 KiB; each numerical-range
+    # worker holds its own span of eigenvectors and one block in flight
     rng = np.random.default_rng(47)
-    g, _ = np.linalg.qr(rng.standard_normal((65, 65)) + 1j * rng.standard_normal((65, 65)))
-    d = psd_decompose((g * np.r_[rng.uniform(0.5, 1.5, 64), 0.0]) @ g.conj().T)
+    d = _weight_of_rank(64, rng)
     x = random_member(d, rng)
     assert d.rank == 64
-    for run in (lambda: a_numerical_range(d, x, 720), lambda: gelfand_sequence(d, x, 64)):
+    started = _record_threads(monkeypatch)
+
+    def numerical_range_on(workers):
+        monkeypatch.setattr("aspec.spectrum._worker_cpus", lambda: workers)
+        return a_numerical_range(d, x, 720)
+
+    for run in (lambda: numerical_range_on(1), lambda: numerical_range_on(4), lambda: gelfand_sequence(d, x, 64)):
         run()
         tracemalloc.start()
         try:
@@ -323,6 +464,7 @@ def test_stacked_kernels_keep_memory_flat():
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20, peak
+    assert len(started) == 2 * 3  # the four-worker runs started their threads
 
 
 def _gelfand_reference(d, x, n_max):
