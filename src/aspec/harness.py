@@ -32,6 +32,7 @@ from .omega import (
 )
 from .psd import PsdDecomposition, fractional_power, psd_decompose
 from .seminorm import (
+    _complex_gaussian,
     a_adjoint,
     a_membership,
     a_seminorm,
@@ -61,10 +62,6 @@ class RandomInstanceSpec:
             raise ValueError(f"rank must lie in [0, {self.dim}]")
         if self.scale <= 0:
             raise ValueError("scale must be positive")
-
-
-def _complex_gaussian(rng: np.random.Generator, shape, scale: float = 1.0) -> np.ndarray:
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * (scale / np.sqrt(2))
 
 
 def generate_instance(spec: RandomInstanceSpec) -> tuple[ComplexMatrix, ComplexMatrix]:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .linalg import DEFAULT_TOL, ComplexMatrix, ToleranceConfig, frobenius_norm
 from .psd import PsdDecomposition
-from .seminorm import NotMemberError, _require_member, _seminorm, compressed, range_compression
+from .seminorm import NotMemberError, _is_point, _require_member, _seminorm, compressed, range_compression
 
 
 class ConvergenceError(RuntimeError):
@@ -58,15 +58,11 @@ class ThvnCertificate:
     alpha: float
 
 
-def _nonsingular(svals: np.ndarray, tol: ToleranceConfig) -> bool:
-    """Rank test on the compression's singular values (descending); rank 0 passes."""
-    return svals.size == 0 or svals[-1] > tol.cutoff(svals[0])
-
-
 def _invert(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig) -> AInverseResult:
     """Invertibility of a member and, when it holds, both inverses."""
     c = range_compression(d, x)
-    if not _nonsingular(np.linalg.svd(c, compute_uv=False), tol):
+    svals = np.linalg.svd(c, compute_uv=False)
+    if _is_point(svals, tol.cutoff(svals.max(initial=0.0))):  # 0 is a point of the spectrum
         return AInverseResult(invertible=False)
     q = d.range_basis
     canonical = q @ np.linalg.inv(c) @ q.conj().T
@@ -143,7 +139,7 @@ def thvn_certificate(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig
     """
     x = _require_member(d, x, tol)
     svals = np.linalg.svd(range_compression(d, x), compute_uv=False)
-    if not _nonsingular(svals, tol):
+    if _is_point(svals, tol.cutoff(svals.max(initial=0.0))):
         return None
     inflate = 1.0 + tol.rtol
     if d.rank == 0:

@@ -63,19 +63,6 @@ class ToleranceConfig:
 DEFAULT_TOL = ToleranceConfig()
 
 
-def as_matrix(values) -> ComplexMatrix:
-    """Coerce to a 2-D complex128 array and validate entries are finite."""
-    try:
-        m = np.asarray(values, dtype=np.complex128)
-    except OverflowError as exc:
-        raise MatrixFormatError(f"matrix entry out of float64 range: {exc}") from exc
-    if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
-        raise ShapeError(f"expected a 2-D matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
-        raise MatrixFormatError("matrix contains a non-finite entry")
-    return m
-
-
 def check_square(m: ComplexMatrix, name: str = "matrix") -> ComplexMatrix:
     if m.shape[0] != m.shape[1]:
         raise ShapeError(f"{name} must be square, got shape {m.shape}")

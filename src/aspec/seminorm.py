@@ -100,6 +100,13 @@ def range_compression(d: PsdDecomposition, x: ComplexMatrix) -> ComplexMatrix:
     return q.conj().T @ np.asarray(x, dtype=np.complex128) @ q
 
 
+def _is_point(svals: np.ndarray, cut: float) -> bool:
+    """The one rank test of a compression, from the singular values of C - lam and the cutoff of sigma_max(C):
+    lam is a point of the spectrum iff sigma_min(C - lam) <= cut.  Never at rank 0; at lam = 0 it is the
+    test that X fails to be invertible."""
+    return svals.size > 0 and bool(svals[-1] <= cut)
+
+
 def _similar_form(d: PsdDecomposition, c: ComplexMatrix) -> ComplexMatrix:
     """L^(1/2) C L^(-1/2) for a rank x rank C."""
     s = np.sqrt(d.range_eigvals)
@@ -155,15 +162,19 @@ def a_adjoint(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig = DEFA
     return d.pinv @ x.conj().T @ d.a
 
 
+def _complex_gaussian(rng: np.random.Generator, shape, scale: float = 1.0) -> np.ndarray:
+    """Standard complex Gaussian entries times scale: real and imaginary parts each of variance scale^2 / 2."""
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * (scale / np.sqrt(2))
+
+
 def random_member(d: PsdDecomposition, rng: np.random.Generator, scale: float = 1.0) -> ComplexMatrix:
     """Random member for the given weight: P M P + (1-P) M' (1-P) with Gaussian M, M'.
 
     The construction keeps the null space of the weight invariant, so
     membership holds by design (up to rounding).
     """
-    shape = (d.dim, d.dim)
-    m = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * (scale / np.sqrt(2))
-    m2 = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * (scale / np.sqrt(2))
+    m = _complex_gaussian(rng, (d.dim, d.dim), scale)
+    m2 = _complex_gaussian(rng, (d.dim, d.dim), scale)
     return d.proj @ m @ d.proj + d.null_proj @ m2 @ d.null_proj
 
 

@@ -23,11 +23,11 @@ entries and make one LAPACK call per block, so Python overhead is paid per
 block, not per problem: a block holds 1024 problems at rank 2, 64 at rank 8
 and one from rank 46 on, and memory stays flat at every rank.  The Gelfand
 sequence reads each power's 2-norm as the root of the top eigenvalue of its
-Gram matrix, one eigvalsh per block.  The numerical range deals its spans
-(runs of blocks that share one touching-point product) to one worker per
-CPU when the BLAS runs one thread per call, since the stacked eigh releases
-the GIL; small inputs start no thread.  Each span is formed and solved as in
-one thread, so the results have the same bits at every worker count.
+Gram matrix, one eigvalsh per block.  The numerical range hands its blocks
+out one at a time, from one shared cursor, to one worker per CPU when the
+BLAS runs one thread per call, since the stacked eigh releases the GIL;
+small inputs start no thread.  Each block is formed and solved as in one
+thread, so the results have the same bits at every worker count.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import takewhile
 from typing import Literal
@@ -44,13 +44,13 @@ import numpy as np
 
 from .linalg import DEFAULT_TOL, ComplexMatrix, ToleranceConfig
 from .psd import PsdDecomposition
-from .seminorm import VectorState, _require_member, compressed, range_compression, range_seminorm
+from .seminorm import VectorState, _is_point, _require_member, compressed, range_compression, range_seminorm
 
 
 _BLOCK_ENTRIES = 4096  # complex entries per stacked array (64 KiB), so memory stays flat at every rank
 # Hermitian entries (problems times rank^2) per numerical-range worker at least, so below twice this no thread
 # starts.  On a 2-core x86 VM a stacked eigh costs 0.15-0.2 us per entry at ranks 4-64 and a thread's start
-# and join about 0.05 ms, yet two workers lost to one below about 16k entries, where most spans are uneven.
+# and join about 0.05 ms, yet two workers lost to one below about 16k entries.
 _WORKER_MIN_ENTRIES = 2 * _BLOCK_ENTRIES
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 
@@ -110,12 +110,6 @@ def _cutoff(c: ComplexMatrix, tol: ToleranceConfig) -> float:
 def _shifted_svals(c: ComplexMatrix, lam: complex) -> np.ndarray:
     """Singular values of C - lam, descending."""
     return np.linalg.svd(c - lam * np.eye(len(c)), compute_uv=False)
-
-
-def _is_point(svals: np.ndarray, cut: float) -> bool:
-    """The one spectral decision, from the singular values of C - lam and the cutoff of sigma_max(C):
-    lam is a point iff sigma_min(C - lam) <= cut.  Never at rank 0; at lam = 0 it decides invertibility."""
-    return svals.size > 0 and bool(svals[-1] <= cut)
 
 
 def _spectrum(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig) -> ASpectrumResult:
@@ -403,8 +397,8 @@ def _worker_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _run_chunks(work: Callable[[Sequence[int]], None], chunks: list[Sequence[int]]) -> None:
-    """work(chunk) for every chunk: the first in the calling thread, each other on a thread of its own.
+def _run_workers(work: Callable[[], None], count: int) -> None:
+    """work() on count workers at once: the calling thread and count - 1 threads of their own.
 
     Every started thread is joined before this returns or raises, so no
     worker outlives the call; an exception raised in a worker is re-raised
@@ -412,19 +406,19 @@ def _run_chunks(work: Callable[[Sequence[int]], None], chunks: list[Sequence[int
     """
     errors: list[BaseException] = []
 
-    def guarded(chunk: Sequence[int]) -> None:
+    def guarded() -> None:
         try:
-            work(chunk)
+            work()
         except BaseException as exc:  # handed to the calling thread, which re-raises it
             errors.append(exc)
 
     threads: list[threading.Thread] = []
     try:
-        for chunk in chunks[1:]:
-            thread = threading.Thread(target=guarded, args=(chunk,))
+        for _ in range(count - 1):
+            thread = threading.Thread(target=guarded)
             thread.start()
             threads.append(thread)
-        work(chunks[0])
+        work()
     finally:
         for thread in threads:
             thread.join()
@@ -440,21 +434,20 @@ def _support_data(m: ComplexMatrix, directions: int) -> tuple[list[float], list[
     u* M u at its unit eigenvector u is the touching point.  Since
     H(theta + pi) = -H(theta), the bottom eigenpair of the same eigh serves
     the antipodal direction, so an even grid takes directions / 2 problems.
-    They are solved a block at a time by one stacked eigh; the touching
-    points of a span of blocks, whose eigenvector rows fit the same budget,
-    come from one product of those rows with M^T.  Each H(theta) gets the
-    same bits as in an eigh of its own, so the support values equal those
-    of one eigh per antipodal pair.
+    They are solved a block at a time by one stacked eigh, and the touching
+    points of a block at both ends come from one product of its eigenvector
+    rows with M^T.  Each H(theta) gets the same bits as in an eigh of its
+    own, so the support values equal those of one eigh per antipodal pair.
 
-    Spans are dealt round-robin to workers, one per CPU of _worker_cpus,
-    at most one per span and per _WORKER_MIN_ENTRIES entries: the calling
-    thread takes the first share and a thread each the others, since the
-    stacked eigh releases the GIL.  Each worker writes its spans' slices
-    of the results from an eigenvector buffer of its own and holds one
-    block's arrays at a time, and every span is formed and solved as in a
-    single thread, so the outputs have the same bits at every worker
-    count.  One span, or fewer than 2 * _WORKER_MIN_ENTRIES entries in
-    all, runs in the calling thread and starts no thread.
+    The blocks go to workers, one per CPU of _worker_cpus, at most one per
+    block and per _WORKER_MIN_ENTRIES entries: the calling thread and a
+    thread each for the others, since the stacked eigh releases the GIL.
+    Each worker takes the start of the next block from one shared cursor
+    and writes that block's slices of the results itself, holding one
+    block's arrays at a time.  Every block is formed and solved as in a
+    single thread, so the outputs have the same bits at every worker count.
+    One block, or fewer than 2 * _WORKER_MIN_ENTRIES entries in all, runs
+    in the calling thread and starts no thread.
     """
     re_m = (m + m.conj().T) / 2
     im_m = (m - m.conj().T) / 2j
@@ -468,36 +461,35 @@ def _support_data(m: ComplexMatrix, directions: int) -> tuple[list[float], list[
     ends = [-1, 0] if paired else [-1]  # the top eigenpair serves theta, the bottom one theta + pi
     rank = len(m)
     step = _block_size(rank)  # Hermitian problems per eigh
-    span = step * max(1, rank // len(ends))  # directions per touch-point product, whose rows fit the budget
     support = np.empty((len(ends), half))
     touch = np.empty((len(ends), half), dtype=np.complex128)
     m_t, ones = m.T, np.ones(rank, dtype=np.complex128)
+    starts = range(0, half, step)
+    cursor, lock = iter(starts), threading.Lock()
 
-    def solve(starts: Sequence[int]) -> None:
-        """Fill support and touch for the spans that begin at starts."""
-        u = np.empty((len(ends), min(span, half), rank), dtype=np.complex128)
-        for start in starts:
-            stop = min(start + span, half)
-            for lo in range(start, stop, step):
-                hi = min(lo + step, stop)
-                h = cos[lo:hi] * re_m
-                h += sin[lo:hi] * im_m
-                vals, vecs = np.linalg.eigh(h)
-                for row, end in enumerate(ends):
-                    support[row, lo:hi] = vals[:, end]
-                    u[row, lo - start : hi - start] = vecs[:, :, end]
-                del h, vals, vecs
-            # u* M u for each unit eigenvector row u: rows @ M^T holds the vectors M u, and the product
-            # with ones sums each row of conj(u) * (M u)
-            rows = u[:, : stop - start]
-            mu = rows @ m_t
-            touch[:, start:stop] = np.multiply(rows.conj(), mu, out=mu) @ ones
-            del mu
+    def solve() -> None:
+        """Fill support and touch for each block the cursor hands out, until it runs dry."""
+        while True:
+            with lock:
+                lo = next(cursor, None)
+            if lo is None:
+                return
+            hi = min(lo + step, half)
+            h = cos[lo:hi] * re_m
+            h += sin[lo:hi] * im_m
+            vals, vecs = np.linalg.eigh(h)
+            del h
+            support[:, lo:hi] = vals[:, ends].T
+            u = vecs.transpose(2, 0, 1)[ends]  # the unit eigenvector rows of each end
+            del vals, vecs
+            # u* M u for each row u: u @ M^T holds the vectors M u, and the product with ones sums each
+            # row of conj(u) * (M u)
+            mu = u @ m_t
+            touch[:, lo:hi] = np.multiply(u.conj(), mu, out=mu) @ ones
+            del u, mu
 
-    starts = range(0, half, span)
     workers = min(len(starts), half * rank * rank // _WORKER_MIN_ENTRIES)
-    workers = min(workers, _worker_cpus()) if workers > 1 else 1
-    _run_chunks(solve, [starts[i::workers] for i in range(workers)])
+    _run_workers(solve, min(workers, _worker_cpus()) if workers > 1 else 1)
     if paired:
         support[1] *= -1
     return (2 * np.pi * np.arange(directions) / directions).tolist(), support.ravel().tolist(), touch.ravel().tolist()
@@ -520,10 +512,10 @@ def a_numerical_range(
     directions / 2 problems of size rank, solved in stacked blocks of about
     4096 entries: 720 directions take one eigh at rank 2, 23 at rank 16 and
     360 from rank 46 on.  With a one-thread BLAS the blocks are solved on
-    one worker per CPU, whole spans at a time, from rank 7 at 720
-    directions; the polygon has the same bits at every worker count.  The
-    hull merges touching points within rtol times their spread, so the
-    polygon scales with X.
+    one worker per CPU, each worker taking the next block as it finishes
+    one, from rank 7 at 720 directions; the polygon has the same bits at
+    every worker count.  The hull merges touching points within rtol times
+    their spread, so the polygon scales with X.
     """
     if directions < 3:
         raise ValueError("directions must be at least 3")

@@ -14,7 +14,6 @@ from aspec.linalg import (
     ShapeError,
     ToleranceConfig,
     approx_equal,
-    as_matrix,
     frobenius_norm,
     read_matrix,
     write_matrix,
@@ -56,8 +55,6 @@ def test_read_rejects_non_finite():
         read_matrix('{"rows":1,"cols":1,"data":[[["1",0]]]}')
     with pytest.raises(MatrixFormatError):  # an integer literal beyond float64
         read_matrix('{"rows":1,"cols":1,"data":[[[1%s,0]]]}' % ("0" * 400))
-    with pytest.raises(MatrixFormatError):
-        as_matrix([[10**400]])
 
 
 def test_write_read_roundtrip_is_identity():

@@ -337,10 +337,10 @@ def _record_threads(monkeypatch):
     return started
 
 
-def _spans(rank, directions):
-    """Number of touch-point spans the numerical range of a rank x rank M splits into."""
-    ends = 2 if directions % 2 == 0 else 1
-    return -(-(directions // ends) // (_block_size(rank) * max(1, rank // ends)))
+def _blocks(rank, directions):
+    """Number of stacked-eigh blocks the numerical range of a rank x rank M splits into."""
+    half = directions // 2 if directions % 2 == 0 else directions
+    return -(-half // _block_size(rank))
 
 
 def test_workers_share_cpus_only_with_a_one_thread_blas(monkeypatch):
@@ -381,7 +381,7 @@ def test_numerical_range_bits_do_not_depend_on_worker_count(monkeypatch, rank):
             _force_workers(monkeypatch, workers)
             started.clear()
             polys.append(a_numerical_range(d, x, directions))
-            assert len(started) == min(workers, _spans(rank, directions)) - 1, (rank, directions, workers)
+            assert len(started) == min(workers, _blocks(rank, directions)) - 1, (rank, directions, workers)
             assert not any(t.is_alive() for t in started)
         assert not np.isnan(polys[0].support).any() and not np.isnan(polys[0].vertices).any()
         for poly in polys[1:]:
@@ -411,9 +411,9 @@ def test_small_numerical_ranges_start_no_thread(monkeypatch):
     monkeypatch.setattr("aspec.spectrum._worker_cpus", lambda: 4)
     monkeypatch.setattr(threading, "Thread", refuse)
     rng = np.random.default_rng(11)
-    # the ranks and direction counts of the property suite, each one span
+    # the ranks and direction counts of the property suite
     cases = [(rank, directions) for rank in range(2, 9) for directions in (72, 360)]
-    # several spans, but too little work to share
+    # several blocks, but too little work to share
     cases += [(2, 4100), (6, 720)]
     for rank, directions in cases:
         d = _weight_of_rank(rank, rng)
@@ -439,12 +439,34 @@ def test_numerical_range_eigh_failure_surfaces_after_every_join(monkeypatch, fai
     with pytest.raises(np.linalg.LinAlgError) as info:
         _support_data(m, 720)
     assert info.value is error
-    assert len(started) == 2 and not any(t.is_alive() for t in started)
+    assert len(started) == min(4, _blocks(16, 720)) - 1 and not any(t.is_alive() for t in started)
+
+
+@pytest.mark.parametrize("rank", [1, 16, 64, 65])
+def test_numerical_range_solves_each_block_once(monkeypatch, rank):
+    m = np.random.default_rng(300 + rank).standard_normal((rank, rank)) + 0j
+    lock = threading.Lock()
+    solved = []
+
+    def counting_eigh(h):
+        """Records the problems of one call; the values are not read, so zeros of the right shapes do."""
+        with lock:
+            solved.append(len(h))
+        return np.zeros(h.shape[:2]), np.zeros_like(h)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    for directions in (7, 720, 2566):
+        half = directions // 2 if directions % 2 == 0 else directions
+        for workers in (1, 2, 3, 4):
+            _force_workers(monkeypatch, workers)
+            solved.clear()
+            _support_data(m, directions)
+            assert len(solved) == _blocks(rank, directions) and sum(solved) == half, (rank, directions, workers)
 
 
 def test_stacked_kernels_keep_memory_flat(monkeypatch):
     # a stack of every direction's eigenvectors at rank 64 alone would take 720 KiB; each numerical-range
-    # worker holds its own span of eigenvectors and one block in flight
+    # worker holds the arrays of the one block it is solving
     rng = np.random.default_rng(47)
     d = _weight_of_rank(64, rng)
     x = random_member(d, rng)
