@@ -18,6 +18,7 @@ from .linalg import (
     ToleranceConfig,
     check_same_shape,
     check_square,
+    frobenius_norm,
 )
 from .psd import PsdDecomposition
 
@@ -29,7 +30,8 @@ class NotMajorizedError(ValueError):
 def douglas_solve(x: ComplexMatrix, y: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> ComplexMatrix:
     """Solve X = Z*Y for the minimal-norm Z, or raise NotMajorizedError.
 
-    Solvability holds iff N(Y) is contained in N(X); the returned canonical
+    Solvability holds iff N(Y) is contained in N(X), decided by ||X N||_F for
+    a basis N of N(Y) against ||X||_F at every scale; the returned canonical
     solution is Z = (X Y^dagger)*.
     """
     x = np.asarray(x, dtype=np.complex128)
@@ -39,8 +41,8 @@ def douglas_solve(x: ComplexMatrix, y: ComplexMatrix, tol: ToleranceConfig = DEF
     _, svals, vh = np.linalg.svd(y)
     null_basis = vh[svals <= tol.cutoff(np.max(svals, initial=0.0))].conj().T  # columns span N(Y)
     if null_basis.shape[1]:
-        defect = float(np.linalg.norm(x @ null_basis))
-        if not tol.negligible(defect, float(np.linalg.norm(x))):
+        defect = frobenius_norm(x @ null_basis)
+        if not tol.negligible(defect, frobenius_norm(x)):
             raise NotMajorizedError(
                 f"N(Y) is not contained in N(X) (defect {defect:.3e}); no finite majorization constant exists"
             )
@@ -65,6 +67,6 @@ def power_factorize(
     check_square(x, "X")
     check_same_shape(x, b.a)
     gram_gap = float(np.min(np.linalg.eigvalsh(b.a - x.conj().T @ x)))
-    if not tol.negligible(-gram_gap, float(np.linalg.norm(b.a))):
+    if not tol.negligible(-gram_gap, frobenius_norm(b.a)):
         raise ValueError(f"X*X is not dominated by B (eigenvalue defect {gram_gap:.3e})")
     return x @ b.pinv_power(alpha)

@@ -9,7 +9,7 @@ instance, so it can be replayed even if generator code changes.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -88,20 +88,14 @@ def generate_instance(spec: RandomInstanceSpec) -> tuple[ComplexMatrix, ComplexM
 
 @dataclass(frozen=True)
 class PropertyFailure:
-    prop: str
+    property: str
     seed: tuple[int, ...]
     instance: dict
     observed: str
     expected: str
 
     def to_obj(self) -> dict:
-        return {
-            "property": self.prop,
-            "seed": list(self.seed),
-            "instance": self.instance,
-            "observed": self.observed,
-            "expected": self.expected,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -116,12 +110,7 @@ class PropertyReport:
         return not self.failures
 
     def to_obj(self) -> dict:
-        return {
-            "suite": self.suite,
-            "trials": self.trials,
-            "failures": [f.to_obj() for f in self.failures],
-            "elapsed_ms": self.elapsed_ms,
-        }
+        return asdict(self)
 
 
 def _hull_min_turn(points) -> float:
@@ -196,6 +185,10 @@ class CheckContext:
         return x
 
     # -- assertions ------------------------------------------------------
+    def slack(self, scale: float) -> float:
+        """The bound atol + rtol * max(1, scale) on a deviation among values of size scale."""
+        return self.tol.atol + self.tol.rtol * max(1.0, scale)
+
     def fail(self, observed, expected):
         raise _Failed(str(observed), str(expected))
 
@@ -209,7 +202,7 @@ class CheckContext:
 
     def check_psd_dominates(self, big: ComplexMatrix, small: ComplexMatrix, what: str):
         gap = float(np.min(np.linalg.eigvalsh((big - small + (big - small).conj().T) / 2)))
-        slack = self.tol.atol + self.tol.rtol * max(max_abs(big), max_abs(small), 1.0)
+        slack = self.slack(max(max_abs(big), max_abs(small)))
         if gap < -slack:
             self.fail(f"{what}: eigenvalue defect {gap:.3e}", f"{what}: >= -{slack:.1e}")
 
@@ -277,7 +270,7 @@ def _prop_power_factorization(ctx: CheckContext):
     x = ctx.raw("x", scale=0.7)
     pad = _complex_gaussian(ctx.rng, (ctx.dim, ctx.dim), 0.5)
     b = psd_decompose(x.conj().T @ x + pad.conj().T @ pad, ctx.tol)
-    ctx.instance["b"] = matrix_to_obj(b.a)
+    ctx._record("b", b.a)
     alpha = float(ctx.rng.uniform(0.05, 0.45))
     v = douglas.power_factorize(x, b, alpha, ctx.tol)
     ctx.check_matrix(v @ b.power(alpha), x, "V B^alpha = X")
@@ -290,7 +283,8 @@ def _prop_generator_soundness(ctx: CheckContext):
     rank = int(ctx.rng.integers(0, ctx.dim + 1))
     spec = RandomInstanceSpec(dim=ctx.dim, rank=rank, member_only=True, seed=int(ctx.rng.integers(2**63)))
     a, x = generate_instance(spec)
-    ctx.instance["a"], ctx.instance["x"] = matrix_to_obj(a), matrix_to_obj(x)
+    ctx._record("a", a)
+    ctx._record("x", x)
     dec = psd_decompose(a, ctx.tol)
     ctx.check(dec.rank == rank, f"rank {dec.rank}", f"spec rank {rank}")
     ctx.check(a_membership(dec, x, ctx.tol), "non-member generated", "member_only instance passes membership")
@@ -311,7 +305,7 @@ def _prop_membership_rejects(ctx: CheckContext):
         return
     # a matrix sending a null vector onto the range is not a member
     x = np.outer(dec.range_basis[:, 0], dec.null_basis[:, 0].conj())
-    ctx.instance["x"] = matrix_to_obj(x)
+    ctx._record("x", x)
     ctx.check(not a_membership(dec, x, ctx.tol), "accepted as member", "null-space mover rejected")
 
 
@@ -320,7 +314,7 @@ def _prop_seminorm_oracle_agreement(ctx: CheckContext):
     x = ctx.member(dec)
     value = a_seminorm(dec, x, ctx.tol).value
     oracle = a_seminorm_oracle(dec, x, ctx.tol)
-    bound = ctx.tol.atol + ctx.tol.rtol * max(1.0, value)
+    bound = ctx.slack(value)
     ctx.check(abs(value - oracle) <= bound, f"|{value} - {oracle}| = {abs(value - oracle):.3e}", f"<= {bound:.1e}")
 
 
@@ -331,7 +325,7 @@ def _prop_seminorm_state_dominance(ctx: CheckContext):
     x = ctx.member(dec)
     value = a_seminorm(dec, x, ctx.tol).value
     xax = x.conj().T @ dec.a @ x
-    bound = ctx.tol.atol + ctx.tol.rtol * max(1.0, value)
+    bound = ctx.slack(value)
     for _ in range(20):
         k = int(ctx.rng.integers(1, ctx.dim + 1))
         g = _complex_gaussian(ctx.rng, (ctx.dim, k))
@@ -365,7 +359,7 @@ def _prop_seminorm_submultiplicative(ctx: CheckContext):
     nx = a_seminorm(dec, x, ctx.tol).value
     ny = a_seminorm(dec, y, ctx.tol).value
     nxy = a_seminorm(dec, x @ y, ctx.tol).value
-    bound = ctx.tol.atol + ctx.tol.rtol * max(1.0, nx * ny)
+    bound = ctx.slack(nx * ny)
     ctx.check(nxy <= nx * ny + bound, f"|XY| = {nxy}", f"<= {nx * ny} + {bound:.1e}")
 
 
@@ -373,13 +367,13 @@ def _prop_seminorm_zero_law(ctx: CheckContext):
     dec = ctx.weight()
     m = _complex_gaussian(ctx.rng, (ctx.dim, ctx.dim))
     x0 = dec.null_proj @ m @ dec.null_proj
-    ctx.instance["x"] = matrix_to_obj(x0)
+    ctx._record("x", x0)
     val = a_seminorm(dec, x0, ctx.tol)
-    ctx.check(val.finite and val.value <= ctx.tol.atol + ctx.tol.rtol, f"seminorm {val.value}", "0 for AX = 0")
+    ctx.check(val.finite and val.value <= ctx.slack(0.0), f"seminorm {val.value}", "0 for AX = 0")
     ctx.check(max_abs(dec.a @ x0) <= ctx.tol.atol + ctx.tol.rtol * max_abs(x0), f"|AX| = {max_abs(dec.a @ x0):.3e}", "0")
     if dec.rank:
         vp = a_seminorm(dec, dec.proj, ctx.tol)
-        ctx.check(abs(vp.value - 1.0) <= ctx.tol.atol + ctx.tol.rtol, f"seminorm of proj {vp.value}", "1")
+        ctx.check(abs(vp.value - 1.0) <= ctx.slack(1.0), f"seminorm of proj {vp.value}", "1")
 
 
 def _prop_adjoint_identity(ctx: CheckContext):
@@ -415,7 +409,7 @@ def _prop_identity_weight_collapse(ctx: CheckContext):
 
 
 def _inverse_identities(ctx: CheckContext, dec: PsdDecomposition, x: ComplexMatrix, y: ComplexMatrix, what: str):
-    bound = ctx.tol.atol + ctx.tol.rtol * max(1.0, max_abs(dec.a))
+    bound = ctx.slack(max_abs(dec.a))
     lhs, rhs = dec.a @ x @ y, dec.a @ y @ x
     dev = max(max_abs(lhs - dec.a), max_abs(rhs - dec.a))
     ctx.check(dev <= bound, f"{what}: inverse identity deviation {dev:.3e}", f"<= {bound:.1e}")
@@ -497,7 +491,7 @@ def _prop_neumann_series(ctx: CheckContext):
     norm = a_seminorm(dec, x, ctx.tol).value
     if norm > 0:
         x = x * (0.85 * float(ctx.rng.uniform(0.2, 1.0)) / norm)
-    ctx.instance["x"] = matrix_to_obj(x)
+    ctx._record("x", x)
     y = neumann_a_inverse(dec, x, ctx.tol)
     one_minus = np.eye(ctx.dim) - x
     _inverse_identities(ctx, dec, one_minus, y, "series inverse")
@@ -534,7 +528,7 @@ def _prop_gelfand_lower_bound(ctx: CheckContext):
     x = ctx.member(dec)
     r_a = a_spectral_radius(dec, x, ctx.tol)
     terms = gelfand_sequence(dec, x, 64, ctx.tol)
-    bound = ctx.tol.atol + ctx.tol.rtol * max(1.0, r_a)
+    bound = ctx.slack(r_a)
     low = min(terms)
     ctx.check(low >= r_a - bound, f"min term {low}", f">= {r_a} - {bound:.1e}")
 
@@ -544,7 +538,7 @@ def _prop_witness_validity(ctx: CheckContext):
     x = ctx.member(dec)
     spec = a_spectrum(dec, x, ctx.tol)
     a = dec.a
-    atol, rtol = ctx.tol.atol, ctx.tol.rtol
+    rtol = ctx.tol.rtol
     # each defect meets the homogeneous bound spectrum_witness verifies against, which
     # rejects wrong states at every scale, and the atol-floored bound, which near scale 1
     # is usually the tighter of the two
@@ -556,7 +550,7 @@ def _prop_witness_validity(ctx: CheckContext):
             if state is None:
                 continue  # soft outcome, logged by callers that care
             fax = state(a @ x)
-            floor = atol + rtol * max(1.0, abs(fax) ** 2)
+            floor = ctx.slack(abs(fax) ** 2)
             bound = min(floor, rtol * x_norm)
             ctx.check(abs(fax - lam) <= bound, f"f(AX) = {fax}", f"within {bound:.1e} of {lam}")
             if side == "left":
@@ -566,7 +560,7 @@ def _prop_witness_validity(ctx: CheckContext):
             else:
                 faxxa = state(a @ x @ x.conj().T @ a)
                 dev = abs(faxxa - fax * state(a @ x.conj().T @ a))
-                bound = min(atol + rtol * max(1.0, abs(faxxa)), rtol * big)
+                bound = min(ctx.slack(abs(faxxa)), rtol * big)
                 ctx.check(dev <= bound, f"right witness defect {dev:.3e}", f"<= {bound:.1e}")
 
 
@@ -628,7 +622,8 @@ def _prop_block_permanence(ctx: CheckContext):
     x = np.zeros_like(a)
     a[:d1, :d1], a[d1:, d1:] = blocks_a
     x[:d1, :d1], x[d1:, d1:] = blocks_x
-    ctx.instance["a"], ctx.instance["x"] = matrix_to_obj(a), matrix_to_obj(x)
+    ctx._record("a", a)
+    ctx._record("x", x)
     dec = psd_decompose(a, ctx.tol)
     res = a_invertible(dec, x, ctx.tol)
     if not res.invertible:

@@ -1,17 +1,17 @@
 """Weighted invertibility: decisions, canonical inverses, and certificates.
 
-X is invertible relative to the weight exactly when the compression of X to
-the range of the weight is invertible as an ordinary r x r matrix.  The
-canonical inverse inverts that compression and is zero on the null space; the
-invertible form completes it by the identity on the null space, giving an
-inverse that is also invertible in the ordinary sense.  The certificate
-constants of the two-sided inequalities are read off the two compressions of
-the seminorm module, C = Q* X Q and M = L^(1/2) C L^(-1/2), with Q the range
-basis and L the retained eigenvalues.  For a range vector h = Q L^(-1/2) u the
-state ratio f(X*AX) / f(A) is |M u|^2 / |u|^2, so the pencil (X*AX, A) has
-the eigenvalues sigma(M)^2 and c = max(sigma_max(M), 1 / sigma_min(M))^2.
-The pencil (A^2, A X X* A) reads L^2 v = mu L C C* L v, which u = L v turns
-into u = mu C C* u, so alpha = 1 / sigma_min(C)^2.
+X is invertible relative to the weight exactly when its compression C to the
+range of the weight is invertible as an ordinary r x r matrix: the rank test
+of seminorm.Member at 0.  The canonical inverse inverts C and is zero on the
+null space; the invertible form completes it by the identity on the null
+space, giving an inverse that is also invertible in the ordinary sense.  The
+certificate constants of the two-sided inequalities are read off the
+singular values of the member's C and M.  For a range vector
+h = Q L^(-1/2) u the state ratio f(X*AX) / f(A) is |M u|^2 / |u|^2, so the
+pencil (X*AX, A) has the eigenvalues sigma(M)^2 and
+c = max(sigma_max(M), 1 / sigma_min(M))^2.  The pencil (A^2, A X X* A) reads
+L^2 v = mu L C C* L v, which u = L v turns into u = mu C C* u, so
+alpha = 1 / sigma_min(C)^2.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from .linalg import DEFAULT_TOL, ComplexMatrix, ToleranceConfig, frobenius_norm
 from .psd import PsdDecomposition
-from .seminorm import NotMemberError, _is_point, _require_member, _seminorm, compressed, range_compression
+from .seminorm import Member, NotMemberError, _require_member
 
 
 class ConvergenceError(RuntimeError):
@@ -58,14 +58,13 @@ class ThvnCertificate:
     alpha: float
 
 
-def _invert(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig) -> AInverseResult:
+def _invert(member: Member) -> AInverseResult:
     """Invertibility of a member and, when it holds, both inverses."""
-    c = range_compression(d, x)
-    svals = np.linalg.svd(c, compute_uv=False)
-    if _is_point(svals, tol.cutoff(svals.max(initial=0.0))):  # 0 is a point of the spectrum
+    if member.singular:
         return AInverseResult(invertible=False)
+    d = member.d
     q = d.range_basis
-    canonical = q @ np.linalg.inv(c) @ q.conj().T
+    canonical = q @ np.linalg.inv(member.c) @ q.conj().T
     return AInverseResult(invertible=True, canonical=canonical, invertible_form=canonical + d.null_proj)
 
 
@@ -78,10 +77,10 @@ def a_invertible(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig = D
     of its largest.
     """
     try:
-        x = _require_member(d, x, tol)
+        member = _require_member(d, x, tol)
     except NotMemberError:
         return AInverseResult(invertible=False)
-    return _invert(d, x, tol)
+    return _invert(member)
 
 
 def neumann_a_inverse(
@@ -92,7 +91,7 @@ def neumann_a_inverse(
 ) -> ComplexMatrix:
     """Weighted inverse of (1 - X) by geometric series, for seminorm of X below 1.
 
-    Sums the powers of M = L^(1/2) C L^(-1/2) in rank x rank, lifts the sum
+    Sums the powers of the member's M in rank x rank, lifts the sum
     once as Q L^(-1/2) (sum M^k) L^(1/2) Q*, and completes by the identity on
     the null space.  Truncates once a term's seminorm sigma_max(M^k) drops
     below atol; raises ConvergenceError if max_terms is hit first.  The stop
@@ -104,11 +103,10 @@ def neumann_a_inverse(
     """
     if max_terms < 1:
         raise ValueError("max_terms must be positive")
-    x = _require_member(d, x, tol)
-    norm = _seminorm(d, x)
+    member = _require_member(d, x, tol)
+    norm, m = member.norm, member.m
     if norm >= 1:
         raise ValueError(f"seminorm {norm:.6g} is not below 1; the series diverges")
-    m = compressed(d, x)
     total = np.eye(d.rank, dtype=np.complex128)
     term = total
     # the Frobenius norm decides alone outside [atol, sqrt(rank) atol], widened by a margin that covers
@@ -137,13 +135,12 @@ def thvn_certificate(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig
     invertibility; it is the top eigenvalue of the pencil (A^2, A X X* A).
     Raises NotMemberError for non-members.
     """
-    x = _require_member(d, x, tol)
-    svals = np.linalg.svd(range_compression(d, x), compute_uv=False)
-    if _is_point(svals, tol.cutoff(svals.max(initial=0.0))):
+    member = _require_member(d, x, tol)
+    if member.singular:
         return None
     inflate = 1.0 + tol.rtol
     if d.rank == 0:
         return ThvnCertificate(c=inflate, alpha=inflate)
-    m_svals = np.linalg.svd(compressed(d, x), compute_uv=False)
+    m_svals = member.m_svals
     c = max(float(m_svals[0]), 1.0 / float(m_svals[-1])) ** 2
-    return ThvnCertificate(c=c * inflate, alpha=inflate / float(svals[-1]) ** 2)
+    return ThvnCertificate(c=c * inflate, alpha=inflate / float(member.svals[-1]) ** 2)

@@ -1,19 +1,18 @@
 """Membership, seminorm, and adjoint calculus induced by the weight.
 
 A square matrix X has a finite weighted seminorm exactly when it leaves the
-null space of the weight invariant.  A member is known through its
-compression to the range: with Q an orthonormal range basis and L the
-retained eigenvalues, C = Q* X Q, and its similar form M = L^(1/2) C L^(-1/2)
-is A^(1/2) X (A^(1/2))^dagger on the range.  Every member-assuming core reads
-one of the two, built by range_compression and compressed; the seminorm is
-sigma_max(M), which range_seminorm reads off C alone.  An independent route to the same number goes through the
-supremum of the state functionals f(X*AX)/f(A) in the full space; both are
-exposed so they can be cross-checked.
+null space of the weight invariant.  Each public call that needs a member
+decides that once, in _require_member, and hands its cores a Member, which
+holds the compressions of X to the range, their singular values, the
+seminorm and the rank cutoff (see its docstring).  An independent route to
+the seminorm goes through the supremum of the state functionals f(X*AX)/f(A)
+in the full space; both are exposed so they can be cross-checked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -72,8 +71,65 @@ def a_membership(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig = D
     return tol.negligible(defect, frobenius_norm(x))
 
 
-def _require_member(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig) -> ComplexMatrix:
-    """X as complex128, after the one membership decision of a public call.
+def _is_point(svals: np.ndarray, cut: float) -> bool:
+    """The rank test on the descending singular values of C - lam: sigma_min <= cut, never at rank 0."""
+    return svals.size > 0 and bool(svals[-1] <= cut)
+
+
+@dataclass(frozen=True)
+class Member:
+    """A member X of the weight d and the values the member-assuming cores read, each built on first use.
+
+    With Q the orthonormal range basis of d and L its retained eigenvalues,
+    c is the compression C = Q* X Q and m its similar form
+    M = L^(1/2) C L^(-1/2), which is A^(1/2) X (A^(1/2))^dagger on the range;
+    svals and m_svals are their singular values, descending, and norm, the
+    seminorm of X, is sigma_max(M) (0 at rank 0).  cut = tol.cutoff(sigma_max(C))
+    is the one rank test: lam is a point of the weighted spectrum iff
+    sigma_min(C - lam) <= cut, and X is invertible iff 0 is not a point.
+    """
+
+    d: PsdDecomposition
+    x: ComplexMatrix
+    tol: ToleranceConfig
+
+    @cached_property
+    def c(self) -> ComplexMatrix:
+        q = self.d.range_basis
+        return q.conj().T @ self.x @ q
+
+    @cached_property
+    def svals(self) -> np.ndarray:
+        return np.linalg.svd(self.c, compute_uv=False)
+
+    @cached_property
+    def cut(self) -> float:
+        return self.tol.cutoff(float(self.svals.max(initial=0.0)))
+
+    @cached_property
+    def m(self) -> ComplexMatrix:
+        s = np.sqrt(self.d.range_eigvals)
+        return self.c * s[:, None] / s[None, :]
+
+    @cached_property
+    def m_svals(self) -> np.ndarray:
+        return np.linalg.svd(self.m, compute_uv=False)
+
+    @cached_property
+    def norm(self) -> float:
+        return float(self.m_svals.max(initial=0.0))
+
+    @property
+    def singular(self) -> bool:
+        """True iff 0 is a point of the spectrum, so X is not invertible."""
+        return _is_point(self.svals, self.cut)
+
+    def is_point(self, lam: complex) -> bool:
+        return _is_point(np.linalg.svd(self.c - lam * np.eye(len(self.c)), compute_uv=False), self.cut)
+
+
+def _require_member(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig) -> Member:
+    """X as a complex128 Member, after the one membership decision of a public call.
 
     Raises NotMemberError for non-members.  What follows runs member-assuming
     cores and decides nothing again for matrices that are members by
@@ -82,7 +138,7 @@ def _require_member(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig)
     x = np.asarray(x, dtype=np.complex128)
     if not a_membership(d, x, tol):
         raise NotMemberError("operation requires a member, but X moves the null space of the weight")
-    return x
+    return Member(d, x, tol)
 
 
 def membership_certificate(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> ComplexMatrix:
@@ -90,51 +146,23 @@ def membership_certificate(d: PsdDecomposition, x: ComplexMatrix, tol: Tolerance
 
     Raises NotMemberError when X is not a member.
     """
-    x = _require_member(d, x, tol)
+    x = _require_member(d, x, tol).x
     return d.sqrt @ x @ d.pinv_power(0.25)
-
-
-def range_compression(d: PsdDecomposition, x: ComplexMatrix) -> ComplexMatrix:
-    """C = Q* X Q in an orthonormal basis Q of the range of the weight (rank x rank)."""
-    q = d.range_basis
-    return q.conj().T @ np.asarray(x, dtype=np.complex128) @ q
-
-
-def _is_point(svals: np.ndarray, cut: float) -> bool:
-    """The one rank test of a compression, from the singular values of C - lam and the cutoff of sigma_max(C):
-    lam is a point of the spectrum iff sigma_min(C - lam) <= cut.  Never at rank 0; at lam = 0 it is the
-    test that X fails to be invertible."""
-    return svals.size > 0 and bool(svals[-1] <= cut)
-
-
-def _similar_form(d: PsdDecomposition, c: ComplexMatrix) -> ComplexMatrix:
-    """L^(1/2) C L^(-1/2) for a rank x rank C."""
-    s = np.sqrt(d.range_eigvals)
-    return c * s[:, None] / s[None, :]
-
-
-def compressed(d: PsdDecomposition, x: ComplexMatrix) -> ComplexMatrix:
-    """M = L^(1/2) C L^(-1/2), which is A^(1/2) X (A^(1/2))^dagger on the range (rank x rank)."""
-    return _similar_form(d, range_compression(d, x))
 
 
 def range_seminorm(d: PsdDecomposition, c: ComplexMatrix) -> float:
     """Seminorm of the member whose compression is C: sigma_max(L^(1/2) C L^(-1/2)), 0 at rank 0."""
-    return float(np.linalg.svd(_similar_form(d, c), compute_uv=False).max(initial=0.0))
-
-
-def _seminorm(d: PsdDecomposition, x: ComplexMatrix) -> float:
-    """Seminorm of a member: sigma_max(M), 0 at rank 0."""
-    return range_seminorm(d, range_compression(d, x))
+    s = np.sqrt(d.range_eigvals)
+    return float(np.linalg.svd(c * s[:, None] / s[None, :], compute_uv=False).max(initial=0.0))
 
 
 def a_seminorm(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> ASeminormValue:
     """Weighted seminorm of X: infinite for non-members, else the norm of the compression."""
     try:
-        x = _require_member(d, x, tol)
+        member = _require_member(d, x, tol)
     except NotMemberError:
         return ASeminormValue(finite=False)
-    return ASeminormValue(finite=True, value=_seminorm(d, x))
+    return ASeminormValue(finite=True, value=member.norm)
 
 
 def a_seminorm_oracle(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> float:
@@ -145,7 +173,7 @@ def a_seminorm_oracle(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfi
     (A^(1/2))^dagger X*AX (A^(1/2))^dagger.  The supremum over all states is
     attained at a vector state, so this equals the seminorm for members.
     """
-    x = _require_member(d, x, tol)
+    x = _require_member(d, x, tol).x
     gram = d.sqrt_pinv @ (x.conj().T @ d.a @ x) @ d.sqrt_pinv
     gram = (gram + gram.conj().T) / 2
     mu_max = float(np.max(np.linalg.eigvalsh(gram)))
@@ -158,7 +186,7 @@ def a_adjoint(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig = DEFA
     Weighted adjoints are not unique; this pins the representative supported
     on the range of the weight.  Raises NotMemberError for non-members.
     """
-    x = _require_member(d, x, tol)
+    x = _require_member(d, x, tol).x
     return d.pinv @ x.conj().T @ d.a
 
 

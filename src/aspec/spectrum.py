@@ -1,21 +1,19 @@
 """Weighted spectrum, spectral radius, numerical range, and boundary demos.
 
-Everything here reads the two compressions of a member X to the range of the
-weight from the seminorm module: C = Q* X Q and its similar form
-M = L^(1/2) C L^(-1/2), with Q the range basis and L the retained eigenvalues.
-lam is a point of the weighted spectrum iff lam - C fails the rank test,
-sigma_min(C - lam) <= cutoff(sigma_max(C)), which at lam = 0 is the test that
-decides invertibility.  That one test groups the eigenvalues of C into points,
-picks the witness candidates and rejects approach values.  The numerical range
-{f(AX)} is the ordinary numerical range of M, computed by support functions:
-each direction is one Hermitian eigenproblem of size rank, and an antipodal
-pair of directions shares one, since the problem at theta + pi is the
-negative of the problem at theta.  Witnesses are found from the null singular
-vectors of C - lam and verified on g = Q* h, since f(AZ) = g* L C_Z g /
-<A h, h> for members Z; that f(A (X - lam) Y) (or f(A Y (X - lam))) vanishes
-for every Y is checked by its supremum over ||Y||_A <= 1, which is a ratio
-of two rank-vector norms, so no Y is drawn.  The boundary mollifier inverts
-lam_n - C.  Only returned states and inverses are lifted to n x n.
+Everything here reads a seminorm.Member: the compression C of a member X to
+the range of the weight, its similar form M, and the rank test of lam - C,
+which at lam = 0 decides invertibility.  That one test groups the eigenvalues
+of C into points, picks the witness candidates and rejects approach values.
+The numerical range {f(AX)} is the ordinary numerical range of M, computed
+by support functions: each direction is one Hermitian eigenproblem of size
+rank, and an antipodal pair of directions shares one, since the problem at
+theta + pi is the negative of the problem at theta.  Witnesses are found
+from the null singular vectors of C - lam and verified on g = Q* h, since
+f(AZ) = g* L C_Z g / <A h, h> for members Z; that f(A (X - lam) Y) (or
+f(A Y (X - lam))) vanishes for every Y is checked by its supremum over
+||Y||_A <= 1, which is a ratio of two rank-vector norms, so no Y is drawn.
+The boundary mollifier inverts lam_n - C.  Only returned states and inverses
+are lifted to n x n.
 
 The numerical range and the Gelfand sequence solve many rank x rank problems
 of one size.  They stack them into blocks of about _BLOCK_ENTRIES complex
@@ -44,7 +42,7 @@ import numpy as np
 
 from .linalg import DEFAULT_TOL, ComplexMatrix, ToleranceConfig
 from .psd import PsdDecomposition
-from .seminorm import VectorState, _is_point, _require_member, compressed, range_compression, range_seminorm
+from .seminorm import Member, VectorState, _is_point, _require_member, range_seminorm
 
 
 _BLOCK_ENTRIES = 4096  # complex entries per stacked array (64 KiB), so memory stays flat at every rank
@@ -102,17 +100,7 @@ class MollifierStep:
     right_defect: float
 
 
-def _cutoff(c: ComplexMatrix, tol: ToleranceConfig) -> float:
-    """The cutoff of sigma_max(C), which every point test compares sigma_min(C - lam) with."""
-    return tol.cutoff(float(np.linalg.svd(c, compute_uv=False).max(initial=0.0)))
-
-
-def _shifted_svals(c: ComplexMatrix, lam: complex) -> np.ndarray:
-    """Singular values of C - lam, descending."""
-    return np.linalg.svd(c - lam * np.eye(len(c)), compute_uv=False)
-
-
-def _spectrum(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig) -> ASpectrumResult:
+def _spectrum(member: Member) -> ASpectrumResult:
     """Spectrum of a member: the eigenvalues of C, grouped by the rank test of lam - C.
 
     In (Re, Im) order each eigenvalue joins its nearest group when the grown
@@ -122,22 +110,20 @@ def _spectrum(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig) -> AS
     sigma_min(C - mu) >= dist(mu, eig(C)) / cond(V), with V the eigenvectors,
     already clears the cutoff by more than a rounding margin.
     """
-    c = range_compression(d, x)
-    svals = np.linalg.svd(c, compute_uv=False)
-    cut = tol.cutoff(float(svals.max(initial=0.0)))
-    contains_zero = _is_point(svals, cut)
+    d, c, cut = member.d, member.c, member.cut
+    contains_zero = member.singular
     groups: list[list[complex]] = [[0j]] if contains_zero else []
     centroids: list[complex] = [0j] if contains_zero else []
     if d.rank:
         evals, evecs = np.linalg.eig(c)
         v_svals = np.linalg.svd(evecs, compute_uv=False)
         inv_cond = float(v_svals[-1] / v_svals[0])  # the columns of V are unit vectors, so v_svals[0] >= 1
-        clear = cut + 8 * d.rank * np.finfo(float).eps * float(svals[0])
+        clear = cut + 8 * d.rank * np.finfo(float).eps * float(member.svals[0])
         for z in sorted((complex(w) for w in evals), key=lambda w: (w.real, w.imag)):
             if centroids:
                 k = min(range(len(centroids)), key=lambda i: abs(centroids[i] - z))
                 grown = complex(np.mean(groups[k] + [z]))
-                if np.abs(evals - grown).min() * inv_cond <= clear and _is_point(_shifted_svals(c, grown), cut):
+                if np.abs(evals - grown).min() * inv_cond <= clear and member.is_point(grown):
                     groups[k].append(z)
                     centroids[k] = grown
                     continue
@@ -151,12 +137,11 @@ def a_spectrum(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig = DEF
     """Weighted spectrum of a member X.
 
     The points are the lam at which lam - C, for the compression C = Q* X Q,
-    fails the rank test sigma_min(C - lam) <= cutoff(sigma_max(C)).  They are
-    found as groups of eigenvalues of C; 0 is tested directly and reported
-    exactly.  Left and right variants coincide with this set in finite
-    dimensions.
+    fails the rank test of Member.is_point.  They are found as groups of
+    eigenvalues of C; 0 is tested directly and reported exactly.  Left and
+    right variants coincide with this set in finite dimensions.
     """
-    return _spectrum(d, _require_member(d, x, tol), tol)
+    return _spectrum(_require_member(d, x, tol))
 
 
 def a_spectral_radius(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> float:
@@ -186,10 +171,10 @@ def gelfand_sequence(
     """
     if n_max < 1:
         raise ValueError("n_max must be positive")
-    x = _require_member(d, x, tol)
+    member = _require_member(d, x, tol)
     if d.rank == 0:
         return [0.0] * n_max
-    w = compressed(d, x)
+    w = member.m
     step = min(_block_size(d.rank), n_max)
     block = np.empty((step, d.rank, d.rank), dtype=np.complex128)
     logs, norms = np.empty(n_max), np.empty(n_max)
@@ -243,29 +228,26 @@ def spectrum_witness(
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    x = _require_member(d, x, tol)
-    c = range_compression(d, x)
-    cut = _cutoff(c, tol)
-    u, svals, vh = np.linalg.svd(c - lam * np.eye(d.rank))
-    if not _is_point(svals, cut):
+    member = _require_member(d, x, tol)
+    u, svals, vh = np.linalg.svd(member.c - lam * np.eye(d.rank))
+    if not _is_point(svals, member.cut):
         raise ValueError(f"{lam} is not a point of the weighted spectrum")
     lam_r = d.range_eigvals
-    x_norm = range_seminorm(d, c)
-    for idx in np.flatnonzero(svals <= cut)[::-1]:
+    for idx in np.flatnonzero(svals <= member.cut)[::-1]:
         # (C - lam) g = 0 on the left, (C - lam)* L g = 0 on the right; a nonzero range
         # vector, so <A h, h> = g* L g >= gap > 0
         g = vh[idx].conj() if side == "left" else u[:, idx] / lam_r
         g = g / np.linalg.norm(g)
         state = VectorState(h=d.range_basis @ g, weight=float(lam_r @ np.abs(g) ** 2))
-        if _verify_witness(d, c, x_norm, lam, side, state, tol):
+        if _verify_witness(member, lam, side, state):
             return state
     return None
 
 
-def _witness_supremum(d: PsdDecomposition, c: ComplexMatrix, lam: complex, side: Side, g: np.ndarray) -> float:
+def _witness_supremum(member: Member, lam: complex, side: Side, g: np.ndarray) -> float:
     """sup over members Y with ||Y||_A <= 1 of |f(A (X - lam) Y)| (right) or |f(A Y (X - lam))| (left).
 
-    f is the vector state of h = Q g and c the compression C of X.  With
+    f is the vector state of h = Q g, and C the compression of X.  With
     w = g* L g = |L^(1/2) g|^2 and D = L^(1/2) C_Y L^(-1/2), so that
     ||Y||_A = ||D||, the right value is
     (L^(-1/2) (C - lam)* L g)* D (L^(1/2) g) / w and the left one
@@ -274,7 +256,7 @@ def _witness_supremum(d: PsdDecomposition, c: ComplexMatrix, lam: complex, side:
     |L^(1/2) g| on the right and |L^(1/2) (C - lam) g| / |L^(1/2) g| on the
     left.
     """
-    lam_r = d.range_eigvals
+    c, lam_r = member.c, member.d.range_eigvals
     root = np.sqrt(lam_r)
     if side == "left":
         reach = root * (c @ g - lam * g)
@@ -284,18 +266,10 @@ def _witness_supremum(d: PsdDecomposition, c: ComplexMatrix, lam: complex, side:
     return float(np.linalg.norm(reach) / np.linalg.norm(root * g))
 
 
-def _verify_witness(
-    d: PsdDecomposition,
-    c: ComplexMatrix,
-    x_norm: float,
-    lam: complex,
-    side: Side,
-    state: VectorState,
-    tol: ToleranceConfig,
-) -> bool:
+def _verify_witness(member: Member, lam: complex, side: Side, state: VectorState) -> bool:
     """Side identities and annihilation supremum of a candidate state, each against rtol times its terms' size.
 
-    c is the compression C = Q* X Q of X and x_norm its seminorm.  Everything
+    C is the compression of the member X and x_norm its seminorm.  Everything
     runs in rank x rank on g = Q* h.  For members Q* Z (I - P) = 0, so
     f(AZ) = g* L C_Z g / w with w = <A h, h> and C_Z = Q* Z Q, and the
     compression of a product of members is the product of compressions.  The
@@ -313,6 +287,7 @@ def _verify_witness(
     ||X||_A^2, which also sizes their rounding when h leans on small
     eigenvalues.  Every bound scales with A and X; no absolute floor enters.
     """
+    d, c, x_norm, tol = member.d, member.c, member.norm, member.tol
     lam_r = d.range_eigvals
     g = d.range_basis.conj().T @ state.h
     lg = lam_r * g
@@ -337,7 +312,7 @@ def _verify_witness(
             return False
         if abs(fax * faxa - abs(fax) ** 2 * fa2) > tol.rtol * big:
             return False
-    return _witness_supremum(d, c, lam, side, g) <= tol.rtol * (x_norm + abs(lam))
+    return _witness_supremum(member, lam, side, g) <= tol.rtol * (x_norm + abs(lam))
 
 
 def convex_hull(points: list[complex], eps: float) -> list[complex]:
@@ -519,10 +494,10 @@ def a_numerical_range(
     """
     if directions < 3:
         raise ValueError("directions must be at least 3")
-    x = _require_member(d, x, tol)
+    member = _require_member(d, x, tol)
     if d.rank == 0:
         return NumericalRangePolygon(directions=directions, vertices=(), angles=(), support=())
-    angles, support, touch = _support_data(compressed(d, x), directions)
+    angles, support, touch = _support_data(member.m, directions)
     spread = max((abs(z) for z in touch), default=0.0)
     hull = convex_hull(touch, eps=tol.rtol * spread)
     return NumericalRangePolygon(
@@ -550,17 +525,16 @@ def boundary_mollifier(
     value are put to the rank test of the spectrum: ValueError if lam is not
     a point, SpectrumPointError if an approach value is one.
     """
-    x = _require_member(d, x, tol)
-    c = range_compression(d, x)
-    cut = _cutoff(c, tol)
-    if not _is_point(_shifted_svals(c, lam), cut):
+    member = _require_member(d, x, tol)
+    c = member.c
+    if not member.is_point(lam):
         raise ValueError(f"{lam} is not a point of the weighted spectrum")
     eye = np.eye(d.rank)
     shift = lam * eye - c
     q = d.range_basis
     steps: list[MollifierStep] = []
     for lam_n in approach:
-        if _is_point(_shifted_svals(c, lam_n), cut):
+        if member.is_point(lam_n):
             raise SpectrumPointError(f"approach value {lam_n} lies on the spectrum")
         inverse = np.linalg.inv(lam_n * eye - c)
         r_n = inverse / range_seminorm(d, inverse)

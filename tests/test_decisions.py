@@ -37,6 +37,28 @@ PUBLIC_CALLS = {
 }
 
 
+# every public call that takes a member: the calls above, the membership certificate and the radius
+MEMBER_CALLS = {
+    **PUBLIC_CALLS,
+    "membership_certificate": lambda d, x, lam: seminorm.membership_certificate(d, x),
+    "a_spectral_radius": lambda d, x, lam: spectrum.a_spectral_radius(d, x),
+}
+
+
+@pytest.mark.parametrize("name", list(MEMBER_CALLS))
+def test_non_member_contract(name):
+    """A non-member has infinite seminorm and is not invertible; every other member-taking call raises."""
+    d = psd_decompose(np.diag([1.0, 0.0]).astype(complex))
+    x = np.array([[0, 1], [0, 0]], dtype=complex)  # sends the null vector e2 onto the range
+    if name == "a_seminorm":
+        assert MEMBER_CALLS[name](d, x, 1.0) == seminorm.ASeminormValue(finite=False)
+    elif name == "a_invertible":
+        assert MEMBER_CALLS[name](d, x, 1.0) == invert.AInverseResult(invertible=False)
+    else:
+        with pytest.raises(seminorm.NotMemberError):
+            MEMBER_CALLS[name](d, x, 1.0)
+
+
 def _count_membership_calls(monkeypatch) -> list:
     """Wrap a_membership wherever an aspec module holds it; return the call log."""
     original = seminorm.a_membership

@@ -84,3 +84,26 @@ def test_power_factorize_operator_inequalities():
         xxs = psd_decompose(x @ x.conj().T)
         gap2 = np.min(np.linalg.eigvalsh(xxs.power(1 - 2 * alpha) - v @ v.conj().T))
         assert gap2 >= -1e-9
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e160])
+def test_douglas_decides_at_every_scale(scale):
+    # the defect and its scale are Frobenius norms whose squares would underflow at 1e-170 and overflow at 1e160
+    with pytest.raises(NotMajorizedError):
+        douglas_solve(cdiag(0, 1) * scale, cdiag(1, 0) * scale)
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    y = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    z = douglas_solve(x * scale, y * scale)
+    assert approx_equal(z.conj().T @ y, x)
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e160])
+def test_power_factorize_decides_at_every_scale(scale):
+    # B = diag(4, 1) scale dominates X*X for X = diag(1, 1/2) sqrt(scale), and not for 3 X
+    b = psd_decompose(cdiag(4, 1) * scale)
+    x = cdiag(1, 0.5) * np.sqrt(scale)
+    v = power_factorize(x, b, 0.25)
+    assert approx_equal(v @ b.power(0.25) / np.sqrt(scale), x / np.sqrt(scale))
+    with pytest.raises(ValueError):
+        power_factorize(3 * x, b, 0.25)

@@ -15,12 +15,11 @@ from aspec.harness import RandomInstanceSpec, generate_instance
 from aspec.linalg import DEFAULT_TOL
 from aspec.psd import psd_decompose
 from aspec.seminorm import (
+    Member,
     NotMemberError,
     VectorState,
     a_seminorm_oracle,
-    compressed,
     random_member,
-    range_compression,
     range_seminorm,
 )
 from aspec.spectrum import (
@@ -181,14 +180,13 @@ def test_witness_verification_rejects_random_states_at_every_scale():
     x = random_member(d, rng)
     for scale in (1.0, 1e-9):
         lam = max(a_spectrum(d, scale * x).points, key=abs)
-        c = range_compression(d, scale * x)
-        x_norm = range_seminorm(d, c)
+        member = Member(d, scale * x, DEFAULT_TOL)
         for _ in range(20):
             h = rng.standard_normal(5) + 1j * rng.standard_normal(5)
             h /= np.linalg.norm(h)
             state = VectorState(h=h, weight=float((h.conj() @ (d.a @ h)).real))
             for side in ("left", "right"):
-                assert not _verify_witness(d, c, x_norm, lam, side, state, DEFAULT_TOL)
+                assert not _verify_witness(member, lam, side, state)
 
 
 def test_witness_rejects_non_spectrum_point(d_rank1):
@@ -258,7 +256,7 @@ def _numrange_cases():
 @pytest.mark.parametrize("directions", [3, 7, 8, 720])
 def test_numerical_range_matches_one_eigh_per_direction(directions):
     for d, x in _numrange_cases():
-        m = compressed(d, x)
+        m = Member(d, x, DEFAULT_TOL).m
         scale = float(np.linalg.norm(m, 2))
         poly = a_numerical_range(d, x, directions)
         angles, support, touch = _support_data(m, directions)
@@ -298,7 +296,7 @@ def test_stacked_supports_equal_one_eigh_per_direction(rank):
     rng = np.random.default_rng(100 + rank)
     ms = [rng.standard_normal((rank, rank)) + 1j * rng.standard_normal((rank, rank))]
     if rank <= 6:
-        ms += [compressed(d, x) for d, x in _numrange_cases() if d.rank == rank]
+        ms += [Member(d, x, DEFAULT_TOL).m for d, x in _numrange_cases() if d.rank == rank]
     counts = [3, 7, 8, 72, 720]
     if rank <= 16:
         assert (_UNEVEN_DIRECTIONS // 2) % _block_size(rank)
@@ -491,7 +489,7 @@ def test_stacked_kernels_keep_memory_flat(monkeypatch):
 
 def _gelfand_reference(d, x, n_max):
     """The root-norm sequence with one 2-norm per power, as a reference."""
-    w = compressed(d, x)
+    w = Member(d, x, DEFAULT_TOL).m
     terms, cur, log_scale, dead = [], np.eye(d.rank, dtype=complex), 0.0, False
     for n in range(1, n_max + 1):
         if not dead:
@@ -702,8 +700,9 @@ def test_spectrum_grouping_matches_brute_force_rank_test():
         d = psd_decompose(np.diag(np.r_[rng.uniform(0.5, 1.5, r), 0.0]).astype(complex))
         x = np.zeros((r + 1, r + 1), dtype=complex)
         x[:r, :r], x[r, r] = c0, 5.0
-        spec = _spectrum(d, x, DEFAULT_TOL)
-        assert spec.points == _brute_force_points(range_compression(d, x)), c0
+        member = Member(d, x, DEFAULT_TOL)
+        spec = _spectrum(member)
+        assert spec.points == _brute_force_points(member.c), c0
         merged += len(spec.points) < r
     assert merged > 100, merged
 
@@ -820,14 +819,14 @@ def _reference_witness(d, x, lam, side, tol=DEFAULT_TOL, spot_checks=20):
     radius = tol.rtol * float(np.linalg.svd(c, compute_uv=False).max())  # candidate eigenvalues lie within rtol * sigma_max(C)
     lam_r = d.range_eigvals
     if side == "left":
-        evals, evecs = np.linalg.eig(compressed(d, x))
+        evals, evecs = np.linalg.eig(Member(d, x, DEFAULT_TOL).m)
         target, back = lam, lam_r**-0.5
     else:
         evals, evecs = np.linalg.eig(c.conj().T)
         target, back = np.conj(lam), lam_r**-1.0
     rng = np.random.default_rng(2024)
     a = d.a
-    x_norm = float(np.linalg.svd(compressed(d, x), compute_uv=False).max())
+    x_norm = float(np.linalg.svd(Member(d, x, DEFAULT_TOL).m, compute_uv=False).max())
     big = float(d.eigvals.max()) * x_norm**2
     for idx in np.argsort(np.abs(evals - target)):
         if abs(evals[idx] - target) > radius:
@@ -847,7 +846,7 @@ def _reference_witness(d, x, lam, side, tol=DEFAULT_TOL, spot_checks=20):
         for _ in range(spot_checks if ok else 0):
             y = random_member(d, rng)
             val = state(a @ shift @ y) if side == "right" else state(a @ y @ shift)
-            y_norm = float(np.linalg.svd(compressed(d, y), compute_uv=False).max())
+            y_norm = float(np.linalg.svd(Member(d, y, DEFAULT_TOL).m, compute_uv=False).max())
             if abs(val) > tol.rtol * (x_norm + abs(lam)) * y_norm:
                 ok = False
                 break
@@ -880,7 +879,7 @@ def _spot_checked_witness(d, x, lam, side, tol=DEFAULT_TOL, spot_checks=20):
 
     The draws of a candidate are taken at once; after a failure the generator is set to where a loop of
     single draws, stopping at that failure, would have left it."""
-    c = range_compression(d, x)
+    c = Member(d, x, tol).c
     r, lam_r = d.rank, d.range_eigvals
     cut = tol.cutoff(float(np.linalg.svd(c, compute_uv=False).max(initial=0.0)))
     shift = c - lam * np.eye(r)
@@ -962,7 +961,8 @@ def test_witness_supremum_bounds_drawn_members_and_is_attained():
         a, q, lam_r = d.a, d.range_basis, d.range_eigvals
         root = np.sqrt(lam_r)
         lam = max(a_spectrum(d, x).points, key=abs)
-        c = range_compression(d, x)
+        member = Member(d, x, DEFAULT_TOL)
+        c = member.c
         shift = x - lam * np.eye(dim)
         # 2000 members P G P in the full space, and their seminorms sigma_max(A^(1/2) Y (A^(1/2))^+)
         gauss = rng.standard_normal((2000, dim, dim)) + 1j * rng.standard_normal((2000, dim, dim))
@@ -974,7 +974,7 @@ def test_witness_supremum_bounds_drawn_members_and_is_attained():
             state = VectorState(h=h, weight=float((h.conj() @ (a @ h)).real))
             g = q.conj().T @ h
             for side in ("left", "right"):
-                sup = _witness_supremum(d, c, lam, side, g)
+                sup = _witness_supremum(member, lam, side, g)
                 if side == "right":
                     vals = (ys @ h) @ (h.conj() @ a @ shift)
                     u, v = (c.conj().T - np.conj(lam) * np.eye(rank)) @ (lam_r * g) / root, root * g
@@ -1003,16 +1003,15 @@ def test_witness_perturbed_by_1e6_is_rejected_at_every_scale():
         q = d.range_basis
         for scale in (1.0, 1e-9, 1e9):
             xs = scale * x
-            c = range_compression(d, xs)
-            x_norm = range_seminorm(d, c)
+            member = Member(d, xs, DEFAULT_TOL)
             for lam in a_spectrum(d, xs).points:
                 for side in ("left", "right"):
                     state = spectrum_witness(d, xs, lam, side)
-                    assert _verify_witness(d, c, x_norm, lam, side, state, DEFAULT_TOL)
+                    assert _verify_witness(member, lam, side, state)
                     step = rng.standard_normal(rank) + 1j * rng.standard_normal(rank)
                     g = q.conj().T @ state.h + 1e-6 * step / np.linalg.norm(step)
                     h = q @ g / np.linalg.norm(g)
                     moved = VectorState(h=h, weight=float((h.conj() @ (d.a @ h)).real))
-                    assert not _verify_witness(d, c, x_norm, lam, side, moved, DEFAULT_TOL), (i, scale, lam, side)
+                    assert not _verify_witness(member, lam, side, moved), (i, scale, lam, side)
                     rejected += 1
     assert rejected > 1000, rejected
