@@ -376,6 +376,22 @@ def _prop_seminorm_zero_law(ctx: CheckContext):
         ctx.check(abs(vp.value - 1.0) <= ctx.slack(1.0), f"seminorm of proj {vp.value}", "1")
 
 
+def _prop_annihilated_member_singular(ctx: CheckContext, rank: int | None = None):
+    # A X = 0 at 0 < rank < dim (X = 0 at dim 1): A X Y = 0 != A for every Y, so 0 is the one point
+    dec = ctx.weight(rank=int(ctx.rng.integers(1, max(2, ctx.dim))) if rank is None else rank)
+    x0 = dec.null_proj @ _complex_gaussian(ctx.rng, (ctx.dim, ctx.dim)) @ dec.null_proj
+    ctx._record("x", x0)
+    u, _ = np.linalg.qr(_complex_gaussian(ctx.rng, (ctx.dim, ctx.dim)))
+    ctx._record("u", u)
+    cases = {f"X*{c:g}": (dec, c * x0) for c in (1.0, 1e-12, 1e12)}
+    cases["U*XU"] = (psd_decompose(u.conj().T @ dec.a @ u, ctx.tol), u.conj().T @ x0 @ u)
+    for label, (d, x) in cases.items():
+        ctx.check(not a_invertible(d, x, ctx.tol).invertible, f"{label} invertible", "not invertible")
+        ctx.check(thvn_certificate(d, x, ctx.tol) is None, f"{label} certified", "no certificate")
+        points = a_spectrum(d, x, ctx.tol).points
+        ctx.check(points == (0j,), f"{label} points {points}", "(0,)")
+
+
 def _prop_adjoint_identity(ctx: CheckContext):
     dec = ctx.weight()
     x = ctx.member(dec)
@@ -713,6 +729,7 @@ PROPERTIES: tuple[tuple[str, object], ...] = (
     ("omega_demo_exactness", _prop_omega_demo),
     ("omega_well_supported_gate", _prop_omega_well_supported_gate),
     ("omega_truncation_growth", _prop_omega_truncation_growth),
+    ("annihilated_member_singular", _prop_annihilated_member_singular),
 )
 
 

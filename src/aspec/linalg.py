@@ -34,11 +34,14 @@ class ToleranceConfig:
     rtol: a defect is negligible when at most rtol times that scale.
     rank_rtol: singular values and eigenvalues at most rank_rtol times the
         largest are exactly zero everywhere; lam is a spectrum point iff
-        sigma_min(C - lam) is at most rank_rtol times sigma_max(C).
+        sigma_min(C - lam) is at most rank_rtol times sigma_max(C), or at most
+        sigma_max(C) itself when that is within 8 dim eps ||X||_F, the
+        rounding of forming C (C is then 0).
     atol: no decision about an operand uses it; it is the accuracy target
         of approx_equal, the property checks and the Neumann series.  Witness
-        bounds are relative to their terms' own size, and the hull's eps is
-        rtol times the spread of its points; neither has an absolute floor.
+        bounds are rtol ||X||_A on f(AX) - lam and rtol (||X||_A + |lam|) on
+        the annihilation supremum, and the hull's eps is rtol times the spread
+        of its points; neither has an absolute floor.
     """
 
     atol: float = 1e-10
@@ -145,13 +148,14 @@ def frobenius_norm(m: ComplexMatrix) -> float:
     underflow to 0 and near 1e160 they overflow to inf.  While max|M| lies
     in (1e-100, 1e100) no square overflows, and the squares lost to
     underflow, each below 2^-1022, weigh nothing against max|M|^2, so its
-    value is kept.  Otherwise the entries are divided by max|M| before they
-    are squared and the norm is scaled back.
+    value is kept.  Otherwise the entry moduli are divided by max|M| before
+    they are squared and the norm is scaled back.  That division is real: a
+    complex one by a subnormal max|M| overflows inside numpy and gives NaN.
     """
     scale = max_abs(m)
     if 1e-100 < scale < 1e100:
         return float(np.linalg.norm(m))
-    return scale * float(np.linalg.norm(m / scale)) if scale > 0 else 0.0
+    return scale * float(np.linalg.norm(np.abs(m) / scale)) if scale > 0 else 0.0
 
 
 def approx_equal(m: ComplexMatrix, n: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> bool:

@@ -84,14 +84,18 @@ class Member:
     c is the compression C = Q* X Q and m its similar form
     M = L^(1/2) C L^(-1/2), which is A^(1/2) X (A^(1/2))^dagger on the range;
     svals and m_svals are their singular values, descending, and norm, the
-    seminorm of X, is sigma_max(M) (0 at rank 0).  cut = tol.cutoff(sigma_max(C))
-    is the one rank test: lam is a point of the weighted spectrum iff
-    sigma_min(C - lam) <= cut, and X is invertible iff 0 is not a point.
+    seminorm of X, is sigma_max(M) (0 at rank 0).  cut is the one rank test:
+    lam is a point of the weighted spectrum iff sigma_min(C - lam) <= cut, and
+    X is invertible iff 0 is not a point.  It is tol.cutoff(sigma_max(C)), or
+    sigma_max(C) itself when that is at most 8 dim eps x_norm, the rounding
+    of forming C from X with x_norm = ||X||_F: C is then zero to rounding, as
+    when A X = 0, and every singular value is cut.
     """
 
     d: PsdDecomposition
     x: ComplexMatrix
     tol: ToleranceConfig
+    x_norm: float
 
     @cached_property
     def c(self) -> ComplexMatrix:
@@ -104,7 +108,8 @@ class Member:
 
     @cached_property
     def cut(self) -> float:
-        return self.tol.cutoff(float(self.svals.max(initial=0.0)))
+        top = float(self.svals.max(initial=0.0))
+        return top if top <= 8 * self.d.dim * np.finfo(float).eps * self.x_norm else self.tol.cutoff(top)
 
     @cached_property
     def m(self) -> ComplexMatrix:
@@ -129,7 +134,7 @@ class Member:
 
 
 def _require_member(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig) -> Member:
-    """X as a complex128 Member, after the one membership decision of a public call.
+    """X as a complex128 Member carrying ||X||_F, after the one membership decision of a public call.
 
     Raises NotMemberError for non-members.  What follows runs member-assuming
     cores and decides nothing again for matrices that are members by
@@ -138,7 +143,7 @@ def _require_member(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig)
     x = np.asarray(x, dtype=np.complex128)
     if not a_membership(d, x, tol):
         raise NotMemberError("operation requires a member, but X moves the null space of the weight")
-    return Member(d, x, tol)
+    return Member(d, x, tol, frobenius_norm(x))
 
 
 def membership_certificate(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> ComplexMatrix:

@@ -8,10 +8,11 @@ The numerical range {f(AX)} is the ordinary numerical range of M, computed
 by support functions: each direction is one Hermitian eigenproblem of size
 rank, and an antipodal pair of directions shares one, since the problem at
 theta + pi is the negative of the problem at theta.  Witnesses are found
-from the null singular vectors of C - lam and verified on g = Q* h, since
-f(AZ) = g* L C_Z g / <A h, h> for members Z; that f(A (X - lam) Y) (or
-f(A Y (X - lam))) vanishes for every Y is checked by its supremum over
-||Y||_A <= 1, which is a ratio of two rank-vector norms, so no Y is drawn.
+from the null singular vectors of C - lam and verified on their range
+vector g, since f(AZ) = g* L C_Z g / g* L g for the state of h = Q g and
+members Z: f(AX) must be lam, and f(A (X - lam) Y) (or f(A Y (X - lam)))
+must vanish for every Y, which is checked by its supremum over
+||Y||_A <= 1, a ratio of two rank-vector norms, so no Y is drawn.
 The boundary mollifier inverts lam_n - C.  Only returned states and inverses
 are lifted to n x n.
 
@@ -219,12 +220,13 @@ def spectrum_witness(
     range vector g.  Right side: g = L^(-1) v for a left singular vector v,
     so X*(A h) = conj(lam) (A h), which makes f(A (X - lam) Y) vanish for
     every Y.  Left side: g is a right singular vector, so C g = lam g, which
-    forces f(X*AX) = |f(AX)|^2 with f(AX) = lam.  The returned state is
-    verified against its side's multiplicativity identity and against the
-    exact supremum of |f(A (X - lam) Y)| (right) or |f(A Y (X - lam))| (left)
-    over ||Y||_A <= 1.  C and the seminorm of X are computed once for all
-    candidates.  None is returned when no searched vector state verifies (an
-    outcome, not an error).
+    forces f(X*AX) = |f(AX)|^2 with f(AX) = lam.  Each candidate is verified
+    on g by _verify_witness: f(AX) = lam, and the exact supremum of
+    |f(A (X - lam) Y)| (right) or |f(A Y (X - lam))| (left) over
+    ||Y||_A <= 1, which implies the side's multiplicativity identities.  C
+    and the seminorm of X are computed once for all candidates, and only the
+    returned one is lifted to h.  None is returned when no searched vector
+    state verifies (an outcome, not an error).
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
@@ -238,9 +240,8 @@ def spectrum_witness(
         # vector, so <A h, h> = g* L g >= gap > 0
         g = vh[idx].conj() if side == "left" else u[:, idx] / lam_r
         g = g / np.linalg.norm(g)
-        state = VectorState(h=d.range_basis @ g, weight=float(lam_r @ np.abs(g) ** 2))
-        if _verify_witness(member, lam, side, state):
-            return state
+        if _verify_witness(member, lam, side, g):
+            return VectorState(h=d.range_basis @ g, weight=float(lam_r @ np.abs(g) ** 2))
     return None
 
 
@@ -266,52 +267,21 @@ def _witness_supremum(member: Member, lam: complex, side: Side, g: np.ndarray) -
     return float(np.linalg.norm(reach) / np.linalg.norm(root * g))
 
 
-def _verify_witness(member: Member, lam: complex, side: Side, state: VectorState) -> bool:
-    """Side identities and annihilation supremum of a candidate state, each against rtol times its terms' size.
+def _verify_witness(member: Member, lam: complex, side: Side, g: np.ndarray) -> bool:
+    """f(AX) = lam and the annihilation supremum for the state of h = Q g, each within rtol of its size.
 
-    C is the compression of the member X and x_norm its seminorm.  Everything
-    runs in rank x rank on g = Q* h.  For members Q* Z (I - P) = 0, so
-    f(AZ) = g* L C_Z g / w with w = <A h, h> and C_Z = Q* Z Q, and the
-    compression of a product of members is the product of compressions.  The
-    left identity reads f(X*AX) = (Cg)* L (Cg) / w; the right identities read
-    f(AXX*A) = |C* L g|^2 / w, f(AX*A) = (Lg)* C* (Lg) / w and
-    f(A^2) = |Lg|^2 / w.  Last, f(A (X - lam) Y) (right) or f(A Y (X - lam))
-    (left) must vanish for every member Y: its supremum over ||Y||_A <= 1,
-    from _witness_supremum, is compared with rtol (||X||_A + |lam|), the size
-    of the two terms of the difference f(AXY) - lam f(AY).  The supremum
-    bounds the value at every Y, so no Y is drawn.
-
-    Every state has |f(AZ)| <= ||Z||_A, which sizes the left identity.  With
-    f(A^2) <= lambda_max(A), every term of the right identities (f(AXX*A),
-    f(AX) f(AX*A), |f(AX)|^2 f(A^2)) is at most big = lambda_max(A)
-    ||X||_A^2, which also sizes their rounding when h leans on small
-    eigenvalues.  Every bound scales with A and X; no absolute floor enters.
+    For members f(AZ) = g* L C_Z g / g* L g with C_Z = Q* Z Q, so all runs in
+    rank x rank.  |f(AX) - lam| must be at most rtol ||X||_A, and the supremum
+    of |f(A (X - lam) Y)| (right) or |f(A Y (X - lam))| (left) over
+    ||Y||_A <= 1, from _witness_supremum, at most rtol (||X||_A + |lam|).  That
+    implies the side identities within the bound times ||Y||_A: Y = A gives
+    f(AXA) = lam f(A^2) and Y = X*A gives f(AXX*A) = lam f(AX*A) on the right,
+    and Y = (X - lam)^# gives f((X - lam)* A (X - lam)) = 0 on the left.
     """
-    d, c, x_norm, tol = member.d, member.c, member.norm, member.tol
-    lam_r = d.range_eigvals
-    g = d.range_basis.conj().T @ state.h
-    lg = lam_r * g
-
-    def f(cz: ComplexMatrix) -> complex:
-        """f(AZ) for the member Z whose compression is cz."""
-        return complex(lg.conj() @ (cz @ g)) / state.weight
-
-    fax = f(c)
+    lam_r, tol, x_norm = member.d.range_eigvals, member.tol, member.norm
+    fax = complex((lam_r * g).conj() @ (member.c @ g)) / float(lam_r @ np.abs(g) ** 2)
     if abs(fax - lam) > tol.rtol * x_norm:
         return False
-    if side == "left":
-        fxax = float(lam_r @ np.abs(c @ g) ** 2) / state.weight
-        if abs(fxax - abs(fax) ** 2) > tol.rtol * x_norm**2:
-            return False
-    else:
-        faxxa = float(np.linalg.norm(c.conj().T @ lg)) ** 2 / state.weight
-        faxa = complex(lg.conj() @ (c.conj().T @ lg)) / state.weight
-        fa2 = float(np.linalg.norm(lg)) ** 2 / state.weight
-        big = float(d.eigvals.max()) * x_norm**2
-        if abs(faxxa - fax * faxa) > tol.rtol * big:
-            return False
-        if abs(fax * faxa - abs(fax) ** 2 * fa2) > tol.rtol * big:
-            return False
     return _witness_supremum(member, lam, side, g) <= tol.rtol * (x_norm + abs(lam))
 
 

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from aspec import invert, seminorm, spectrum
+from aspec.harness import CheckContext, _prop_annihilated_member_singular
+from aspec.linalg import DEFAULT_TOL
 from aspec.psd import psd_decompose
 from aspec.seminorm import random_member
 
@@ -87,6 +89,25 @@ def test_one_membership_decision_per_public_call(name, monkeypatch):
 def _random_unitary(rng, dim):
     q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
     return q
+
+
+def test_members_with_ax_zero_are_singular_at_every_rank():
+    # the harness property at every rank: A X = 0 although C = Q* X Q is rounding noise rather than exactly 0
+    for dim in range(2, 9):
+        for rank in range(1, dim):
+            _prop_annihilated_member_singular(CheckContext(seed=(47, dim, rank), dim=dim, tol=DEFAULT_TOL), rank)
+
+
+def test_small_compression_above_rounding_stays_invertible():
+    # C = 1e-11 is far above the rounding of forming C from X, so X is exactly invertible with the one point
+    # 1e-11, and so are XP and PX, which have the same compression
+    d = psd_decompose(np.diag([1.0, 0.0]).astype(np.complex128))
+    x = np.diag([1e-11, 1.0]).astype(np.complex128)
+    for y in (x, x @ d.proj, d.proj @ x):
+        assert invert.a_invertible(d, y).invertible
+        assert invert.thvn_certificate(d, y) is not None
+        (point,) = spectrum.a_spectrum(d, y).points
+        assert point == pytest.approx(1e-11, rel=1e-12)
 
 
 def _defective_members(g, rank, rng):

@@ -6,7 +6,7 @@ import pytest
 from aspec.invert import ConvergenceError, a_invertible, neumann_a_inverse, thvn_certificate
 from aspec.linalg import DEFAULT_TOL, ToleranceConfig, approx_equal, max_abs
 from aspec.psd import psd_decompose
-from aspec.seminorm import Member, NotMemberError, a_seminorm, random_member
+from aspec.seminorm import NotMemberError, _require_member, a_seminorm, random_member
 
 from conftest import cdiag, cmat
 
@@ -117,7 +117,7 @@ def test_neumann_matches_canonical():
 
 def _neumann_reference(d, x, tol=DEFAULT_TOL, max_terms=10_000):
     """neumann_a_inverse with one svd per term deciding the stop, as a reference."""
-    m = Member(d, x, tol).m
+    m = _require_member(d, x, tol).m
     total = term = np.eye(d.rank, dtype=np.complex128)
     for _ in range(max_terms):
         term = term @ m

@@ -119,7 +119,10 @@ def test_approx_equal_reflexive_symmetric(m, n):
 
 def test_frobenius_norm_is_exact_to_rounding_at_every_scale():
     m = np.array([[3, 4j], [0, -12]], dtype=np.complex128)  # ||M||_F = 13
-    for scale in (1.0, 2.0**-1000, 1e-170, 1e160, 2.0**1000):
+    for scale in (1.0, 2.0**-1000, 1e-170, 1e160, 2.0**1000, 2.0**-1030, 2.0**-1070):
         assert frobenius_norm(scale * m) == pytest.approx(13 * scale, rel=1e-15)
+    # a complex entry whose modulus is subnormal: a complex division by that modulus overflows to NaN
+    for scale in (2.0**-1030, 2.0**-1040, 2.0**-1070):
+        assert frobenius_norm(np.array([[3 + 4j, 0], [0, 0]]) * scale) == 5 * scale
     assert frobenius_norm(np.zeros((2, 2), dtype=np.complex128)) == 0.0
     assert frobenius_norm(np.zeros((0, 0), dtype=np.complex128)) == 0.0

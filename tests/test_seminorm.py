@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from aspec.harness import RandomInstanceSpec, generate_instance
 from aspec.linalg import approx_equal
 from aspec.psd import psd_decompose
 from aspec.seminorm import (
@@ -176,6 +177,15 @@ def test_random_member_is_member():
     d = psd_decompose(cdiag(2.0, 1.0, 0.0, 0.0))
     for _ in range(10):
         assert a_membership(d, random_member(d, rng))
+
+
+def test_members_stay_members_where_the_defect_is_subnormal():
+    # at X * 2^-1000 the entries of X are normal, but the rounding left in the membership defect Q* X N is subnormal
+    for seed in range(40):
+        a, x = generate_instance(RandomInstanceSpec(dim=5, rank=3, member_only=True, seed=4000 + seed))
+        d = psd_decompose(a)
+        assert a_membership(d, x * 2.0**-1000), seed
+        assert a_seminorm(d, x * 2.0**-1000).value == pytest.approx(a_seminorm(d, x).value * 2.0**-1000, rel=1e-12)
 
 
 @pytest.mark.parametrize("scale", [1e-170, 1e160])

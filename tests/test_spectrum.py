@@ -15,9 +15,10 @@ from aspec.harness import RandomInstanceSpec, generate_instance
 from aspec.linalg import DEFAULT_TOL
 from aspec.psd import psd_decompose
 from aspec.seminorm import (
-    Member,
     NotMemberError,
     VectorState,
+    _require_member,
+    a_adjoint,
     a_seminorm_oracle,
     random_member,
     range_seminorm,
@@ -180,13 +181,12 @@ def test_witness_verification_rejects_random_states_at_every_scale():
     x = random_member(d, rng)
     for scale in (1.0, 1e-9):
         lam = max(a_spectrum(d, scale * x).points, key=abs)
-        member = Member(d, scale * x, DEFAULT_TOL)
+        member = _require_member(d, scale * x, DEFAULT_TOL)
         for _ in range(20):
             h = rng.standard_normal(5) + 1j * rng.standard_normal(5)
             h /= np.linalg.norm(h)
-            state = VectorState(h=h, weight=float((h.conj() @ (d.a @ h)).real))
             for side in ("left", "right"):
-                assert not _verify_witness(member, lam, side, state)
+                assert not _verify_witness(member, lam, side, d.range_basis.conj().T @ h)
 
 
 def test_witness_rejects_non_spectrum_point(d_rank1):
@@ -256,7 +256,7 @@ def _numrange_cases():
 @pytest.mark.parametrize("directions", [3, 7, 8, 720])
 def test_numerical_range_matches_one_eigh_per_direction(directions):
     for d, x in _numrange_cases():
-        m = Member(d, x, DEFAULT_TOL).m
+        m = _require_member(d, x, DEFAULT_TOL).m
         scale = float(np.linalg.norm(m, 2))
         poly = a_numerical_range(d, x, directions)
         angles, support, touch = _support_data(m, directions)
@@ -296,7 +296,7 @@ def test_stacked_supports_equal_one_eigh_per_direction(rank):
     rng = np.random.default_rng(100 + rank)
     ms = [rng.standard_normal((rank, rank)) + 1j * rng.standard_normal((rank, rank))]
     if rank <= 6:
-        ms += [Member(d, x, DEFAULT_TOL).m for d, x in _numrange_cases() if d.rank == rank]
+        ms += [_require_member(d, x, DEFAULT_TOL).m for d, x in _numrange_cases() if d.rank == rank]
     counts = [3, 7, 8, 72, 720]
     if rank <= 16:
         assert (_UNEVEN_DIRECTIONS // 2) % _block_size(rank)
@@ -489,7 +489,7 @@ def test_stacked_kernels_keep_memory_flat(monkeypatch):
 
 def _gelfand_reference(d, x, n_max):
     """The root-norm sequence with one 2-norm per power, as a reference."""
-    w = Member(d, x, DEFAULT_TOL).m
+    w = _require_member(d, x, DEFAULT_TOL).m
     terms, cur, log_scale, dead = [], np.eye(d.rank, dtype=complex), 0.0, False
     for n in range(1, n_max + 1):
         if not dead:
@@ -700,7 +700,7 @@ def test_spectrum_grouping_matches_brute_force_rank_test():
         d = psd_decompose(np.diag(np.r_[rng.uniform(0.5, 1.5, r), 0.0]).astype(complex))
         x = np.zeros((r + 1, r + 1), dtype=complex)
         x[:r, :r], x[r, r] = c0, 5.0
-        member = Member(d, x, DEFAULT_TOL)
+        member = _require_member(d, x, DEFAULT_TOL)
         spec = _spectrum(member)
         assert spec.points == _brute_force_points(member.c), c0
         merged += len(spec.points) < r
@@ -767,7 +767,7 @@ def test_witness_and_mollifier_work_in_range_coordinates(monkeypatch):
     monkeypatch.setattr(aspec.spectrum, "random_member", forbidden, raising=False)
     shapes = []
     inside_membership = [False]
-    membership = aspec.seminorm.a_membership
+    membership = aspec.spectrum._require_member
 
     def recorded_membership(*args, **kwargs):
         inside_membership[0] = True
@@ -776,7 +776,7 @@ def test_witness_and_mollifier_work_in_range_coordinates(monkeypatch):
         finally:
             inside_membership[0] = False
 
-    monkeypatch.setattr(aspec.seminorm, "a_membership", recorded_membership)
+    monkeypatch.setattr(aspec.spectrum, "_require_member", recorded_membership)
     for name in ("svd", "eig", "eigvals", "eigh", "eigvalsh", "inv", "pinv", "solve", "norm", "qr", "det"):
         original = getattr(np.linalg, name)
 
@@ -819,14 +819,14 @@ def _reference_witness(d, x, lam, side, tol=DEFAULT_TOL, spot_checks=20):
     radius = tol.rtol * float(np.linalg.svd(c, compute_uv=False).max())  # candidate eigenvalues lie within rtol * sigma_max(C)
     lam_r = d.range_eigvals
     if side == "left":
-        evals, evecs = np.linalg.eig(Member(d, x, DEFAULT_TOL).m)
+        evals, evecs = np.linalg.eig(_require_member(d, x, DEFAULT_TOL).m)
         target, back = lam, lam_r**-0.5
     else:
         evals, evecs = np.linalg.eig(c.conj().T)
         target, back = np.conj(lam), lam_r**-1.0
     rng = np.random.default_rng(2024)
     a = d.a
-    x_norm = float(np.linalg.svd(Member(d, x, DEFAULT_TOL).m, compute_uv=False).max())
+    x_norm = float(np.linalg.svd(_require_member(d, x, DEFAULT_TOL).m, compute_uv=False).max())
     big = float(d.eigvals.max()) * x_norm**2
     for idx in np.argsort(np.abs(evals - target)):
         if abs(evals[idx] - target) > radius:
@@ -846,7 +846,7 @@ def _reference_witness(d, x, lam, side, tol=DEFAULT_TOL, spot_checks=20):
         for _ in range(spot_checks if ok else 0):
             y = random_member(d, rng)
             val = state(a @ shift @ y) if side == "right" else state(a @ y @ shift)
-            y_norm = float(np.linalg.svd(Member(d, y, DEFAULT_TOL).m, compute_uv=False).max())
+            y_norm = float(np.linalg.svd(_require_member(d, y, DEFAULT_TOL).m, compute_uv=False).max())
             if abs(val) > tol.rtol * (x_norm + abs(lam)) * y_norm:
                 ok = False
                 break
@@ -879,7 +879,7 @@ def _spot_checked_witness(d, x, lam, side, tol=DEFAULT_TOL, spot_checks=20):
 
     The draws of a candidate are taken at once; after a failure the generator is set to where a loop of
     single draws, stopping at that failure, would have left it."""
-    c = Member(d, x, tol).c
+    c = _require_member(d, x, tol).c
     r, lam_r = d.rank, d.range_eigvals
     cut = tol.cutoff(float(np.linalg.svd(c, compute_uv=False).max(initial=0.0)))
     shift = c - lam * np.eye(r)
@@ -961,7 +961,7 @@ def test_witness_supremum_bounds_drawn_members_and_is_attained():
         a, q, lam_r = d.a, d.range_basis, d.range_eigvals
         root = np.sqrt(lam_r)
         lam = max(a_spectrum(d, x).points, key=abs)
-        member = Member(d, x, DEFAULT_TOL)
+        member = _require_member(d, x, DEFAULT_TOL)
         c = member.c
         shift = x - lam * np.eye(dim)
         # 2000 members P G P in the full space, and their seminorms sigma_max(A^(1/2) Y (A^(1/2))^+)
@@ -991,6 +991,42 @@ def test_witness_supremum_bounds_drawn_members_and_is_attained():
                 assert a_seminorm_oracle(d, top) == pytest.approx(1.0, rel=1e-12)
 
 
+def test_witness_supremum_implies_the_side_identities():
+    # the identities _verify_witness leaves to the supremum: each defect is |f(A (X - lam) Y)| or |f(A Y (X - lam))|
+    # at one member Y, so at most the supremum times ||Y||_A.  Random range vectors from rank 2 on, where the
+    # defects are far from rounding.
+    rng = np.random.default_rng(83)
+    pairs = [(dim, rank) for dim in range(2, 9) for rank in range(2, dim + 1)]
+    checked = 0
+    for i in range(len(pairs) * 2):
+        dim, rank = pairs[i % len(pairs)]
+        a, x = generate_instance(RandomInstanceSpec(dim=dim, rank=rank, member_only=True, seed=1100 + i))
+        d = psd_decompose(a)
+        a, q = d.a, d.range_basis
+        for scale in (1.0, 1e-9, 1e9):
+            xs = scale * x
+            member = _require_member(d, xs, DEFAULT_TOL)
+            xa = xs.conj().T @ a
+            for lam in a_spectrum(d, xs).points:
+                g = rng.standard_normal(rank) + 1j * rng.standard_normal(rank)
+                g /= np.linalg.norm(g)
+                f = VectorState(h=q @ g, weight=float(d.range_eigvals @ np.abs(g) ** 2))
+                shift = xs - lam * np.eye(dim)
+                identities = {
+                    # Y = A and Y = X*A: f(AXA) = lam f(A^2) and f(AXX*A) = lam f(AX*A)
+                    "right": [(a, f(a @ xs @ a) - lam * f(a @ a)), (xa, f(a @ xs @ xa) - lam * f(a @ xa))],
+                    # Y = (lam - X)^#: f((X - lam)* A (X - lam)) = 0
+                    "left": [(a_adjoint(d, -shift), f(shift.conj().T @ a @ shift))],
+                }
+                for side, cases in identities.items():
+                    sup = _witness_supremum(member, lam, side, g)
+                    for y, defect in cases:
+                        bound = sup * a_seminorm_oracle(d, y) * (1 + DEFAULT_TOL.rtol)
+                        assert abs(defect) <= bound, (dim, rank, scale, lam, side, abs(defect), bound)
+                        checked += 1
+    assert checked > 1500, checked
+
+
 def test_witness_perturbed_by_1e6_is_rejected_at_every_scale():
     # at rank 1 every range vector gives the same state, so the perturbations start at rank 2
     rng = np.random.default_rng(71)
@@ -1003,15 +1039,14 @@ def test_witness_perturbed_by_1e6_is_rejected_at_every_scale():
         q = d.range_basis
         for scale in (1.0, 1e-9, 1e9):
             xs = scale * x
-            member = Member(d, xs, DEFAULT_TOL)
+            member = _require_member(d, xs, DEFAULT_TOL)
             for lam in a_spectrum(d, xs).points:
                 for side in ("left", "right"):
                     state = spectrum_witness(d, xs, lam, side)
-                    assert _verify_witness(member, lam, side, state)
+                    assert _verify_witness(member, lam, side, q.conj().T @ state.h)
                     step = rng.standard_normal(rank) + 1j * rng.standard_normal(rank)
                     g = q.conj().T @ state.h + 1e-6 * step / np.linalg.norm(step)
                     h = q @ g / np.linalg.norm(g)
-                    moved = VectorState(h=h, weight=float((h.conj() @ (d.a @ h)).real))
-                    assert not _verify_witness(member, lam, side, moved), (i, scale, lam, side)
+                    assert not _verify_witness(member, lam, side, q.conj().T @ h), (i, scale, lam, side)
                     rejected += 1
     assert rejected > 1000, rejected
