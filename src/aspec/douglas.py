@@ -37,6 +37,7 @@ def douglas_solve(x: ComplexMatrix, y: ComplexMatrix, tol: ToleranceConfig = DEF
     x = np.asarray(x, dtype=np.complex128)
     y = np.asarray(y, dtype=np.complex128)
     check_square(x, "X")
+    check_square(y, "Y")
     check_same_shape(x, y)
     _, svals, vh = np.linalg.svd(y)
     null_basis = vh[svals <= tol.cutoff(np.max(svals, initial=0.0))].conj().T  # columns span N(Y)
@@ -69,4 +70,4 @@ def power_factorize(
     gram_gap = float(np.min(np.linalg.eigvalsh(b.a - x.conj().T @ x)))
     if not tol.negligible(-gram_gap, frobenius_norm(b.a)):
         raise ValueError(f"X*X is not dominated by B (eigenvalue defect {gram_gap:.3e})")
-    return x @ b.pinv_power(alpha)
+    return x @ b.power(-alpha)

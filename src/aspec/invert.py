@@ -121,9 +121,7 @@ def neumann_a_inverse(
         total = total + term
     else:
         raise ConvergenceError(f"series still above atol after {max_terms} terms")
-    s = np.sqrt(d.range_eigvals)
-    q = d.range_basis
-    return (q / s) @ total @ (s[:, None] * q.conj().T) + d.null_proj
+    return d.lift(total) + d.null_proj
 
 
 def thvn_certificate(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> ThvnCertificate | None:

@@ -22,7 +22,7 @@ class ShapeError(ValueError):
 
 
 class MatrixFormatError(ValueError):
-    """A matrix document is malformed: bad JSON, shape mismatch, or a non-finite or out-of-range entry."""
+    """A matrix document or operand is malformed: bad JSON, shape mismatch, or a non-finite or out-of-range entry."""
 
 
 @dataclass(frozen=True)
@@ -67,8 +67,11 @@ DEFAULT_TOL = ToleranceConfig()
 
 
 def check_square(m: ComplexMatrix, name: str = "matrix") -> ComplexMatrix:
-    if m.shape[0] != m.shape[1]:
+    """The check every matrix operand passes: a square 2-D array of finite entries."""
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ShapeError(f"{name} must be square, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise MatrixFormatError(f"{name} contains a non-finite entry")
     return m
 
 
@@ -102,10 +105,11 @@ def read_matrix(source: Union[bytes, str, IO]) -> ComplexMatrix:
         raise MatrixFormatError("rows and cols must be positive integers")
     if not isinstance(data, list) or len(data) != rows:
         raise MatrixFormatError(f"declared {rows} rows, data has {len(data) if isinstance(data, list) else 'no'} rows")
-    out = np.empty((rows, cols), dtype=np.complex128)
-    for i, row in enumerate(data):
+    for i, row in enumerate(data):  # every row's length before the declared shape is allocated
         if not isinstance(row, list) or len(row) != cols:
             raise MatrixFormatError(f"row {i}: declared {cols} cols, got {len(row) if isinstance(row, list) else 'no list'}")
+    out = np.empty((rows, cols), dtype=np.complex128)
+    for i, row in enumerate(data):
         for j, entry in enumerate(row):
             if not isinstance(entry, list) or len(entry) != 2:
                 raise MatrixFormatError(f"entry ({i},{j}): expected [re, im] pair")

@@ -40,31 +40,36 @@ class PsdDecomposition:
     def dim(self) -> int:
         return self.a.shape[0]
 
-    @property
+    @cached_property
     def range_basis(self) -> np.ndarray:
         """Orthonormal basis Q of the range, shape (dim, rank)."""
         return self.eigvecs[:, self.eigvals > 0]
 
-    @property
+    @cached_property
     def null_basis(self) -> np.ndarray:
         """Orthonormal basis N of the null space, shape (dim, dim - rank)."""
         return self.eigvecs[:, self.eigvals == 0]
 
-    @property
+    @cached_property
     def range_eigvals(self) -> np.ndarray:
-        """Retained (positive) eigenvalues, shape (rank,)."""
+        """Retained (positive) eigenvalues L, shape (rank,)."""
         return self.eigvals[self.eigvals > 0]
 
+    @cached_property
+    def range_sqrt(self) -> np.ndarray:
+        """L^(1/2), shape (rank,)."""
+        return np.sqrt(self.range_eigvals)
+
     def power(self, s: float) -> ComplexMatrix:
-        """A^s by spectral calculus on the retained eigenvalues."""
-        ws = np.where(self.eigvals > 0, self.eigvals**s, 0.0)
+        """A^s by spectral calculus on the retained eigenvalues, for every real s: (A^-s)^dagger at s < 0."""
+        ws = np.zeros(self.dim)
+        ws[self.eigvals > 0] = self.range_eigvals**s
         return (self.eigvecs * ws) @ self.eigvecs.conj().T
 
-    def pinv_power(self, s: float) -> ComplexMatrix:
-        """(A^s)^dagger = pseudoinverse of the s-th power, same eigenbasis."""
-        safe = np.where(self.eigvals > 0, self.eigvals, 1.0)
-        ws = np.where(self.eigvals > 0, safe ** (-s), 0.0)
-        return (self.eigvecs * ws) @ self.eigvecs.conj().T
+    def lift(self, r: ComplexMatrix) -> ComplexMatrix:
+        """Q L^(-1/2) R L^(1/2) Q*: the n x n matrix, zero on the null space, whose similar form is R."""
+        q, s = self.range_basis, self.range_sqrt
+        return (q / s) @ r @ (s[:, None] * q.conj().T)
 
     @cached_property
     def sqrt(self) -> ComplexMatrix:
@@ -79,12 +84,12 @@ class PsdDecomposition:
     @cached_property
     def pinv(self) -> ComplexMatrix:
         """Moore-Penrose pseudoinverse A^dagger."""
-        return self.pinv_power(1)
+        return self.power(-1)
 
     @cached_property
     def sqrt_pinv(self) -> ComplexMatrix:
         """(A^(1/2))^dagger."""
-        return self.pinv_power(0.5)
+        return self.power(-0.5)
 
     @cached_property
     def proj(self) -> ComplexMatrix:
@@ -100,9 +105,9 @@ class PsdDecomposition:
 def psd_decompose(a: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> PsdDecomposition:
     """Validate the weight and compute its eigendecomposition.
 
-    Raises NotPsdError if ``a`` is not square, if its Hermitian defect
-    ||A - A*||_F is not negligible against ||A||_F, or if an eigenvalue lies
-    below -cut, where cut = rank_rtol * max|eigenvalue|.  Eigenvalues in
+    check_square rejects a non-square or non-finite ``a``; NotPsdError is
+    raised if ||A - A*||_F is not negligible against ||A||_F or an eigenvalue
+    lies below -cut, cut = rank_rtol * max|eigenvalue|.  Eigenvalues in
     [-cut, cut] are hard-zeroed; all decisions are invariant under A -> cA.
     """
     a = np.asarray(a, dtype=np.complex128)

@@ -89,7 +89,9 @@ class Member:
     X is invertible iff 0 is not a point.  It is tol.cutoff(sigma_max(C)), or
     sigma_max(C) itself when that is at most 8 dim eps x_norm, the rounding
     of forming C from X with x_norm = ||X||_F: C is then zero to rounding, as
-    when A X = 0, and every singular value is cut.
+    when A X = 0, and every singular value is cut.  C decides the cut, the
+    points, the witness candidates and the canonical inverse; every
+    measurement, the witness checks and the mollifier included, runs on M.
     """
 
     d: PsdDecomposition
@@ -113,8 +115,7 @@ class Member:
 
     @cached_property
     def m(self) -> ComplexMatrix:
-        s = np.sqrt(self.d.range_eigvals)
-        return self.c * s[:, None] / s[None, :]
+        return self.c * self.d.range_sqrt[:, None] / self.d.range_sqrt[None, :]
 
     @cached_property
     def m_svals(self) -> np.ndarray:
@@ -152,13 +153,7 @@ def membership_certificate(d: PsdDecomposition, x: ComplexMatrix, tol: Tolerance
     Raises NotMemberError when X is not a member.
     """
     x = _require_member(d, x, tol).x
-    return d.sqrt @ x @ d.pinv_power(0.25)
-
-
-def range_seminorm(d: PsdDecomposition, c: ComplexMatrix) -> float:
-    """Seminorm of the member whose compression is C: sigma_max(L^(1/2) C L^(-1/2)), 0 at rank 0."""
-    s = np.sqrt(d.range_eigvals)
-    return float(np.linalg.svd(c * s[:, None] / s[None, :], compute_uv=False).max(initial=0.0))
+    return d.sqrt @ x @ d.power(-0.25)
 
 
 def a_seminorm(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> ASeminormValue:
@@ -216,6 +211,7 @@ def is_a_selfadjoint(a: ComplexMatrix, x: ComplexMatrix, tol: ToleranceConfig = 
     a = np.asarray(a, dtype=np.complex128)
     x = np.asarray(x, dtype=np.complex128)
     check_square(a, "A")
+    check_square(x, "X")
     check_same_shape(a, x)
     ax = a @ x
     return tol.negligible(frobenius_norm(ax - ax.conj().T), frobenius_norm(ax))

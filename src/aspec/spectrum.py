@@ -8,13 +8,13 @@ The numerical range {f(AX)} is the ordinary numerical range of M, computed
 by support functions: each direction is one Hermitian eigenproblem of size
 rank, and an antipodal pair of directions shares one, since the problem at
 theta + pi is the negative of the problem at theta.  Witnesses are found
-from the null singular vectors of C - lam and verified on their range
-vector g, since f(AZ) = g* L C_Z g / g* L g for the state of h = Q g and
-members Z: f(AX) must be lam, and f(A (X - lam) Y) (or f(A Y (X - lam)))
-must vanish for every Y, which is checked by its supremum over
-||Y||_A <= 1, a ratio of two rank-vector norms, so no Y is drawn.
-The boundary mollifier inverts lam_n - C.  Only returned states and inverses
-are lifted to n x n.
+from the null singular vectors of C - lam and verified on M: the state of
+h = Q g is the ordinary state of M at u = L^(1/2) g.  f(AX) must be lam, and
+f(A (X - lam) Y) (or f(A Y (X - lam))) must vanish for every Y, which is
+checked by its supremum over ||Y||_A <= 1, |(M - lam)* u| / |u| (or
+|(M - lam) u| / |u|), so no Y is drawn.  The boundary mollifier inverts
+lam_n - M and takes its norms on M.  Only returned states and inverses are
+lifted to n x n.
 
 The numerical range and the Gelfand sequence solve many rank x rank problems
 of one size.  They stack them into blocks of about _BLOCK_ENTRIES complex
@@ -43,7 +43,7 @@ import numpy as np
 
 from .linalg import DEFAULT_TOL, ComplexMatrix, ToleranceConfig
 from .psd import PsdDecomposition
-from .seminorm import Member, VectorState, _is_point, _require_member, range_seminorm
+from .seminorm import Member, VectorState, _is_point, _require_member
 
 
 _BLOCK_ENTRIES = 4096  # complex entries per stacked array (64 KiB), so memory stays flat at every rank
@@ -223,10 +223,11 @@ def spectrum_witness(
     forces f(X*AX) = |f(AX)|^2 with f(AX) = lam.  Each candidate is verified
     on g by _verify_witness: f(AX) = lam, and the exact supremum of
     |f(A (X - lam) Y)| (right) or |f(A Y (X - lam))| (left) over
-    ||Y||_A <= 1, which implies the side's multiplicativity identities.  C
-    and the seminorm of X are computed once for all candidates, and only the
-    returned one is lifted to h.  None is returned when no searched vector
-    state verifies (an outcome, not an error).
+    ||Y||_A <= 1, which implies the side's multiplicativity identities; both
+    are read on M at u = L^(1/2) g.  C, M and the seminorm of X are computed
+    once for all candidates, and only the returned one is lifted to h.  None
+    is returned when no searched vector state verifies (an outcome, not an
+    error).
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
@@ -248,39 +249,31 @@ def spectrum_witness(
 def _witness_supremum(member: Member, lam: complex, side: Side, g: np.ndarray) -> float:
     """sup over members Y with ||Y||_A <= 1 of |f(A (X - lam) Y)| (right) or |f(A Y (X - lam))| (left).
 
-    f is the vector state of h = Q g, and C the compression of X.  With
-    w = g* L g = |L^(1/2) g|^2 and D = L^(1/2) C_Y L^(-1/2), so that
-    ||Y||_A = ||D||, the right value is
-    (L^(-1/2) (C - lam)* L g)* D (L^(1/2) g) / w and the left one
-    (L^(1/2) g)* D (L^(1/2) (C - lam) g) / w.  The supremum of |u* D v| over
-    ||D|| <= 1 is |u| |v|, so the supremum is |L^(-1/2) (C - lam)* L g| /
-    |L^(1/2) g| on the right and |L^(1/2) (C - lam) g| / |L^(1/2) g| on the
-    left.
+    f is the vector state of h = Q g, the ordinary state of M at
+    u = L^(1/2) g: f(AZ) = u* M_Z u / |u|^2 for members Z, with M_Z the
+    similar form of Z and ||Z||_A = ||M_Z||.  The right value is
+    ((M - lam)* u)* M_Y u / |u|^2 and the left one u* M_Y (M - lam) u / |u|^2.
+    The supremum of |a* D b| over ||D|| <= 1 is |a| |b|, so the supremum is
+    |(M - lam)* u| / |u| on the right and |(M - lam) u| / |u| on the left.
     """
-    c, lam_r = member.c, member.d.range_eigvals
-    root = np.sqrt(lam_r)
-    if side == "left":
-        reach = root * (c @ g - lam * g)
-    else:
-        lg = lam_r * g
-        reach = (c.conj().T @ lg - np.conj(lam) * lg) / root
-    return float(np.linalg.norm(reach) / np.linalg.norm(root * g))
+    u = member.d.range_sqrt * g
+    m, mu = (member.m, lam) if side == "left" else (member.m.conj().T, np.conj(lam))
+    return float(np.linalg.norm(m @ u - mu * u) / np.linalg.norm(u))
 
 
 def _verify_witness(member: Member, lam: complex, side: Side, g: np.ndarray) -> bool:
     """f(AX) = lam and the annihilation supremum for the state of h = Q g, each within rtol of its size.
 
-    For members f(AZ) = g* L C_Z g / g* L g with C_Z = Q* Z Q, so all runs in
-    rank x rank.  |f(AX) - lam| must be at most rtol ||X||_A, and the supremum
-    of |f(A (X - lam) Y)| (right) or |f(A Y (X - lam))| (left) over
-    ||Y||_A <= 1, from _witness_supremum, at most rtol (||X||_A + |lam|).  That
-    implies the side identities within the bound times ||Y||_A: Y = A gives
-    f(AXA) = lam f(A^2) and Y = X*A gives f(AXX*A) = lam f(AX*A) on the right,
-    and Y = (X - lam)^# gives f((X - lam)* A (X - lam)) = 0 on the left.
+    The state is that of M at u = L^(1/2) g, so f(AX) = u* M u / |u|^2.
+    |f(AX) - lam| must be at most rtol ||X||_A, and the supremum from
+    _witness_supremum at most rtol (||X||_A + |lam|).  That implies the side
+    identities within the bound times ||Y||_A: Y = A gives f(AXA) = lam f(A^2)
+    and Y = X*A gives f(AXX*A) = lam f(AX*A) on the right, and
+    Y = (X - lam)^# gives f((X - lam)* A (X - lam)) = 0 on the left.
     """
-    lam_r, tol, x_norm = member.d.range_eigvals, member.tol, member.norm
-    fax = complex((lam_r * g).conj() @ (member.c @ g)) / float(lam_r @ np.abs(g) ** 2)
-    if abs(fax - lam) > tol.rtol * x_norm:
+    tol, x_norm = member.tol, member.norm
+    u = member.d.range_sqrt * g
+    if abs(complex(u.conj() @ (member.m @ u)) / np.vdot(u, u).real - lam) > tol.rtol * x_norm:
         return False
     return _witness_supremum(member, lam, side, g) <= tol.rtol * (x_norm + abs(lam))
 
@@ -487,32 +480,25 @@ def boundary_mollifier(
 ) -> list[MollifierStep]:
     """Normalized approximate inverses along an approach to a spectrum point.
 
-    For each approach value the canonical inverse of (value - X), which is
-    Q (value - C)^(-1) Q*, is built and normalized to unit seminorm; the two
-    defect seminorms of the normalized inverse against (lam - X) tend to zero
-    along a valid approach.  Inverse, seminorm and defects are read off
-    rank x rank compressions, and only x_n is lifted.  lam and each approach
-    value are put to the rank test of the spectrum: ValueError if lam is not
-    a point, SpectrumPointError if an approach value is one.
+    For each approach value the canonical inverse of (value - X) is normalized
+    to unit seminorm; its two defect seminorms against (lam - X) tend to zero
+    along a valid approach.  All runs on M: the inverse's similar form is
+    (value - M)^(-1), each seminorm is a 2-norm on M, and only x_n is lifted.
+    lam and each approach value are put to the rank test of the spectrum:
+    ValueError if lam is not a point, SpectrumPointError if an approach value
+    is one.
     """
     member = _require_member(d, x, tol)
-    c = member.c
     if not member.is_point(lam):
         raise ValueError(f"{lam} is not a point of the weighted spectrum")
-    eye = np.eye(d.rank)
-    shift = lam * eye - c
-    q = d.range_basis
+    eye, m = np.eye(d.rank), member.m
+    shift = lam * eye - m
     steps: list[MollifierStep] = []
     for lam_n in approach:
         if member.is_point(lam_n):
             raise SpectrumPointError(f"approach value {lam_n} lies on the spectrum")
-        inverse = np.linalg.inv(lam_n * eye - c)
-        r_n = inverse / range_seminorm(d, inverse)
-        steps.append(
-            MollifierStep(
-                x_n=q @ r_n @ q.conj().T,
-                left_defect=range_seminorm(d, r_n @ shift),
-                right_defect=range_seminorm(d, shift @ r_n),
-            )
-        )
+        inverse = np.linalg.inv(lam_n * eye - m)
+        r_n = inverse / np.linalg.norm(inverse, 2)
+        left, right = (float(np.linalg.norm(p, 2)) for p in (r_n @ shift, shift @ r_n))
+        steps.append(MollifierStep(x_n=d.lift(r_n), left_defect=left, right_defect=right))
     return steps

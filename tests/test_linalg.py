@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from aspec.douglas import douglas_solve
 from aspec.linalg import (
     DEFAULT_TOL,
     MatrixFormatError,
@@ -18,6 +19,8 @@ from aspec.linalg import (
     read_matrix,
     write_matrix,
 )
+from aspec.psd import psd_decompose
+from aspec.seminorm import a_membership, a_seminorm, is_a_selfadjoint
 
 from conftest import cmat
 
@@ -55,6 +58,44 @@ def test_read_rejects_non_finite():
         read_matrix('{"rows":1,"cols":1,"data":[[["1",0]]]}')
     with pytest.raises(MatrixFormatError):  # an integer literal beyond float64
         read_matrix('{"rows":1,"cols":1,"data":[[[1%s,0]]]}' % ("0" * 400))
+
+
+def test_read_checks_row_lengths_before_allocating():
+    # the declared shape would take 14.6 TiB, which the row lengths contradict
+    with pytest.raises(MatrixFormatError, match="row 0: declared 1000000000000 cols, got 0"):
+        read_matrix('{"rows": 1, "cols": 1000000000000, "data": [[]]}')
+
+
+def _operand_calls():
+    """One call per matrix operand of each entry point, the other operands well formed, with the name
+    its errors give that operand."""
+    d, ok = psd_decompose(np.eye(2)), np.eye(2, dtype=complex)
+    return [
+        ("weight", psd_decompose),
+        ("X", lambda m: a_membership(d, m)),
+        ("X", lambda m: a_seminorm(d, m)),
+        ("X", lambda m: douglas_solve(m, ok)),
+        ("Y", lambda m: douglas_solve(ok, m)),
+        ("A", lambda m: is_a_selfadjoint(m, ok)),
+        ("X", lambda m: is_a_selfadjoint(ok, m)),
+    ]
+
+
+@pytest.mark.parametrize("shape", [(), (2,), (2, 2, 2), (1, 1, 1)], ids=["0-D", "1-D", "3-D", "3-D unit"])
+def test_operands_that_are_not_matrices_raise_shape_error(shape):
+    for name, call in _operand_calls():
+        with pytest.raises(ShapeError, match=f"^{name} must be square"):
+            call(np.zeros(shape, dtype=complex))
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(0, np.inf), complex(np.nan, 1)])
+def test_non_finite_operands_are_rejected_by_name(entry):
+    for name, call in _operand_calls():
+        for i, j in ((0, 0), (0, 1)):
+            m = np.eye(2, dtype=complex)
+            m[i, j] = entry
+            with pytest.raises(MatrixFormatError, match=f"^{name} contains a non-finite entry"):
+                call(m)
 
 
 def test_write_read_roundtrip_is_identity():
