@@ -12,14 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import (
-    DEFAULT_TOL,
-    ComplexMatrix,
-    ToleranceConfig,
-    check_same_shape,
-    check_square,
-    frobenius_norm,
-)
+from .linalg import DEFAULT_TOL, ComplexMatrix, ToleranceConfig, frobenius_norm, operand
 from .psd import PsdDecomposition
 
 
@@ -32,23 +25,22 @@ def douglas_solve(x: ComplexMatrix, y: ComplexMatrix, tol: ToleranceConfig = DEF
 
     Solvability holds iff N(Y) is contained in N(X), decided by ||X N||_F for
     a basis N of N(Y) against ||X||_F at every scale; the returned canonical
-    solution is Z = (X Y^dagger)*.
+    solution is Z = (X Y^dagger)*.  One SVD Y = U S V* gives both N and
+    Y^dagger = V S^dagger U*, so the decision and the solution cut the same
+    singular values of Y.
     """
-    x = np.asarray(x, dtype=np.complex128)
-    y = np.asarray(y, dtype=np.complex128)
-    check_square(x, "X")
-    check_square(y, "Y")
-    check_same_shape(x, y)
-    _, svals, vh = np.linalg.svd(y)
-    null_basis = vh[svals <= tol.cutoff(np.max(svals, initial=0.0))].conj().T  # columns span N(Y)
+    y = operand(y, "Y")
+    x = operand(x, "X", y)  # a mismatch reads "X's shape vs Y's"
+    u, svals, vh = np.linalg.svd(y)
+    kept = svals > tol.cutoff(svals[0])
+    null_basis = vh[~kept].conj().T  # columns span N(Y)
     if null_basis.shape[1]:
         defect = frobenius_norm(x @ null_basis)
         if not tol.negligible(defect, frobenius_norm(x)):
             raise NotMajorizedError(
                 f"N(Y) is not contained in N(X) (defect {defect:.3e}); no finite majorization constant exists"
             )
-    y_pinv = np.linalg.pinv(y, rcond=tol.rank_rtol)
-    return (x @ y_pinv).conj().T
+    return (u[:, kept] / svals[kept]) @ (vh[kept] @ x.conj().T)
 
 
 def power_factorize(
@@ -64,9 +56,7 @@ def power_factorize(
     """
     if not 0 < alpha < 0.5:
         raise ValueError(f"alpha must lie in (0, 1/2), got {alpha}")
-    x = np.asarray(x, dtype=np.complex128)
-    check_square(x, "X")
-    check_same_shape(x, b.a)
+    x = operand(x, "X", b.a)
     gram_gap = float(np.min(np.linalg.eigvalsh(b.a - x.conj().T @ x)))
     if not tol.negligible(-gram_gap, frobenius_norm(b.a)):
         raise ValueError(f"X*X is not dominated by B (eigenvalue defect {gram_gap:.3e})")

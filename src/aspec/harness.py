@@ -252,7 +252,7 @@ def _prop_douglas_factorization(ctx: CheckContext):
     y = ctx.raw("y")
     z = douglas.douglas_solve(x, y, ctx.tol)
     ctx.check_matrix(z.conj().T @ y, x, "Z* Y = X")
-    alpha = float(np.linalg.norm(x @ np.linalg.pinv(y, rcond=ctx.tol.rank_rtol), 2)) ** 2
+    alpha = float(np.linalg.norm(z, 2)) ** 2  # ||Z||^2 = ||X Y^dagger||^2, the least alpha of Douglas' lemma
     ctx.check_psd_dominates(alpha * (y.conj().T @ y), x.conj().T @ x, "alpha Y*Y >= X*X")
     # now force a null vector of Y outside N(X): must be rejected
     u = _complex_gaussian(ctx.rng, ctx.dim)

@@ -1,8 +1,9 @@
 """Dense complex matrices, tolerance policy, and the JSON wire format.
 
-Every operation in this package works on square complex128 arrays.  The
-helpers here validate shapes and entries once at the boundary so the
-numerical modules can assume well-formed input.
+Every operation in this package works on square complex128 arrays.  Each
+matrix operand passes ``operand`` once at the boundary: it must be a
+non-empty square 2-D array of finite entries, so the numerical modules can
+assume well-formed input.
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ class ShapeError(ValueError):
 
 
 class MatrixFormatError(ValueError):
-    """A matrix document or operand is malformed: bad JSON, shape mismatch, or a non-finite or out-of-range entry."""
+    """A matrix document or operand is malformed: bad JSON, data that misses its declared shape, or a non-finite
+    or out-of-range entry.  ``operand`` raises it for a non-finite entry, and ShapeError for an empty or
+    non-square operand."""
 
 
 @dataclass(frozen=True)
@@ -66,18 +69,19 @@ class ToleranceConfig:
 DEFAULT_TOL = ToleranceConfig()
 
 
-def check_square(m: ComplexMatrix, name: str = "matrix") -> ComplexMatrix:
-    """The check every matrix operand passes: a square 2-D array of finite entries."""
+def operand(m: ComplexMatrix, name: str, like: ComplexMatrix | None = None) -> ComplexMatrix:
+    """The one check every matrix operand passes: m as a non-empty square complex128 array of finite entries,
+    of the shape of ``like`` when given."""
+    m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ShapeError(f"{name} must be square, got shape {m.shape}")
+    if not m.size:
+        raise ShapeError(f"{name} must have at least one row, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise MatrixFormatError(f"{name} contains a non-finite entry")
+    if like is not None and m.shape != like.shape:
+        raise ShapeError(f"shape mismatch: {m.shape} vs {like.shape}")
     return m
-
-
-def check_same_shape(m: ComplexMatrix, n: ComplexMatrix) -> None:
-    if m.shape != n.shape:
-        raise ShapeError(f"shape mismatch: {m.shape} vs {n.shape}")
 
 
 def read_matrix(source: Union[bytes, str, IO]) -> ComplexMatrix:
@@ -89,11 +93,9 @@ def read_matrix(source: Union[bytes, str, IO]) -> ComplexMatrix:
     """
     if hasattr(source, "read"):
         source = source.read()
-    if isinstance(source, bytes):
-        source = source.decode("utf-8")
     try:
-        doc = json.loads(source)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(source.decode("utf-8") if isinstance(source, bytes) else source)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise MatrixFormatError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise MatrixFormatError("top-level JSON value must be an object")
@@ -164,6 +166,7 @@ def frobenius_norm(m: ComplexMatrix) -> float:
 
 def approx_equal(m: ComplexMatrix, n: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Entrywise closeness: max |M-N| <= atol + rtol * max(|M|_max, |N|_max)."""
-    check_same_shape(m, n)
+    if m.shape != n.shape:
+        raise ShapeError(f"shape mismatch: {m.shape} vs {n.shape}")
     bound = tol.atol + tol.rtol * max(max_abs(m), max_abs(n))
     return max_abs(m - n) <= bound

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, ComplexMatrix, ToleranceConfig, check_square, frobenius_norm
+from .linalg import DEFAULT_TOL, ComplexMatrix, ToleranceConfig, frobenius_norm, operand
 
 
 class NotPsdError(ValueError):
@@ -105,17 +105,17 @@ class PsdDecomposition:
 def psd_decompose(a: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> PsdDecomposition:
     """Validate the weight and compute its eigendecomposition.
 
-    check_square rejects a non-square or non-finite ``a``; NotPsdError is
+    operand rejects an empty, non-square or non-finite ``a``; NotPsdError is
     raised if ||A - A*||_F is not negligible against ||A||_F or an eigenvalue
     lies below -cut, cut = rank_rtol * max|eigenvalue|.  Eigenvalues in
     [-cut, cut] are hard-zeroed; all decisions are invariant under A -> cA.
+    The Hermitian part is A/2 + A*/2, which does not overflow near float max.
     """
-    a = np.asarray(a, dtype=np.complex128)
-    check_square(a, "weight")
+    a = operand(a, "weight")
     herm_gap = frobenius_norm(a - a.conj().T)
     if not tol.negligible(herm_gap, frobenius_norm(a)):
         raise NotPsdError(f"weight is not Hermitian within tolerance (defect {herm_gap:.3e})")
-    h = (a + a.conj().T) / 2
+    h = a / 2 + a.conj().T / 2
     w, u = np.linalg.eigh(h)
     cut = tol.cutoff(float(np.max(np.abs(w))))
     if w[0] < -cut:
@@ -129,6 +129,6 @@ def psd_decompose(a: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> PsdDe
 
 def fractional_power(d: PsdDecomposition, s: float) -> ComplexMatrix:
     """A^s for s > 0, with the hard-zeroed small eigenvalues kept at zero."""
-    if s <= 0:
-        raise ValueError(f"exponent must be positive, got {s}")
+    if not 0 < s < np.inf:
+        raise ValueError(f"exponent must be positive and finite, got {s}")
     return d.power(s)

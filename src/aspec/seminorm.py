@@ -20,9 +20,8 @@ from .linalg import (
     DEFAULT_TOL,
     ComplexMatrix,
     ToleranceConfig,
-    check_same_shape,
-    check_square,
     frobenius_norm,
+    operand,
 )
 from .psd import PsdDecomposition
 
@@ -64,9 +63,7 @@ def a_membership(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig = D
     taken by frobenius_norm, so neither underflows nor overflows at extreme
     scales of X.
     """
-    x = np.asarray(x, dtype=np.complex128)
-    check_square(x, "X")
-    check_same_shape(x, d.a)
+    x = operand(x, "X", d.a)
     defect = frobenius_norm(d.range_basis.conj().T @ x @ d.null_basis)
     return tol.negligible(defect, frobenius_norm(x))
 
@@ -208,10 +205,6 @@ def random_member(d: PsdDecomposition, rng: np.random.Generator, scale: float = 
 
 def is_a_selfadjoint(a: ComplexMatrix, x: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """True iff A X = X* A: ||AX - (AX)*||_F is negligible against ||AX||_F."""
-    a = np.asarray(a, dtype=np.complex128)
-    x = np.asarray(x, dtype=np.complex128)
-    check_square(a, "A")
-    check_square(x, "X")
-    check_same_shape(a, x)
-    ax = a @ x
+    x = operand(x, "X")
+    ax = operand(a, "A", x) @ x  # a mismatch reads "A's shape vs X's"
     return tol.negligible(frobenius_norm(ax - ax.conj().T), frobenius_norm(ax))

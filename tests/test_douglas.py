@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from aspec.douglas import NotMajorizedError, douglas_solve, power_factorize
-from aspec.linalg import approx_equal
+from aspec.linalg import DEFAULT_TOL, approx_equal, frobenius_norm
 from aspec.psd import psd_decompose
 
 from conftest import cdiag, cmat
@@ -107,3 +107,30 @@ def test_power_factorize_decides_at_every_scale(scale):
     assert approx_equal(v @ b.power(0.25) / np.sqrt(scale), x / np.sqrt(scale))
     with pytest.raises(ValueError):
         power_factorize(3 * x, b, 0.25)
+
+
+def test_douglas_decides_and_solves_from_one_svd(monkeypatch):
+    # the null-space decision and Y^dagger come from one SVD, so they agree on the rank of Y; the reference is
+    # Z = (X pinv(Y))* with pinv cutting at the same rank_rtol, and NotMajorizedError is raised exactly when
+    # a rank-deficient Y meets an X that is not W* Y
+    pinv = np.linalg.pinv
+
+    def no_pinv(*args, **kwargs):
+        raise AssertionError("douglas_solve called np.linalg.pinv")
+
+    monkeypatch.setattr(np.linalg, "pinv", no_pinv)
+    rng = np.random.default_rng(18)
+    gauss = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)  # noqa: E731
+    for n in range(1, 9):
+        for rank in (n, int(rng.integers(0, n))):
+            y = gauss(n, rank) @ gauss(rank, n)
+            for majorized in (True, False):
+                x = gauss(n, n).conj().T @ y if majorized else gauss(n, n)
+                for sx, sy in ((1.0, 1.0), (1e150, 1e150), (1e-150, 1e-150), (1e150, 1e-150), (1e-150, 1e150)):
+                    if rank < n and not majorized:
+                        with pytest.raises(NotMajorizedError):
+                            douglas_solve(x * sx, y * sy)
+                        continue
+                    z = douglas_solve(x * sx, y * sy)
+                    ref = (x * sx @ pinv(y * sy, rcond=DEFAULT_TOL.rank_rtol)).conj().T
+                    assert frobenius_norm(z - ref) <= 1e-12 * frobenius_norm(ref)

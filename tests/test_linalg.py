@@ -1,6 +1,8 @@
 """Wire format and tolerance policy."""
 
+import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from aspec.douglas import douglas_solve
+from aspec.douglas import douglas_solve, power_factorize
 from aspec.linalg import (
     DEFAULT_TOL,
     MatrixFormatError,
@@ -60,6 +62,14 @@ def test_read_rejects_non_finite():
         read_matrix('{"rows":1,"cols":1,"data":[[[1%s,0]]]}' % ("0" * 400))
 
 
+def test_read_rejects_bytes_that_are_not_utf8():
+    # the wire format is UTF-8; a failed decode is malformed input, not a UnicodeDecodeError
+    doc = '{"rows":1,"cols":1,"data":[[[2.0,0.0]]]}'
+    for source in (b"\xff", io.BytesIO(b"\xff"), doc.encode("utf-16"), doc.encode("utf-16-le")):
+        with pytest.raises(MatrixFormatError, match="^malformed JSON: "):
+            read_matrix(source)
+
+
 def test_read_checks_row_lengths_before_allocating():
     # the declared shape would take 14.6 TiB, which the row lengths contradict
     with pytest.raises(MatrixFormatError, match="row 0: declared 1000000000000 cols, got 0"):
@@ -76,6 +86,7 @@ def _operand_calls():
         ("X", lambda m: a_seminorm(d, m)),
         ("X", lambda m: douglas_solve(m, ok)),
         ("Y", lambda m: douglas_solve(ok, m)),
+        ("X", lambda m: power_factorize(m, d, 0.25)),
         ("A", lambda m: is_a_selfadjoint(m, ok)),
         ("X", lambda m: is_a_selfadjoint(ok, m)),
     ]
@@ -90,12 +101,33 @@ def test_operands_that_are_not_matrices_raise_shape_error(shape):
 
 @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(0, np.inf), complex(np.nan, 1)])
 def test_non_finite_operands_are_rejected_by_name(entry):
+    # a 3 x 3 operand has the wrong size too: finiteness is checked before the shape match
     for name, call in _operand_calls():
-        for i, j in ((0, 0), (0, 1)):
-            m = np.eye(2, dtype=complex)
+        for n, i, j in ((2, 0, 0), (2, 0, 1), (3, 0, 1)):
+            m = np.eye(n, dtype=complex)
             m[i, j] = entry
             with pytest.raises(MatrixFormatError, match=f"^{name} contains a non-finite entry"):
                 call(m)
+
+
+def test_empty_operands_raise_shape_error():
+    for name, call in _operand_calls():
+        with pytest.raises(ShapeError, match=rf"^{name} must have at least one row, got shape \(0, 0\)$"):
+            call(np.zeros((0, 0), dtype=complex))
+
+
+def test_shape_mismatch_names_the_shapes_in_operand_order():
+    d, ok, big = psd_decompose(np.eye(2)), np.eye(2, dtype=complex), np.eye(3, dtype=complex)
+    for call, shapes in (
+        (lambda: a_membership(d, big), "(3, 3) vs (2, 2)"),
+        (lambda: power_factorize(big, d, 0.25), "(3, 3) vs (2, 2)"),
+        (lambda: douglas_solve(big, ok), "(3, 3) vs (2, 2)"),
+        (lambda: douglas_solve(ok, big), "(2, 2) vs (3, 3)"),
+        (lambda: is_a_selfadjoint(big, ok), "(3, 3) vs (2, 2)"),
+        (lambda: is_a_selfadjoint(ok, big), "(2, 2) vs (3, 3)"),
+    ):
+        with pytest.raises(ShapeError, match=rf"^shape mismatch: {re.escape(shapes)}$"):
+            call()
 
 
 def test_write_read_roundtrip_is_identity():

@@ -1,5 +1,7 @@
 """Weight validation and spectral calculus."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,33 @@ def test_fractional_power_rejects_nonpositive_exponent():
         fractional_power(d, 0.0)
     with pytest.raises(ValueError):
         fractional_power(d, -1.0)
+
+
+def test_fractional_power_rejects_non_finite_exponent():
+    d = psd_decompose(np.eye(2, dtype=complex))
+    for s in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="^exponent must be positive"):
+            fractional_power(d, s)
+
+
+@pytest.mark.parametrize("a", [[[1e308, 0], [0, 1e308]], [[1e308, 1e307], [1e307, 1e308]]], ids=["diagonal", "full"])
+def test_full_rank_weight_near_float_max_keeps_its_rank(a):
+    # (A + A*)/2 overflows here; A/2 + A*/2 does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = psd_decompose(cmat(a))
+    assert d.rank == 2
+    assert np.isfinite(d.a).all() and np.isfinite(d.eigvals).all()
+
+
+def test_hermitian_part_has_the_bits_of_the_halved_sum_at_moderate_scales():
+    # halving is exact while nothing overflows or turns subnormal, so the weights of every earlier result keep their bits
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        a = g @ g.conj().T + 1e-12 * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        a *= 10.0 ** rng.uniform(-280, 280)
+        assert np.array_equal(psd_decompose(a).a, (a + a.conj().T) / 2)
 
 
 def test_power_addition_and_null_space_stability():
