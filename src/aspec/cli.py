@@ -2,7 +2,7 @@
 
 Matrices are read from files in the wire format of the linalg module; every
 subcommand prints exactly one JSON object to stdout and diagnostics to
-stderr.  ``ASPEC_SEED`` overrides ``--seed`` for the property suite.
+stderr.
 
 Importing this module loads no numerical code and not numpy: each subcommand
 imports what it runs when it runs.  ``seminorm`` and ``adjoint`` load linalg,
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 
@@ -140,19 +139,17 @@ def _parse_dims(text: str) -> tuple[int, ...]:
 
 
 def _cmd_proptest(args) -> int:
+    from dataclasses import asdict
+
     from .harness import run_property_suite
 
-    seed = args.seed
-    env_seed = os.environ.get("ASPEC_SEED")
-    if env_seed is not None:
-        seed = int(env_seed)
-    reports = run_property_suite(trials=args.trials, dims=_parse_dims(args.dims), tol=_tolerance(args.tol), seed=seed)
+    reports = run_property_suite(trials=args.trials, dims=_parse_dims(args.dims), tol=_tolerance(args.tol), seed=args.seed)
     total_failures = sum(len(r.failures) for r in reports)
     _emit(
         {
-            "reports": [r.to_obj() for r in reports],
+            "reports": [asdict(r) for r in reports],
             "trials": args.trials,
-            "seed": seed,
+            "seed": args.seed,
             "failures_total": total_failures,
             "passed": total_failures == 0,
         }
@@ -203,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_prop = sub.add_parser("proptest", help="run the randomized property suite")
     p_prop.add_argument("--trials", type=int, default=25)
     p_prop.add_argument("--dims", default="2..8", help="dimensions, e.g. 2..8 or 2,4,6")
-    p_prop.add_argument("--seed", type=int, default=0, help="base seed (env ASPEC_SEED overrides)")
+    p_prop.add_argument("--seed", type=int, default=0, help="base seed")
     p_prop.add_argument("--tol", type=float, default=None)
     p_prop.set_defaults(handler=_cmd_proptest)
 

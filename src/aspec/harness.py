@@ -9,7 +9,7 @@ instance, so it can be replayed even if generator code changes.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,15 +53,12 @@ class RandomInstanceSpec:
     rank: int
     member_only: bool
     seed: int
-    scale: float = 1.0
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
         if not 0 <= self.rank <= self.dim:
             raise ValueError(f"rank must lie in [0, {self.dim}]")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
 
 
 def generate_instance(spec: RandomInstanceSpec) -> tuple[ComplexMatrix, ComplexMatrix]:
@@ -75,14 +72,14 @@ def generate_instance(spec: RandomInstanceSpec) -> tuple[ComplexMatrix, ComplexM
     rng = np.random.default_rng(spec.seed)
     g, _ = np.linalg.qr(_complex_gaussian(rng, (spec.dim, spec.dim)))
     d_vals = np.zeros(spec.dim)
-    d_vals[: spec.rank] = rng.uniform(0.5, 1.5, spec.rank) * spec.scale
+    d_vals[: spec.rank] = rng.uniform(0.5, 1.5, spec.rank)
     a = (g * d_vals) @ g.conj().T
     a = (a + a.conj().T) / 2
     if spec.member_only:
         dec = psd_decompose(a)
-        x = random_member(dec, rng, spec.scale)
+        x = random_member(dec, rng)
     else:
-        x = _complex_gaussian(rng, (spec.dim, spec.dim), spec.scale)
+        x = _complex_gaussian(rng, (spec.dim, spec.dim))
     return a, x
 
 
@@ -93,9 +90,6 @@ class PropertyFailure:
     instance: dict
     observed: str
     expected: str
-
-    def to_obj(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -108,9 +102,6 @@ class PropertyReport:
     @property
     def passed(self) -> bool:
         return not self.failures
-
-    def to_obj(self) -> dict:
-        return asdict(self)
 
 
 def _hull_min_turn(points) -> float:
@@ -156,8 +147,8 @@ class CheckContext:
         self._record("a", a)
         return psd_decompose(a, self.tol)
 
-    def member(self, dec: PsdDecomposition, label: str = "x", scale: float = 1.0) -> ComplexMatrix:
-        x = random_member(dec, self.rng, scale)
+    def member(self, dec: PsdDecomposition, label: str = "x") -> ComplexMatrix:
+        x = random_member(dec, self.rng)
         self._record(label, x)
         return x
 
@@ -171,17 +162,17 @@ class CheckContext:
         self._record("a", a)
         return psd_decompose(a, self.tol)
 
-    def normal_matrix(self, label: str = "x", scale: float = 1.0, min_turn: float = 0.06) -> ComplexMatrix:
+    def normal_matrix(self) -> ComplexMatrix:
         # support sampling at m directions cannot see hull vertices with a
         # normal cone narrower than 2 pi / m; keep test spectra away from that
-        # degeneracy (min_turn 0.06 rad covers 720 directions with margin)
+        # degeneracy (a smallest turn of 0.06 rad covers 720 directions with margin)
         for _ in range(64):
-            eigs = _complex_gaussian(self.rng, self.dim, scale)
-            if _hull_min_turn(eigs) >= min_turn:
+            eigs = _complex_gaussian(self.rng, self.dim)
+            if _hull_min_turn(eigs) >= 0.06:
                 break
         q, _ = np.linalg.qr(_complex_gaussian(self.rng, (self.dim, self.dim)))
         x = (q * eigs) @ q.conj().T
-        self._record(label, x)
+        self._record("x", x)
         return x
 
     # -- assertions ------------------------------------------------------

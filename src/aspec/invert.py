@@ -111,7 +111,7 @@ def neumann_a_inverse(
     term = total
     # the Frobenius norm decides alone outside [atol, sqrt(rank) atol], widened by a margin that covers
     # the rounding of both norms
-    margin = 8 * d.rank * np.finfo(float).eps
+    margin = tol.rounding(d.rank)
     below, above = tol.atol * (1 - margin), math.sqrt(d.rank) * tol.atol * (1 + margin)
     for _ in range(max_terms):
         term = term @ m

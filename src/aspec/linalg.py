@@ -38,8 +38,9 @@ class ToleranceConfig:
     rank_rtol: singular values and eigenvalues at most rank_rtol times the
         largest are exactly zero everywhere; lam is a spectrum point iff
         sigma_min(C - lam) is at most rank_rtol times sigma_max(C), or at most
-        sigma_max(C) itself when that is within 8 dim eps ||X||_F, the
-        rounding of forming C (C is then 0).
+        sigma_max(C) itself when that is within rounding(dim, ||X||_F), the
+        rounding of forming C (C is then 0).  rounding(n, scale) is the one
+        margin for floating-point error, a formula that no setting changes.
     atol: no decision about an operand uses it; it is the accuracy target
         of approx_equal, the property checks and the Neumann series.  Witness
         bounds are rtol ||X||_A on f(AX) - lam and rtol (||X||_A + |lam|) on
@@ -64,6 +65,10 @@ class ToleranceConfig:
     def cutoff(self, scale: float) -> float:
         """Largest magnitude counted as zero among values whose largest is ``scale``."""
         return self.rank_rtol * scale
+
+    def rounding(self, n: int, scale: float = 1.0) -> float:
+        """8 n eps scale: the rounding error allowed a value formed by n-term sums of operands of size ``scale``."""
+        return 8 * n * np.finfo(float).eps * scale
 
 
 DEFAULT_TOL = ToleranceConfig()
@@ -95,7 +100,7 @@ def read_matrix(source: Union[bytes, str, IO]) -> ComplexMatrix:
         source = source.read()
     try:
         doc = json.loads(source.decode("utf-8") if isinstance(source, bytes) else source)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:  # nesting too deep to decode
         raise MatrixFormatError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise MatrixFormatError("top-level JSON value must be an object")

@@ -13,7 +13,8 @@ The expression grammar (whitespace insignificant):
     factor := rationalLiteral | 'n' | '(' expr ')' | '-' factor
     rationalLiteral := integer ('/' integer)?
 
-Element literals combine two expressions: ``odd=<expr>;even=<expr>``.
+Parentheses and unary minus signs nest at most 200 deep.  Element literals
+combine two expressions: ``odd=<expr>;even=<expr>``.
 
 The algebra is pure Python.  Only ``diagonal_truncation`` builds a numpy
 matrix, and it imports numpy when called, so classifying elements never
@@ -33,6 +34,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 _ENUM_LIMIT = 1_000_000  # largest exact sign-analysis enumeration we accept
+_MAX_NESTING = 200  # parentheses and unary minus signs: each level costs the parser up to 3 of Python's 1000 frames
 
 
 class OmegaSyntaxError(ValueError):
@@ -328,6 +330,7 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -374,13 +377,15 @@ class _Parser:
 
     def factor(self) -> RationalExpr:
         ch = self.peek()
-        if ch == "-":
+        if ch in ("-", "("):
+            if self.depth == _MAX_NESTING:
+                raise OmegaSyntaxError(f"more than {_MAX_NESTING} nested parentheses and signs", self.pos)
             self.pos += 1
-            return -self.factor()
-        if ch == "(":
-            self.pos += 1
-            value = self.expr()
-            self.expect(")")
+            self.depth += 1
+            value = -self.factor() if ch == "-" else self.expr()
+            self.depth -= 1
+            if ch == "(":
+                self.expect(")")
             return value
         if ch == "n":
             self.pos += 1

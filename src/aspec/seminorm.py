@@ -11,6 +11,7 @@ in the full space; both are exposed so they can be cross-checked.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -21,6 +22,7 @@ from .linalg import (
     ComplexMatrix,
     ToleranceConfig,
     frobenius_norm,
+    max_abs,
     operand,
 )
 from .psd import PsdDecomposition
@@ -84,11 +86,11 @@ class Member:
     seminorm of X, is sigma_max(M) (0 at rank 0).  cut is the one rank test:
     lam is a point of the weighted spectrum iff sigma_min(C - lam) <= cut, and
     X is invertible iff 0 is not a point.  It is tol.cutoff(sigma_max(C)), or
-    sigma_max(C) itself when that is at most 8 dim eps x_norm, the rounding
-    of forming C from X with x_norm = ||X||_F: C is then zero to rounding, as
-    when A X = 0, and every singular value is cut.  C decides the cut, the
-    points, the witness candidates and the canonical inverse; every
-    measurement, the witness checks and the mollifier included, runs on M.
+    sigma_max(C) itself when that is at most tol.rounding(dim, x_norm), the
+    rounding of forming C from X with x_norm = ||X||_F: C is then zero to
+    rounding, as when A X = 0, and every singular value is cut.  C decides
+    the cut, the points, the witness candidates and the canonical inverse;
+    every measurement, the witness checks and the mollifier included, runs on M.
     """
 
     d: PsdDecomposition
@@ -108,7 +110,7 @@ class Member:
     @cached_property
     def cut(self) -> float:
         top = float(self.svals.max(initial=0.0))
-        return top if top <= 8 * self.d.dim * np.finfo(float).eps * self.x_norm else self.tol.cutoff(top)
+        return top if top <= self.tol.rounding(self.d.dim, self.x_norm) else self.tol.cutoff(top)
 
     @cached_property
     def m(self) -> ComplexMatrix:
@@ -203,8 +205,16 @@ def random_member(d: PsdDecomposition, rng: np.random.Generator, scale: float = 
     return d.proj @ m @ d.proj + d.null_proj @ m2 @ d.null_proj
 
 
+def _unit_scaled(m: ComplexMatrix) -> ComplexMatrix:
+    """m times the power of two that brings max|m| into [1/2, 1), exact but for entries that underflow.  The factor
+    goes in two halves: 2^1024 overflows, and a subnormal max|m| needs up to 2^1074."""
+    k = -math.frexp(max_abs(m))[1]
+    return m * 2.0 ** (k // 2) * 2.0 ** (k - k // 2)
+
+
 def is_a_selfadjoint(a: ComplexMatrix, x: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """True iff A X = X* A: ||AX - (AX)*||_F is negligible against ||AX||_F."""
+    """True iff A X = X* A: ||AX - (AX)*||_F is negligible against ||AX||_F.  The answer is homogeneous of degree 0
+    in A and in X, so AX is formed from both scaled by _unit_scaled and cannot overflow."""
     x = operand(x, "X")
-    ax = operand(a, "A", x) @ x  # a mismatch reads "A's shape vs X's"
+    ax = _unit_scaled(operand(a, "A", x)) @ _unit_scaled(x)  # a mismatch reads "A's shape vs X's"
     return tol.negligible(frobenius_norm(ax - ax.conj().T), frobenius_norm(ax))

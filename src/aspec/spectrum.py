@@ -119,7 +119,7 @@ def _spectrum(member: Member) -> ASpectrumResult:
         evals, evecs = np.linalg.eig(c)
         v_svals = np.linalg.svd(evecs, compute_uv=False)
         inv_cond = float(v_svals[-1] / v_svals[0])  # the columns of V are unit vectors, so v_svals[0] >= 1
-        clear = cut + 8 * d.rank * np.finfo(float).eps * float(member.svals[0])
+        clear = cut + member.tol.rounding(d.rank, float(member.svals[0]))
         for z in sorted((complex(w) for w in evals), key=lambda w: (w.real, w.imag)):
             if centroids:
                 k = min(range(len(centroids)), key=lambda i: abs(centroids[i] - z))

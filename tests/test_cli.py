@@ -151,13 +151,6 @@ def test_proptest_smoke(capsys):
     assert {r["suite"] for r in doc["reports"]} >= {"seminorm_oracle_agreement", "spectrum_compression"}
 
 
-def test_proptest_env_seed_override(capsys, monkeypatch):
-    monkeypatch.setenv("ASPEC_SEED", "123")
-    code, out, _ = run_cli(capsys, "proptest", "--trials", "1", "--dims", "2", "--seed", "7")
-    assert code == 0
-    assert json.loads(out)["seed"] == 123
-
-
 def test_tol_override_changes_policy(files, capsys):
     # a weight that is PSD only up to 1e-6 noise: rejected at defaults,
     # accepted when --tol loosens the whole policy

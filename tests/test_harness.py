@@ -1,6 +1,7 @@
 """Instance generator and property-suite machinery."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -51,8 +52,6 @@ def test_generator_validation():
         RandomInstanceSpec(dim=2, rank=3, member_only=False, seed=0)
     with pytest.raises(ValueError):
         RandomInstanceSpec(dim=0, rank=0, member_only=False, seed=0)
-    with pytest.raises(ValueError):
-        RandomInstanceSpec(dim=2, rank=1, member_only=False, seed=0, scale=0.0)
 
 
 def test_registry_size():
@@ -67,7 +66,7 @@ def test_smoke_run_and_determinism():
 
     def strip(rs):
         return [
-            {**r.to_obj(), "elapsed_ms": None}
+            {**asdict(r), "elapsed_ms": None}
             for r in rs
         ]
 
@@ -76,13 +75,13 @@ def test_smoke_run_and_determinism():
 
 def test_suite_passes_on_modest_run():
     reports = run_property_suite(trials=4, dims=(2, 3, 4), seed=2024)
-    failing = [(r.suite, [f.to_obj() for f in r.failures[:2]]) for r in reports if not r.passed]
+    failing = [(r.suite, [asdict(f) for f in r.failures[:2]]) for r in reports if not r.passed]
     assert not failing, failing
 
 
 def test_suite_passes_at_dim_one():
     reports = run_property_suite(trials=10, dims=(1,))
-    failing = [(r.suite, [f.to_obj() for f in r.failures[:2]]) for r in reports if not r.passed]
+    failing = [(r.suite, [asdict(f) for f in r.failures[:2]]) for r in reports if not r.passed]
     assert not failing, failing
 
 
@@ -97,5 +96,5 @@ def test_forced_failures_replay_identically():
     n_failures = sum(len(r.failures) for r in first)
     assert n_failures > 0
     for r1, r2 in zip(first, second):
-        assert [f.to_obj() for f in r1.failures] == [f.to_obj() for f in r2.failures]
-    json.dumps([r.to_obj() for r in first])  # must not raise
+        assert [asdict(f) for f in r1.failures] == [asdict(f) for f in r2.failures]
+    json.dumps([asdict(r) for r in first])  # must not raise

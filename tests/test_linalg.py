@@ -70,6 +70,14 @@ def test_read_rejects_bytes_that_are_not_utf8():
             read_matrix(source)
 
 
+def test_read_rejects_nesting_too_deep_to_decode():
+    # json.loads recurses once per nested array and raises RecursionError past the interpreter's limit
+    deep = "[" * 100_000 + "]" * 100_000
+    for doc in (deep, '{"rows": 1, "cols": 1, "data": %s}' % deep):
+        with pytest.raises(MatrixFormatError, match="^malformed JSON: "):
+            read_matrix(doc)
+
+
 def test_read_checks_row_lengths_before_allocating():
     # the declared shape would take 14.6 TiB, which the row lengths contradict
     with pytest.raises(MatrixFormatError, match="row 0: declared 1000000000000 cols, got 0"):

@@ -60,6 +60,16 @@ def test_parse_is_memoized_and_errors_raise_every_time():
         assert err.value.position == 4
 
 
+@pytest.mark.parametrize("text", ["(" * 400 + "n" + ")" * 400, "-" * 3000 + "n"], ids=["parentheses", "signs"])
+def test_parse_rejects_nesting_beyond_the_limit(text):
+    # each level recurses, so past the limit the parser raises a syntax error, not RecursionError
+    for _ in range(2):  # the error is not cached
+        with pytest.raises(OmegaSyntaxError, match="nested") as err:
+            parse_rational(text)
+        assert err.value.position == 200
+    assert parse_rational("(" * 100 + "n" + ")" * 100) == parse_rational("-" * 100 + "n") == RationalExpr.variable()
+
+
 def test_limits():
     assert limit_at_infinity(parse_rational("1/(2*n)")) == Limit.finite(0)
     assert limit_at_infinity(parse_rational("2*n")).kind.value == "+inf"
@@ -186,6 +196,52 @@ def test_truncation_growth():
         res = a_invertible(dec, x)
         assert res.invertible
         assert a_seminorm(dec, res.canonical).value >= n_points
+
+
+# two literal (a, x) pairs per verdict, the pairs of the benchmark's omega pool
+_VERDICT_PAIRS = (
+    ("odd=1;even=1", "odd=2;even=2", Verdict.CONTINUOUS_INVERSE),
+    ("odd=1/n;even=1/n", "odd=(n+1)/n;even=(n+2)/n", Verdict.CONTINUOUS_INVERSE),
+    ("odd=1;even=1", "odd=1;even=2", Verdict.BOUNDED_DISCONTINUOUS),
+    ("odd=1;even=1/n", "odd=n/(n+1);even=(2*n+1)/n", Verdict.BOUNDED_DISCONTINUOUS),
+    ("odd=0;even=1/(2*n)", "odd=1/(2*n-1);even=1/(2*n)", Verdict.UNBOUNDED),
+    ("odd=1;even=0", "odd=1/n;even=5", Verdict.UNBOUNDED),
+    ("odd=1;even=1", "odd=0;even=1", Verdict.NO_SOLUTION),
+    ("odd=1/(n*n);even=1/n", "odd=1;even=0", Verdict.NO_SOLUTION),
+)
+
+
+def _truncation_oracle(a_el: OmegaElement, x_el: OmegaElement, n_points: int) -> Fraction | None:
+    """The seminorm of the inverse of the n_points truncation, exactly: max |1/x(t_i)| over the points where
+    a(t_i) != 0, or None when x vanishes at one of them and the truncation has no inverse."""
+    values = [x_el.value_at(i) for i in range(1, n_points + 1) if a_el.value_at(i) != 0]
+    if any(v == 0 for v in values):
+        return None
+    return max((abs(1 / v) for v in values), default=Fraction(0))
+
+
+@pytest.mark.parametrize(
+    ("a_lit", "x_lit", "verdict"), _VERDICT_PAIRS, ids=[f"{v.value}{i % 2}" for i, (_, _, v) in enumerate(_VERDICT_PAIRS)]
+)
+def test_truncations_agree_with_the_exact_oracle(a_lit, x_lit, verdict):
+    a_el, x_el = parse_element(a_lit), parse_element(x_lit)
+    assert a_inverse_classify(a_el, x_el).verdict is verdict
+    norms = []
+    for n_points in (5, 10, 20, 40, 80):
+        dec = psd_decompose(diagonal_truncation(a_el, n_points))
+        res = a_invertible(dec, diagonal_truncation(x_el, n_points))
+        norm = _truncation_oracle(a_el, x_el, n_points)
+        assert res.invertible is (norm is not None), n_points
+        if norm is not None:
+            assert a_seminorm(dec, res.canonical).value == pytest.approx(float(norm), rel=1e-12, abs=0), n_points
+        norms.append(norm)
+    # N grows 16-fold from 5 to 80: an unbounded inverse grows with it, a bounded one does not
+    if verdict is Verdict.NO_SOLUTION:
+        assert norms == [None] * 5
+    elif verdict is Verdict.UNBOUNDED:
+        assert all(m < n for m, n in zip(norms, norms[1:])) and norms[-1] >= 8 * norms[0]
+    else:
+        assert norms[-1] <= 2 * norms[0]
 
 
 # --- exactness properties ---------------------------------------------------

@@ -172,6 +172,22 @@ def test_is_a_selfadjoint():
     assert not is_a_selfadjoint(eye, cmat([[0, 1], [0, 0]]))
 
 
+@pytest.mark.filterwarnings("error")
+def test_is_a_selfadjoint_keeps_its_answer_at_every_power_of_two():
+    # A X is formed from operands scaled by powers of two, so it neither overflows near float max nor underflows
+    assert is_a_selfadjoint(1e308 * np.eye(3, dtype=complex), 10 * np.eye(3, dtype=complex))
+    rng = np.random.default_rng(19)
+    for seed in range(30):
+        a, x = generate_instance(RandomInstanceSpec(dim=4, rank=int(rng.integers(1, 5)), member_only=True, seed=5000 + seed))
+        d = psd_decompose(a)
+        raw = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        for y, expected in ((x + a_adjoint(d, x), True), (raw, False)):
+            assert is_a_selfadjoint(a, y) is expected, seed
+            for ka in (-1000, 0, 1000):
+                for ky in (-1000, 0, 1000):
+                    assert is_a_selfadjoint(a * 2.0**ka, y * 2.0**ky) is expected, (seed, ka, ky)
+
+
 def test_random_member_is_member():
     rng = np.random.default_rng(31)
     d = psd_decompose(cdiag(2.0, 1.0, 0.0, 0.0))
