@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, ComplexMatrix, ToleranceConfig, frobenius_norm, operand
+from .linalg import DEFAULT_TOL, ComplexMatrix, ToleranceConfig, operand, times_pow2, unit_scaled
 from .psd import PsdDecomposition
 
 
@@ -24,10 +24,10 @@ def douglas_solve(x: ComplexMatrix, y: ComplexMatrix, tol: ToleranceConfig = DEF
     """Solve X = Z*Y for the minimal-norm Z, or raise NotMajorizedError.
 
     Solvability holds iff N(Y) is contained in N(X), decided by ||X N||_F for
-    a basis N of N(Y) against ||X||_F at every scale; the returned canonical
-    solution is Z = (X Y^dagger)*.  One SVD Y = U S V* gives both N and
-    Y^dagger = V S^dagger U*, so the decision and the solution cut the same
-    singular values of Y.
+    a basis N of N(Y) against ||X||_F, both taken on X scaled by unit_scaled;
+    the returned canonical solution is Z = (X Y^dagger)*.  One SVD
+    Y = U S V* gives both N and Y^dagger = V S^dagger U*, so the decision and
+    the solution cut the same singular values of Y.
     """
     y = operand(y, "Y")
     x = operand(x, "X", y)  # a mismatch reads "X's shape vs Y's"
@@ -35,11 +35,11 @@ def douglas_solve(x: ComplexMatrix, y: ComplexMatrix, tol: ToleranceConfig = DEF
     kept = svals > tol.cutoff(svals[0])
     null_basis = vh[~kept].conj().T  # columns span N(Y)
     if null_basis.shape[1]:
-        defect = frobenius_norm(x @ null_basis)
-        if not tol.negligible(defect, frobenius_norm(x)):
-            raise NotMajorizedError(
-                f"N(Y) is not contained in N(X) (defect {defect:.3e}); no finite majorization constant exists"
-            )
+        xs, k = unit_scaled(x)
+        defect = float(np.linalg.norm(xs @ null_basis))
+        if not tol.negligible(defect, np.linalg.norm(xs)):
+            raise NotMajorizedError(f"N(Y) is not contained in N(X) (defect {times_pow2(defect, k):.3e}); "
+                                    "no finite majorization constant exists")
     return (u[:, kept] / svals[kept]) @ (vh[kept] @ x.conj().T)
 
 
@@ -57,7 +57,9 @@ def power_factorize(
     if not 0 < alpha < 0.5:
         raise ValueError(f"alpha must lie in (0, 1/2), got {alpha}")
     x = operand(x, "X", b.a)
-    gram_gap = float(np.min(np.linalg.eigvalsh(b.a - x.conj().T @ x)))
-    if not tol.negligible(-gram_gap, frobenius_norm(b.a)):
-        raise ValueError(f"X*X is not dominated by B (eigenvalue defect {gram_gap:.3e})")
+    j = max(unit_scaled(x)[1], (unit_scaled(b.a)[1] + 1) // 2)  # X*X scales as B: X 2^-j and B 4^-j, both below 1
+    xs, bs = times_pow2(x, -j), times_pow2(b.a, -2 * j)
+    gram_gap = float(np.min(np.linalg.eigvalsh(bs - xs.conj().T @ xs)))
+    if not tol.negligible(-gram_gap, np.linalg.norm(bs)):
+        raise ValueError(f"X*X is not dominated by B (eigenvalue defect {times_pow2(times_pow2(gram_gap, j), j):.3e})")
     return x @ b.power(-alpha)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, ComplexMatrix, ToleranceConfig, frobenius_norm
+from .linalg import DEFAULT_TOL, ComplexMatrix, ToleranceConfig
 from .psd import PsdDecomposition
 from .seminorm import Member, NotMemberError, _require_member
 
@@ -115,7 +115,7 @@ def neumann_a_inverse(
     below, above = tol.atol * (1 - margin), math.sqrt(d.rank) * tol.atol * (1 + margin)
     for _ in range(max_terms):
         term = term @ m
-        fro = frobenius_norm(term)
+        fro = np.linalg.norm(term)
         if fro < below or (fro < above and np.linalg.svd(term, compute_uv=False)[0] < tol.atol):
             break
         total = total + term
@@ -139,6 +139,6 @@ def thvn_certificate(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig
     inflate = 1.0 + tol.rtol
     if d.rank == 0:
         return ThvnCertificate(c=inflate, alpha=inflate)
-    m_svals = member.m_svals
-    c = max(float(m_svals[0]), 1.0 / float(m_svals[-1])) ** 2
-    return ThvnCertificate(c=c * inflate, alpha=inflate / float(member.svals[-1]) ** 2)
+    # squares by multiplication, which reads inf past float max where ** raises OverflowError
+    top, bottom = max(float(member.m_svals[0]), 1.0 / float(member.m_svals[-1])), float(member.svals[-1])
+    return ThvnCertificate(c=top * top * inflate, alpha=inflate / (bottom * bottom) if bottom * bottom else math.inf)

@@ -33,7 +33,8 @@ class ToleranceConfig:
     """Single tolerance policy threaded through all modules.
 
     Each yes/no decision compares a defect with a unitarily invariant scale
-    of its own operand, so rescaling the operands never changes an answer.
+    of its own operand, both read on unit_scaled(operand), so no scaling
+    changes an answer; only entries 2^1000 below the largest underflow.
     rtol: a defect is negligible when at most rtol times that scale.
     rank_rtol: singular values and eigenvalues at most rank_rtol times the
         largest are exactly zero everywhere; lam is a spectrum point iff
@@ -60,7 +61,7 @@ class ToleranceConfig:
 
     def negligible(self, defect: float, scale: float) -> bool:
         """True iff the defect is at most rtol times its operand's scale."""
-        return defect <= self.rtol * scale
+        return bool(defect <= self.rtol * scale)
 
     def cutoff(self, scale: float) -> float:
         """Largest magnitude counted as zero among values whose largest is ``scale``."""
@@ -152,21 +153,15 @@ def max_abs(m: ComplexMatrix) -> float:
     return float(np.max(np.abs(m))) if m.size else 0.0
 
 
-def frobenius_norm(m: ComplexMatrix) -> float:
-    """||M||_F, exact to rounding at every scale of M.
+def unit_scaled(m: ComplexMatrix) -> tuple[ComplexMatrix, int]:
+    """(m 2^-k, k) for the frexp exponent k of max|m|, so that max|m 2^-k| lies in [1/2, 1) (k = 0 for m = 0)."""
+    k = math.frexp(max_abs(m))[1]
+    return times_pow2(m, -k), k
 
-    np.linalg.norm squares the entries unscaled: near 1e-170 the squares
-    underflow to 0 and near 1e160 they overflow to inf.  While max|M| lies
-    in (1e-100, 1e100) no square overflows, and the squares lost to
-    underflow, each below 2^-1022, weigh nothing against max|M|^2, so its
-    value is kept.  Otherwise the entry moduli are divided by max|M| before
-    they are squared and the norm is scaled back.  That division is real: a
-    complex one by a subnormal max|M| overflows inside numpy and gives NaN.
-    """
-    scale = max_abs(m)
-    if 1e-100 < scale < 1e100:
-        return float(np.linalg.norm(m))
-    return scale * float(np.linalg.norm(np.abs(m) / scale)) if scale > 0 else 0.0
+
+def times_pow2(v, k: int):
+    """v 2^k, exact or inf or subnormal; in two halves, as 2^1024 overflows and a subnormal needs up to 2^1074."""
+    return v * 2.0 ** (k // 2) * 2.0 ** (k - k // 2)
 
 
 def approx_equal(m: ComplexMatrix, n: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> bool:

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, ComplexMatrix, ToleranceConfig, frobenius_norm, operand
+from .linalg import DEFAULT_TOL, ComplexMatrix, ToleranceConfig, operand, times_pow2, unit_scaled
 
 
 class NotPsdError(ValueError):
@@ -109,12 +109,13 @@ def psd_decompose(a: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> PsdDe
     raised if ||A - A*||_F is not negligible against ||A||_F or an eigenvalue
     lies below -cut, cut = rank_rtol * max|eigenvalue|.  Eigenvalues in
     [-cut, cut] are hard-zeroed; all decisions are invariant under A -> cA.
-    The Hermitian part is A/2 + A*/2, which does not overflow near float max.
+    Neither the norms, read on unit_scaled(A), nor the Hermitian part A/2 + A*/2 overflow near float max.
     """
     a = operand(a, "weight")
-    herm_gap = frobenius_norm(a - a.conj().T)
-    if not tol.negligible(herm_gap, frobenius_norm(a)):
-        raise NotPsdError(f"weight is not Hermitian within tolerance (defect {herm_gap:.3e})")
+    s, k = unit_scaled(a)
+    herm_gap = float(np.linalg.norm(s - s.conj().T))
+    if not tol.negligible(herm_gap, np.linalg.norm(s)):
+        raise NotPsdError(f"weight is not Hermitian within tolerance (defect {times_pow2(herm_gap, k):.3e})")
     h = a / 2 + a.conj().T / 2
     w, u = np.linalg.eigh(h)
     cut = tol.cutoff(float(np.max(np.abs(w))))

@@ -11,7 +11,6 @@ in the full space; both are exposed so they can be cross-checked.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -21,9 +20,9 @@ from .linalg import (
     DEFAULT_TOL,
     ComplexMatrix,
     ToleranceConfig,
-    frobenius_norm,
-    max_abs,
     operand,
+    times_pow2,
+    unit_scaled,
 )
 from .psd import PsdDecomposition
 
@@ -62,12 +61,10 @@ def a_membership(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig = D
     defect ||Q* X N||_F, which equals ||P X (I - P)||_F for the range
     projection P, must be negligible against ||X||_F; the answer is invariant
     under A -> cA, X -> cX and unitary conjugation of (A, X).  Both norms are
-    taken by frobenius_norm, so neither underflows nor overflows at extreme
-    scales of X.
+    taken on X scaled by unit_scaled, so neither underflows nor overflows.
     """
-    x = operand(x, "X", d.a)
-    defect = frobenius_norm(d.range_basis.conj().T @ x @ d.null_basis)
-    return tol.negligible(defect, frobenius_norm(x))
+    x, _ = unit_scaled(operand(x, "X", d.a))
+    return tol.negligible(np.linalg.norm(d.range_basis.conj().T @ x @ d.null_basis), np.linalg.norm(x))
 
 
 def _is_point(svals: np.ndarray, cut: float) -> bool:
@@ -86,17 +83,18 @@ class Member:
     seminorm of X, is sigma_max(M) (0 at rank 0).  cut is the one rank test:
     lam is a point of the weighted spectrum iff sigma_min(C - lam) <= cut, and
     X is invertible iff 0 is not a point.  It is tol.cutoff(sigma_max(C)), or
-    sigma_max(C) itself when that is at most tol.rounding(dim, x_norm), the
-    rounding of forming C from X with x_norm = ||X||_F: C is then zero to
-    rounding, as when A X = 0, and every singular value is cut.  C decides
-    the cut, the points, the witness candidates and the canonical inverse;
-    every measurement, the witness checks and the mollifier included, runs on M.
+    sigma_max(C) itself when that is at most rounding = 2^k tol.rounding(dim,
+    ||X 2^-k||_F), k from unit_scaled(X), the rounding of forming C from X:
+    C is then zero to rounding, as when A X = 0, and every singular value is
+    cut.  C decides the cut, the points, the witness candidates and the
+    canonical inverse; every measurement, the witness checks and the
+    mollifier included, runs on M.  rounding is finite at every scale of X.
     """
 
     d: PsdDecomposition
     x: ComplexMatrix
     tol: ToleranceConfig
-    x_norm: float
+    rounding: float
 
     @cached_property
     def c(self) -> ComplexMatrix:
@@ -110,7 +108,7 @@ class Member:
     @cached_property
     def cut(self) -> float:
         top = float(self.svals.max(initial=0.0))
-        return top if top <= self.tol.rounding(self.d.dim, self.x_norm) else self.tol.cutoff(top)
+        return top if top <= self.rounding else self.tol.cutoff(top)
 
     @cached_property
     def m(self) -> ComplexMatrix:
@@ -134,7 +132,7 @@ class Member:
 
 
 def _require_member(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig) -> Member:
-    """X as a complex128 Member carrying ||X||_F, after the one membership decision of a public call.
+    """X as a complex128 Member with its rounding level, after the one membership decision of a public call.
 
     Raises NotMemberError for non-members.  What follows runs member-assuming
     cores and decides nothing again for matrices that are members by
@@ -143,7 +141,8 @@ def _require_member(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig)
     x = np.asarray(x, dtype=np.complex128)
     if not a_membership(d, x, tol):
         raise NotMemberError("operation requires a member, but X moves the null space of the weight")
-    return Member(d, x, tol, frobenius_norm(x))
+    s, k = unit_scaled(x)
+    return Member(d, x, tol, times_pow2(tol.rounding(d.dim, float(np.linalg.norm(s))), k))
 
 
 def membership_certificate(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> ComplexMatrix:
@@ -194,27 +193,20 @@ def _complex_gaussian(rng: np.random.Generator, shape, scale: float = 1.0) -> np
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * (scale / np.sqrt(2))
 
 
-def random_member(d: PsdDecomposition, rng: np.random.Generator, scale: float = 1.0) -> ComplexMatrix:
+def random_member(d: PsdDecomposition, rng: np.random.Generator) -> ComplexMatrix:
     """Random member for the given weight: P M P + (1-P) M' (1-P) with Gaussian M, M'.
 
     The construction keeps the null space of the weight invariant, so
     membership holds by design (up to rounding).
     """
-    m = _complex_gaussian(rng, (d.dim, d.dim), scale)
-    m2 = _complex_gaussian(rng, (d.dim, d.dim), scale)
+    m = _complex_gaussian(rng, (d.dim, d.dim))
+    m2 = _complex_gaussian(rng, (d.dim, d.dim))
     return d.proj @ m @ d.proj + d.null_proj @ m2 @ d.null_proj
-
-
-def _unit_scaled(m: ComplexMatrix) -> ComplexMatrix:
-    """m times the power of two that brings max|m| into [1/2, 1), exact but for entries that underflow.  The factor
-    goes in two halves: 2^1024 overflows, and a subnormal max|m| needs up to 2^1074."""
-    k = -math.frexp(max_abs(m))[1]
-    return m * 2.0 ** (k // 2) * 2.0 ** (k - k // 2)
 
 
 def is_a_selfadjoint(a: ComplexMatrix, x: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """True iff A X = X* A: ||AX - (AX)*||_F is negligible against ||AX||_F.  The answer is homogeneous of degree 0
-    in A and in X, so AX is formed from both scaled by _unit_scaled and cannot overflow."""
+    in A and in X, so AX is formed from both scaled by unit_scaled and cannot overflow."""
     x = operand(x, "X")
-    ax = _unit_scaled(operand(a, "A", x)) @ _unit_scaled(x)  # a mismatch reads "A's shape vs X's"
-    return tol.negligible(frobenius_norm(ax - ax.conj().T), frobenius_norm(ax))
+    ax = unit_scaled(operand(a, "A", x))[0] @ unit_scaled(x)[0]  # a mismatch reads "A's shape vs X's"
+    return tol.negligible(np.linalg.norm(ax - ax.conj().T), np.linalg.norm(ax))

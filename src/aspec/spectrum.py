@@ -41,7 +41,7 @@ from typing import Literal
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, ComplexMatrix, ToleranceConfig
+from .linalg import DEFAULT_TOL, ComplexMatrix, ToleranceConfig, times_pow2, unit_scaled
 from .psd import PsdDecomposition
 from .seminorm import Member, VectorState, _is_point, _require_member
 
@@ -217,17 +217,17 @@ def spectrum_witness(
     One svd of C - lam decides that lam is a point (else ValueError) and
     supplies the candidates: the singular vectors whose singular values pass
     the cutoff, most singular first.  Every candidate is h = Q g for a unit
-    range vector g.  Right side: g = L^(-1) v for a left singular vector v,
-    so X*(A h) = conj(lam) (A h), which makes f(A (X - lam) Y) vanish for
-    every Y.  Left side: g is a right singular vector, so C g = lam g, which
-    forces f(X*AX) = |f(AX)|^2 with f(AX) = lam.  Each candidate is verified
-    on g by _verify_witness: f(AX) = lam, and the exact supremum of
-    |f(A (X - lam) Y)| (right) or |f(A Y (X - lam))| (left) over
-    ||Y||_A <= 1, which implies the side's multiplicativity identities; both
-    are read on M at u = L^(1/2) g.  C, M and the seminorm of X are computed
-    once for all candidates, and only the returned one is lifted to h.  None
-    is returned when no searched vector state verifies (an outcome, not an
-    error).
+    range vector g, scaled by unit_scaled before it is normalized.  Right
+    side: g = L^(-1) v for a left singular vector v, so X*(A h) = conj(lam)
+    (A h), which makes f(A (X - lam) Y) vanish for every Y.  Left side: g is
+    a right singular vector, so C g = lam g, which forces f(X*AX) = |f(AX)|^2
+    with f(AX) = lam.  Each candidate is verified on g by _verify_witness:
+    f(AX) = lam, and the exact supremum of |f(A (X - lam) Y)| (right) or
+    |f(A Y (X - lam))| (left) over ||Y||_A <= 1, which implies the side's
+    multiplicativity identities; both are read on M at u = L^(1/2) g.  C, M
+    and the seminorm of X are computed once for all candidates, and only the
+    returned one is lifted to h.  None is returned when no searched vector
+    state verifies (an outcome, not an error).
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
@@ -239,7 +239,7 @@ def spectrum_witness(
     for idx in np.flatnonzero(svals <= member.cut)[::-1]:
         # (C - lam) g = 0 on the left, (C - lam)* L g = 0 on the right; a nonzero range
         # vector, so <A h, h> = g* L g >= gap > 0
-        g = vh[idx].conj() if side == "left" else u[:, idx] / lam_r
+        g = unit_scaled(vh[idx].conj() if side == "left" else u[:, idx] / lam_r)[0]
         g = g / np.linalg.norm(g)
         if _verify_witness(member, lam, side, g):
             return VectorState(h=d.range_basis @ g, weight=float(lam_r @ np.abs(g) ** 2))
@@ -255,10 +255,13 @@ def _witness_supremum(member: Member, lam: complex, side: Side, g: np.ndarray) -
     ((M - lam)* u)* M_Y u / |u|^2 and the left one u* M_Y (M - lam) u / |u|^2.
     The supremum of |a* D b| over ||D|| <= 1 is |a| |b|, so the supremum is
     |(M - lam)* u| / |u| on the right and |(M - lam) u| / |u| on the left.
+    It is read on (M 2^-k, k) = unit_scaled(M), lam 2^-k and unit_scaled(u), so
+    no norm overflows or underflows, and is scaled back by 2^k.
     """
-    u = member.d.range_sqrt * g
-    m, mu = (member.m, lam) if side == "left" else (member.m.conj().T, np.conj(lam))
-    return float(np.linalg.norm(m @ u - mu * u) / np.linalg.norm(u))
+    m, k = unit_scaled(member.m)
+    u, _ = unit_scaled(member.d.range_sqrt * g)
+    m, mu = (m, lam) if side == "left" else (m.conj().T, np.conj(lam))
+    return times_pow2(float(np.linalg.norm(m @ u - times_pow2(mu, -k) * u) / np.linalg.norm(u)), k)
 
 
 def _verify_witness(member: Member, lam: complex, side: Side, g: np.ndarray) -> bool:
@@ -266,16 +269,17 @@ def _verify_witness(member: Member, lam: complex, side: Side, g: np.ndarray) -> 
 
     The state is that of M at u = L^(1/2) g, so f(AX) = u* M u / |u|^2.
     |f(AX) - lam| must be at most rtol ||X||_A, and the supremum from
-    _witness_supremum at most rtol (||X||_A + |lam|).  That implies the side
+    _witness_supremum at most rtol (||X||_A + |lam|), all of them read times
+    2^-k on the scaled M, lam and u of _witness_supremum.  That implies the side
     identities within the bound times ||Y||_A: Y = A gives f(AXA) = lam f(A^2)
     and Y = X*A gives f(AXX*A) = lam f(AX*A) on the right, and
     Y = (X - lam)^# gives f((X - lam)* A (X - lam)) = 0 on the left.
     """
-    tol, x_norm = member.tol, member.norm
-    u = member.d.range_sqrt * g
-    if abs(complex(u.conj() @ (member.m @ u)) / np.vdot(u, u).real - lam) > tol.rtol * x_norm:
-        return False
-    return _witness_supremum(member, lam, side, g) <= tol.rtol * (x_norm + abs(lam))
+    m, k = unit_scaled(member.m)
+    u, _ = unit_scaled(member.d.range_sqrt * g)
+    rtol, x_norm, lam_abs = member.tol.rtol, times_pow2(member.norm, -k), times_pow2(abs(lam), -k)
+    gap = abs(complex(u.conj() @ (m @ u)) / np.vdot(u, u).real - times_pow2(lam, -k))
+    return gap <= rtol * x_norm and times_pow2(_witness_supremum(member, lam, side, g), -k) <= rtol * (x_norm + lam_abs)
 
 
 def convex_hull(points: list[complex], eps: float) -> list[complex]:

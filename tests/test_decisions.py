@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from aspec import invert, seminorm, spectrum
-from aspec.harness import CheckContext, _prop_annihilated_member_singular
+from aspec.douglas import NotMajorizedError, douglas_solve, power_factorize
+from aspec.harness import CheckContext, RandomInstanceSpec, _prop_annihilated_member_singular, generate_instance
 from aspec.linalg import DEFAULT_TOL
-from aspec.psd import psd_decompose
+from aspec.psd import NotPsdError, psd_decompose
 from aspec.seminorm import random_member
 
 
@@ -161,8 +162,10 @@ def test_decisions_are_invariant_under_scaling_and_unitary_conjugation():
                 xs += _defective_members(g, rank, np.random.default_rng([2026, dim, rank]))
             for x in xs:
                 u = _random_unitary(rng, dim)
-                variants = [(f"A*{c:g}", c * a, x, 1.0) for c in (1e-12, 1e-8, 1e8, 1e12)]
-                variants += [(f"X*{c:g}", a, c * x, c) for c in (1e-12, 1e-8, 1e8, 1e12)]
+                variants = [(f"A*{c:g}", c * a, x, 1.0) for c in (1e-12, 1e-8, 1e8, 1e12, 2.0**-600, 2.0**600)]
+                variants += [
+                    (f"X*{c:g}", a, c * x, c) for c in (1e-12, 1e-8, 1e8, 1e12, 2.0**-1000, 2.0**-500, 2.0**500, 2.0**1000)
+                ]
                 variants.append(("unitary", u.conj().T @ a @ u, u.conj().T @ x @ u, 1.0))
                 base, norm = _decisions(a, x)
                 for label, a2, x2, factor in variants:
@@ -176,3 +179,23 @@ def test_decisions_are_invariant_under_scaling_and_unitary_conjugation():
                     elif norm is not None and abs(norm2 - factor * norm) > 1e-7 * factor * norm:
                         failures.append((dim, rank, label, "seminorm", factor * norm, norm2))
     assert not failures, failures
+
+
+@pytest.mark.filterwarnings("error")
+def test_decisions_near_float_max_are_those_at_scale_one():
+    # the Frobenius norm of each operand overflows, so a norm taken unscaled reads inf and accepts every defect
+    a, x = generate_instance(RandomInstanceSpec(dim=4, rank=4, member_only=True, seed=3))
+    d = psd_decompose(a)
+    big = x * (1e308 / np.abs(x).max())
+    assert invert.a_invertible(d, x).invertible and invert.a_invertible(d, big).invertible
+    assert len(spectrum.a_spectrum(d, big).points) == len(spectrum.a_spectrum(d, x).points) == 4
+    d1 = psd_decompose(np.diag([1.0, 0.0]).astype(complex))
+    non_member = np.array([[0, 1.3e308], [0, 1.3e308]], dtype=complex)  # sends the null vector e2 onto the range
+    assert not seminorm.a_membership(d1, non_member)
+    with pytest.raises(NotPsdError, match="not Hermitian"):
+        psd_decompose(1.5e308 * np.array([[1, 1, 0], [0, 1, 0], [0, 0, 1]], dtype=complex))
+    with pytest.raises(NotMajorizedError):
+        douglas_solve(non_member, d1.a)  # N(Y) = span(e2), which X does not annihilate
+    # an error message past float max reads inf, and raises nothing else
+    with pytest.raises(ValueError, match="not dominated by B .eigenvalue defect -inf"):
+        power_factorize(non_member, d1, 0.25)

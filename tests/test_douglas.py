@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from aspec.douglas import NotMajorizedError, douglas_solve, power_factorize
-from aspec.linalg import DEFAULT_TOL, approx_equal, frobenius_norm
+from aspec.linalg import DEFAULT_TOL, approx_equal, times_pow2, unit_scaled
 from aspec.psd import psd_decompose
 
 from conftest import cdiag, cmat
@@ -133,4 +133,6 @@ def test_douglas_decides_and_solves_from_one_svd(monkeypatch):
                         continue
                     z = douglas_solve(x * sx, y * sy)
                     ref = (x * sx @ pinv(y * sy, rcond=DEFAULT_TOL.rank_rtol)).conj().T
-                    assert frobenius_norm(z - ref) <= 1e-12 * frobenius_norm(ref)
+                    # both sides times the same power of two, so neither norm overflows or underflows
+                    scaled, k = unit_scaled(ref)
+                    assert np.linalg.norm(times_pow2(z - ref, -k)) <= 1e-12 * np.linalg.norm(scaled)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from aspec.harness import RandomInstanceSpec, generate_instance
 from aspec.invert import ConvergenceError, a_invertible, neumann_a_inverse, thvn_certificate
 from aspec.linalg import DEFAULT_TOL, ToleranceConfig, approx_equal, max_abs
 from aspec.psd import psd_decompose
@@ -202,6 +203,17 @@ def test_thvn_fails_for_non_invertible(d_rank2):
     assert thvn_certificate(d_rank2, cmat([[0, 1, 0], [0, 0, 0], [0, 0, 5]])) is None
     with pytest.raises(NotMemberError):
         thvn_certificate(psd_decompose(cdiag(1, 0)), cmat([[0, 1], [0, 0]]))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e160, 1e200])
+def test_thvn_certificate_exists_exactly_when_invertible_at_extreme_scales(scale):
+    # the squared constants leave float range here; squared by multiplication they read inf, and raise nothing
+    a, x = generate_instance(RandomInstanceSpec(dim=4, rank=3, member_only=True, seed=3))
+    d = psd_decompose(a)
+    invertible = a_invertible(d, x * scale).invertible
+    assert invertible == a_invertible(d, x).invertible
+    assert (thvn_certificate(d, x * scale) is not None) == invertible
 
 
 def test_thvn_inequalities_and_equivalence():

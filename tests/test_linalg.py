@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import re
 
 import numpy as np
@@ -17,8 +18,10 @@ from aspec.linalg import (
     ShapeError,
     ToleranceConfig,
     approx_equal,
-    frobenius_norm,
+    max_abs,
     read_matrix,
+    times_pow2,
+    unit_scaled,
     write_matrix,
 )
 from aspec.psd import psd_decompose
@@ -198,12 +201,30 @@ def test_approx_equal_reflexive_symmetric(m, n):
     assert approx_equal(m, n) == approx_equal(n, m)
 
 
-def test_frobenius_norm_is_exact_to_rounding_at_every_scale():
-    m = np.array([[3, 4j], [0, -12]], dtype=np.complex128)  # ||M||_F = 13
-    for scale in (1.0, 2.0**-1000, 1e-170, 1e160, 2.0**1000, 2.0**-1030, 2.0**-1070):
-        assert frobenius_norm(scale * m) == pytest.approx(13 * scale, rel=1e-15)
-    # a complex entry whose modulus is subnormal: a complex division by that modulus overflows to NaN
-    for scale in (2.0**-1030, 2.0**-1040, 2.0**-1070):
-        assert frobenius_norm(np.array([[3 + 4j, 0], [0, 0]]) * scale) == 5 * scale
-    assert frobenius_norm(np.zeros((2, 2), dtype=np.complex128)) == 0.0
-    assert frobenius_norm(np.zeros((0, 0), dtype=np.complex128)) == 0.0
+@pytest.mark.filterwarnings("error")
+def test_unit_scaled_and_times_pow2_are_exact_at_every_scale():
+    m = np.array([[3, 4j], [0, -12]], dtype=np.complex128)  # max|M| = 12 = 0.75 * 2^4
+    for e in (0, 1, -1, 500, -1000, 1010, -1070):  # at 2^-1070 every entry is subnormal, but a multiple of 2^-1074
+        scaled, k = unit_scaled(m * 2.0**e)
+        assert k == 4 + e
+        assert np.array_equal(scaled, m / 16)
+        assert 0.5 <= max_abs(scaled) < 1
+        assert np.array_equal(times_pow2(scaled, k), m * 2.0**e)
+    # exact powers of two across the whole range, each factor in two halves; a Python float reads inf past float max
+    assert times_pow2(1.0, -1074) == 5e-324 and times_pow2(5e-324, 1074) == 1.0
+    assert times_pow2(5e-324, 2046) == 2.0**972 and times_pow2(1.5, 1023) == 1.5 * 2.0**1023
+    assert times_pow2(3.0, -1) == 1.5 and times_pow2(1.0, 1024) == math.inf
+    # the zero matrix keeps k = 0
+    zero, k = unit_scaled(np.zeros((2, 2), dtype=np.complex128))
+    assert k == 0 and not zero.any()
+    # a subnormal maximum, also as the modulus of a complex entry
+    subnormal = ((np.diag([2.0**-1074, 3 * 2.0**-1074]), -1072, 0.75), (np.diag([(3 + 4j) * 2.0**-1070, 0]), -1067, 0.625))
+    for sub, k_sub, top in subnormal:
+        scaled, k = unit_scaled(sub.astype(np.complex128))
+        assert k == k_sub and max_abs(scaled) == top
+        assert np.array_equal(times_pow2(scaled, k), sub)
+    # a maximum near float max: the entries 2^1000 below it underflow, as documented
+    big = np.array([[1.7e308, -1e308j], [1e-300, 0]])
+    scaled, k = unit_scaled(big)
+    assert k == 1024 and 0.5 <= max_abs(scaled) < 1
+    assert np.array_equal(times_pow2(scaled[0], k), big[0]) and scaled[1, 0] == 0
