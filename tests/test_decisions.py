@@ -163,9 +163,8 @@ def test_decisions_are_invariant_under_scaling_and_unitary_conjugation():
             for x in xs:
                 u = _random_unitary(rng, dim)
                 variants = [(f"A*{c:g}", c * a, x, 1.0) for c in (1e-12, 1e-8, 1e8, 1e12, 2.0**-600, 2.0**600)]
-                variants += [
-                    (f"X*{c:g}", a, c * x, c) for c in (1e-12, 1e-8, 1e8, 1e12, 2.0**-1000, 2.0**-500, 2.0**500, 2.0**1000)
-                ]
+                x_scales = (1e-12, 1e-8, 1e8, 1e12, 2.0**-1000, 2.0**-500, 2.0**500, 2.0**1000)
+                variants += [(f"X*{c:g}", a, c * x, c) for c in x_scales]
                 variants.append(("unitary", u.conj().T @ a @ u, u.conj().T @ x @ u, 1.0))
                 base, norm = _decisions(a, x)
                 for label, a2, x2, factor in variants:

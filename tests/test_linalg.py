@@ -218,7 +218,10 @@ def test_unit_scaled_and_times_pow2_are_exact_at_every_scale():
     zero, k = unit_scaled(np.zeros((2, 2), dtype=np.complex128))
     assert k == 0 and not zero.any()
     # a subnormal maximum, also as the modulus of a complex entry
-    subnormal = ((np.diag([2.0**-1074, 3 * 2.0**-1074]), -1072, 0.75), (np.diag([(3 + 4j) * 2.0**-1070, 0]), -1067, 0.625))
+    subnormal = (
+        (np.diag([2.0**-1074, 3 * 2.0**-1074]), -1072, 0.75),
+        (np.diag([(3 + 4j) * 2.0**-1070, 0]), -1067, 0.625),  # |3 + 4i| 2^-1070 = 0.625 2^-1067
+    )
     for sub, k_sub, top in subnormal:
         scaled, k = unit_scaled(sub.astype(np.complex128))
         assert k == k_sub and max_abs(scaled) == top
