@@ -32,9 +32,9 @@ class MatrixFormatError(ValueError):
 class ToleranceConfig:
     """Single tolerance policy threaded through all modules.
 
-    Each yes/no decision compares a defect with a unitarily invariant scale
-    of its own operand, both read on unit_scaled(operand), so no scaling
-    changes an answer; only entries 2^1000 below the largest underflow.
+    Each yes/no decision compares a defect with a unitarily invariant scale of
+    its own operand, both read on unit_scaled(operand).  Entries more than about
+    2^1000 below an operand's largest entry underflow to zero; nothing else changes with scale.
     rtol: a defect is negligible when at most rtol times that scale.
     rank_rtol: singular values and eigenvalues at most rank_rtol times the
         largest are exactly zero everywhere; lam is a spectrum point iff

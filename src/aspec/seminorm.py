@@ -205,8 +205,8 @@ def random_member(d: PsdDecomposition, rng: np.random.Generator) -> ComplexMatri
 
 
 def is_a_selfadjoint(a: ComplexMatrix, x: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """True iff A X = X* A: ||AX - (AX)*||_F is negligible against ||AX||_F.  The answer is homogeneous of degree 0
-    in A and in X, so AX is formed from both scaled by unit_scaled and cannot overflow."""
+    """True iff A X = X* A: ||AX - (AX)*||_F is negligible against ||AX||_F, degree 0 in A and in X, so both norms
+    read AX formed from unit_scaled A and X and then unit_scaled itself: none overflows or underflows to 0 <= 0."""
     x = operand(x, "X")
-    ax = unit_scaled(operand(a, "A", x))[0] @ unit_scaled(x)[0]  # a mismatch reads "A's shape vs X's"
+    ax = unit_scaled(unit_scaled(operand(a, "A", x))[0] @ unit_scaled(x)[0])[0]  # a mismatch reads "A's shape vs X's"
     return tol.negligible(np.linalg.norm(ax - ax.conj().T), np.linalg.norm(ax))

@@ -255,31 +255,33 @@ def _witness_supremum(member: Member, lam: complex, side: Side, g: np.ndarray) -
     ((M - lam)* u)* M_Y u / |u|^2 and the left one u* M_Y (M - lam) u / |u|^2.
     The supremum of |a* D b| over ||D|| <= 1 is |a| |b|, so the supremum is
     |(M - lam)* u| / |u| on the right and |(M - lam) u| / |u| on the left.
-    It is read on (M 2^-k, k) = unit_scaled(M), lam 2^-k and unit_scaled(u), so
-    no norm overflows or underflows, and is scaled back by 2^k.
     """
+    _, sup, k = _scaled_witness(member, lam, side, g)
+    return times_pow2(sup, k)
+
+
+def _scaled_witness(member: Member, lam: complex, side: Side, g: np.ndarray) -> tuple[float, float, int]:
+    """(|f(AX) - lam| 2^-k, _witness_supremum 2^-k, k) for (M 2^-k, k) = unit_scaled(M), read on M 2^-k, lam 2^-k
+    and unit_scaled(u), so that no norm overflows or underflows."""
     m, k = unit_scaled(member.m)
-    u, _ = unit_scaled(member.d.range_sqrt * g)
+    u, lam = unit_scaled(member.d.range_sqrt * g)[0], times_pow2(lam, -k)
+    gap = abs(complex(u.conj() @ (m @ u)) / np.vdot(u, u).real - lam)
     m, mu = (m, lam) if side == "left" else (m.conj().T, np.conj(lam))
-    return times_pow2(float(np.linalg.norm(m @ u - times_pow2(mu, -k) * u) / np.linalg.norm(u)), k)
+    return gap, float(np.linalg.norm(m @ u - mu * u) / np.linalg.norm(u)), k
 
 
 def _verify_witness(member: Member, lam: complex, side: Side, g: np.ndarray) -> bool:
     """f(AX) = lam and the annihilation supremum for the state of h = Q g, each within rtol of its size.
 
-    The state is that of M at u = L^(1/2) g, so f(AX) = u* M u / |u|^2.
-    |f(AX) - lam| must be at most rtol ||X||_A, and the supremum from
-    _witness_supremum at most rtol (||X||_A + |lam|), all of them read times
-    2^-k on the scaled M, lam and u of _witness_supremum.  That implies the side
-    identities within the bound times ||Y||_A: Y = A gives f(AXA) = lam f(A^2)
-    and Y = X*A gives f(AXX*A) = lam f(AX*A) on the right, and
+    The state is that of M at u = L^(1/2) g, so f(AX) = u* M u / |u|^2.  |f(AX) - lam| must be at most
+    rtol ||X||_A, and the supremum from _witness_supremum at most rtol (||X||_A + |lam|), all compared times
+    the 2^-k of _scaled_witness.  That implies the side identities within the bound times ||Y||_A: Y = A
+    gives f(AXA) = lam f(A^2) and Y = X*A gives f(AXX*A) = lam f(AX*A) on the right, and
     Y = (X - lam)^# gives f((X - lam)* A (X - lam)) = 0 on the left.
     """
-    m, k = unit_scaled(member.m)
-    u, _ = unit_scaled(member.d.range_sqrt * g)
-    rtol, x_norm, lam_abs = member.tol.rtol, times_pow2(member.norm, -k), times_pow2(abs(lam), -k)
-    gap = abs(complex(u.conj() @ (m @ u)) / np.vdot(u, u).real - times_pow2(lam, -k))
-    return gap <= rtol * x_norm and times_pow2(_witness_supremum(member, lam, side, g), -k) <= rtol * (x_norm + lam_abs)
+    gap, sup, k = _scaled_witness(member, lam, side, g)
+    rtol, x_norm = member.tol.rtol, times_pow2(member.norm, -k)
+    return gap <= rtol * x_norm and sup <= rtol * (x_norm + times_pow2(abs(lam), -k))
 
 
 def convex_hull(points: list[complex], eps: float) -> list[complex]:

@@ -170,6 +170,8 @@ def test_is_a_selfadjoint():
     assert is_a_selfadjoint(eye, cmat([[1, 2], [2, 0]]))
     assert is_a_selfadjoint(cdiag(1, 0), cmat([[1, 0], [7, 2]]))
     assert not is_a_selfadjoint(eye, cmat([[0, 1], [0, 0]]))
+    # A X = [[0, e], [0, 0]] is far below A and X: its norms must not underflow to the 0 <= 0 that accepts
+    assert not is_a_selfadjoint(cdiag(1, 0), cmat([[0, 1e-170], [0, 1]]))
 
 
 @pytest.mark.filterwarnings("error")

@@ -1041,6 +1041,20 @@ def test_witness_supremum_implies_the_side_identities():
     assert checked > 1500, checked
 
 
+@pytest.mark.filterwarnings("error")
+def test_witness_is_rejected_where_the_supremum_is_subnormal():
+    # A = I and X = t diag(1, 2): at t = 2^-1072 max|M| is subnormal.  h = e1 + 1e-5 e2 gives f(AX) = lam = t to
+    # 1e-10 t but a supremum of about 1e-5 t, far above the bound, which read at 2^-1072 would round to 0 and pass
+    d = psd_decompose(np.eye(2, dtype=complex))
+    q = d.range_basis
+    h = np.array([1, 1e-5], dtype=complex) / np.linalg.norm([1, 1e-5])
+    for t in (1.0, 2.0**-1072):
+        member = _require_member(d, t * np.diag([1, 2]).astype(complex), DEFAULT_TOL)
+        for side in ("left", "right"):
+            assert _verify_witness(member, t, side, q.conj().T @ np.array([1, 0], dtype=complex)), (t, side)
+            assert not _verify_witness(member, t, side, q.conj().T @ h), (t, side)
+
+
 def test_witness_perturbed_by_1e6_is_rejected_at_every_scale():
     # at rank 1 every range vector gives the same state, so the perturbations start at rank 2
     rng = np.random.default_rng(71)
