@@ -205,17 +205,18 @@ class CheckContext:
 
 def _prop_psd_roundtrip(ctx: CheckContext):
     dec = ctx.weight()
-    ctx.check_matrix(dec.sqrt @ dec.sqrt, dec.a, "sqrt^2")
-    ctx.check_matrix(dec.quarter @ dec.quarter, dec.sqrt, "quarter^2")
-    ctx.check_matrix(dec.a @ dec.pinv @ dec.a, dec.a, "A pinv A")
-    ctx.check_matrix(dec.pinv @ dec.a @ dec.pinv, dec.pinv, "pinv A pinv")
-    ctx.check_matrix(dec.a @ dec.pinv, dec.proj, "A pinv = proj")
-    ctx.check_matrix(dec.proj @ dec.proj, dec.proj, "proj idempotent")
-    ctx.check_matrix(dec.proj, dec.proj.conj().T, "proj Hermitian")
-    ctx.check_matrix(dec.proj @ dec.a, dec.a, "proj A = A")
-    ctx.check_matrix(dec.a @ dec.proj, dec.a, "A proj = A")
-    ctx.check_matrix(dec.pinv, dec.pinv.conj().T, "pinv Hermitian")
-    eigs = np.linalg.eigvalsh(dec.pinv)
+    sqrt, quarter, pinv, proj = (dec.power(s) for s in (0.5, 0.25, -1, 0))
+    ctx.check_matrix(sqrt @ sqrt, dec.a, "sqrt^2")
+    ctx.check_matrix(quarter @ quarter, sqrt, "quarter^2")
+    ctx.check_matrix(dec.a @ pinv @ dec.a, dec.a, "A pinv A")
+    ctx.check_matrix(pinv @ dec.a @ pinv, pinv, "pinv A pinv")
+    ctx.check_matrix(dec.a @ pinv, proj, "A pinv = proj")
+    ctx.check_matrix(proj @ proj, proj, "proj idempotent")
+    ctx.check_matrix(proj, proj.conj().T, "proj Hermitian")
+    ctx.check_matrix(proj @ dec.a, dec.a, "proj A = A")
+    ctx.check_matrix(dec.a @ proj, dec.a, "A proj = A")
+    ctx.check_matrix(pinv, pinv.conj().T, "pinv Hermitian")
+    eigs = np.linalg.eigvalsh(pinv)
     ctx.check(float(eigs[0]) >= -ctx.tol.atol, f"pinv eigenvalue {eigs[0]:.3e}", "pinv PSD")
     ctx.check(dec.gap > 0 or dec.rank == 0, f"gap {dec.gap}", "positive gap for nonzero weight")
 
@@ -224,7 +225,7 @@ def _prop_psd_null_space_stability(ctx: CheckContext):
     dec = ctx.weight()
     for s in (0.25, 0.5, 2.0):
         ps = psd_decompose(fractional_power(dec, s), ctx.tol)
-        ctx.check_matrix(ps.proj, dec.proj, f"range projection of power {s}")
+        ctx.check_matrix(ps.power(0), dec.power(0), f"range projection of power {s}")
         ctx.check(ps.rank == dec.rank, f"rank of power {s} = {ps.rank}", f"rank {dec.rank}")
 
 
@@ -285,9 +286,9 @@ def _prop_membership_certificate(ctx: CheckContext):
     dec = ctx.weight()
     x = ctx.member(dec)
     u = membership_certificate(dec, x, ctx.tol)
-    ctx.check_matrix(dec.sqrt @ x, u @ dec.quarter, "A^(1/2) X = U A^(1/4)")
+    ctx.check_matrix(dec.power(0.5) @ x, u @ dec.power(0.25), "A^(1/2) X = U A^(1/4)")
     c = a_seminorm(dec, x, ctx.tol).value ** 2
-    ctx.check_psd_dominates(c * dec.sqrt, u.conj().T @ u, "U*U <= c A^(1/2)")
+    ctx.check_psd_dominates(c * dec.power(0.5), u.conj().T @ u, "U*U <= c A^(1/2)")
 
 
 def _prop_membership_rejects(ctx: CheckContext):
@@ -356,21 +357,22 @@ def _prop_seminorm_submultiplicative(ctx: CheckContext):
 
 def _prop_seminorm_zero_law(ctx: CheckContext):
     dec = ctx.weight()
-    m = _complex_gaussian(ctx.rng, (ctx.dim, ctx.dim))
-    x0 = dec.null_proj @ m @ dec.null_proj
+    null_proj = np.eye(ctx.dim) - dec.power(0)
+    x0 = null_proj @ _complex_gaussian(ctx.rng, (ctx.dim, ctx.dim)) @ null_proj
     ctx._record("x", x0)
     val = a_seminorm(dec, x0, ctx.tol)
     ctx.check(val.finite and val.value <= ctx.slack(0.0), f"seminorm {val.value}", "0 for AX = 0")
     ctx.check(max_abs(dec.a @ x0) <= ctx.tol.atol + ctx.tol.rtol * max_abs(x0), f"|AX| = {max_abs(dec.a @ x0):.3e}", "0")
     if dec.rank:
-        vp = a_seminorm(dec, dec.proj, ctx.tol)
+        vp = a_seminorm(dec, dec.power(0), ctx.tol)
         ctx.check(abs(vp.value - 1.0) <= ctx.slack(1.0), f"seminorm of proj {vp.value}", "1")
 
 
 def _prop_annihilated_member_singular(ctx: CheckContext, rank: int | None = None):
     # A X = 0 at 0 < rank < dim (X = 0 at dim 1): A X Y = 0 != A for every Y, so 0 is the one point
     dec = ctx.weight(rank=int(ctx.rng.integers(1, max(2, ctx.dim))) if rank is None else rank)
-    x0 = dec.null_proj @ _complex_gaussian(ctx.rng, (ctx.dim, ctx.dim)) @ dec.null_proj
+    null_proj = np.eye(ctx.dim) - dec.power(0)
+    x0 = null_proj @ _complex_gaussian(ctx.rng, (ctx.dim, ctx.dim)) @ null_proj
     ctx._record("x", x0)
     u, _ = np.linalg.qr(_complex_gaussian(ctx.rng, (ctx.dim, ctx.dim)))
     ctx._record("u", u)
@@ -468,7 +470,8 @@ def _prop_invert_non_uniqueness(ctx: CheckContext):
     res = a_invertible(dec, x, ctx.tol)
     if not res.invertible:
         return
-    z = dec.null_proj @ _complex_gaussian(ctx.rng, (ctx.dim, ctx.dim)) @ dec.null_proj
+    null_proj = np.eye(ctx.dim) - dec.power(0)
+    z = null_proj @ _complex_gaussian(ctx.rng, (ctx.dim, ctx.dim)) @ null_proj
     _inverse_identities(ctx, dec, x, res.canonical + z, "canonical + null-supported Z")
 
 
@@ -476,7 +479,7 @@ def _prop_invert_compression_equivalence(ctx: CheckContext):
     dec = ctx.weight()
     x = ctx.member(dec)
     base = a_invertible(dec, x, ctx.tol).invertible
-    for label, variant in (("XP", x @ dec.proj), ("PX", dec.proj @ x)):
+    for label, variant in (("XP", x @ dec.power(0)), ("PX", dec.power(0) @ x)):
         got = a_invertible(dec, variant, ctx.tol).invertible
         ctx.check(got == base, f"{label} invertible: {got}", f"{base}")
 
@@ -487,8 +490,8 @@ def _prop_invert_duality(ctx: CheckContext):
     res = a_invertible(dec, x, ctx.tol)
     if not res.invertible:
         return
-    w = dec.sqrt_pinv @ x.conj().T @ dec.sqrt
-    r = dec.sqrt_pinv @ res.canonical.conj().T @ dec.sqrt
+    sqrt, sqrt_pinv = dec.power(0.5), dec.power(-0.5)
+    w, r = (sqrt_pinv @ z.conj().T @ sqrt for z in (x, res.canonical))
     _inverse_identities(ctx, dec, w, r, "transported pair (W, R)")
 
 
@@ -511,7 +514,7 @@ def _prop_spectrum_compression(ctx: CheckContext):
     dec = ctx.weight()
     x = ctx.member(dec)
     spec = a_spectrum(dec, x, ctx.tol)
-    px = dec.proj @ x
+    px = dec.power(0) @ x
     scale = float(np.linalg.norm(px, 2))
     radius = 10 * ctx.tol.atol + ctx.tol.rtol * max(1.0, scale)
     eigs = [complex(z) for z in np.linalg.eigvals(px) if abs(z) > radius]

@@ -62,10 +62,9 @@ def _invert(member: Member) -> AInverseResult:
     """Invertibility of a member and, when it holds, both inverses."""
     if member.singular:
         return AInverseResult(invertible=False)
-    d = member.d
-    q = d.range_basis
+    q = member.d.range_basis
     canonical = q @ np.linalg.inv(member.c) @ q.conj().T
-    return AInverseResult(invertible=True, canonical=canonical, invertible_form=canonical + d.null_proj)
+    return AInverseResult(invertible=True, canonical=canonical, invertible_form=canonical + (np.eye(len(q)) - member.d.power(0)))
 
 
 def a_invertible(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> AInverseResult:
@@ -121,7 +120,7 @@ def neumann_a_inverse(
         total = total + term
     else:
         raise ConvergenceError(f"series still above atol after {max_terms} terms")
-    return d.lift(total) + d.null_proj
+    return d.lift(total) + (np.eye(d.dim) - d.power(0))
 
 
 def thvn_certificate(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> ThvnCertificate | None:
@@ -131,6 +130,8 @@ def thvn_certificate(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig
     the pencil (X*AX, A) on the range, in closed form.  alpha =
     1 / sigma_min(C)^2, from the singular values that also decide
     invertibility; it is the top eigenvalue of the pencil (A^2, A X X* A).
+    c and alpha are degree +-2 in X, so outside about 1e+-154 they leave float
+    range: c reads inf, alpha inf or 0.  That is their size, not a defect.
     Raises NotMemberError for non-members.
     """
     member = _require_member(d, x, tol)

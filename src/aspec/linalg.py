@@ -155,7 +155,8 @@ def max_abs(m: ComplexMatrix) -> float:
 
 def unit_scaled(m: ComplexMatrix) -> tuple[ComplexMatrix, int]:
     """(m 2^-k, k) for the frexp exponent k of max|m|, so that max|m 2^-k| lies in [1/2, 1) (k = 0 for m = 0)."""
-    k = math.frexp(max_abs(m))[1]
+    top = max_abs(m)  # inf for a finite complex entry of modulus past float max: k is then read on m/2
+    k = math.frexp(top)[1] if top < math.inf else math.frexp(max_abs(m * 0.5))[1] + 1
     return times_pow2(m, -k), k
 
 

@@ -1,9 +1,11 @@
-"""Validation of the PSD weight and its derived spectral objects.
+"""Validation of the PSD weight and its spectral calculus.
 
-One eigendecomposition of the weight is computed and cached; every derived
-matrix (fractional powers, pseudoinverse, range projection) comes from the
-same eigenpairs, so Moore-Penrose identities hold to rounding error rather
-than to a tolerance stack.
+One eigendecomposition of the weight is computed and kept, with its
+rank-sized views: the range and null bases and the retained eigenvalues.  No
+n x n matrix is cached.  power(s) forms A^s from the eigenpairs, so A^0 is the
+range projection, A^-1 the pseudoinverse and I - A^0 the null projection, and
+Moore-Penrose identities hold to rounding error rather than to a tolerance
+stack; lift(R) carries a rank x rank form back to n x n.
 """
 
 from __future__ import annotations
@@ -22,11 +24,12 @@ class NotPsdError(ValueError):
 
 @dataclass(frozen=True)
 class PsdDecomposition:
-    """Cached spectral data of a PSD weight.
+    """The eigenpairs of a PSD weight and their rank-sized views.
 
     Eigenvalues below the rank cutoff are hard-zeroed, so ``rank``, ``gap``
     and every derived matrix agree on which directions count as the range.
-    The derived matrices are built from the eigenpairs on first use.
+    power(s) and lift(R) are the two routes to an n x n matrix; each forms
+    it anew from the eigenpairs.
     """
 
     a: ComplexMatrix
@@ -70,36 +73,6 @@ class PsdDecomposition:
         """Q L^(-1/2) R L^(1/2) Q*: the n x n matrix, zero on the null space, whose similar form is R."""
         q, s = self.range_basis, self.range_sqrt
         return (q / s) @ r @ (s[:, None] * q.conj().T)
-
-    @cached_property
-    def sqrt(self) -> ComplexMatrix:
-        """A^(1/2)."""
-        return self.power(0.5)
-
-    @cached_property
-    def quarter(self) -> ComplexMatrix:
-        """A^(1/4)."""
-        return self.power(0.25)
-
-    @cached_property
-    def pinv(self) -> ComplexMatrix:
-        """Moore-Penrose pseudoinverse A^dagger."""
-        return self.power(-1)
-
-    @cached_property
-    def sqrt_pinv(self) -> ComplexMatrix:
-        """(A^(1/2))^dagger."""
-        return self.power(-0.5)
-
-    @cached_property
-    def proj(self) -> ComplexMatrix:
-        """Orthogonal projection onto the range."""
-        return self.power(0)
-
-    @cached_property
-    def null_proj(self) -> ComplexMatrix:
-        """Orthogonal projection onto the null space, I - P."""
-        return np.eye(self.dim) - self.proj
 
 
 def psd_decompose(a: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> PsdDecomposition:

@@ -148,10 +148,10 @@ def _require_member(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig)
 def membership_certificate(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> ComplexMatrix:
     """Certificate U with A^(1/2) X = U A^(1/4) and U*U <= c A^(1/2), c the squared seminorm.
 
-    Raises NotMemberError when X is not a member.
+    U = Q (L^(1/2) C L^(-1/4)) Q*, from the member's C.  Raises NotMemberError when X is not a member.
     """
-    x = _require_member(d, x, tol).x
-    return d.sqrt @ x @ d.power(-0.25)
+    q, s = d.range_basis, d.range_sqrt
+    return (q * s) @ _require_member(d, x, tol).c @ (q / np.sqrt(s)).conj().T
 
 
 def a_seminorm(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> ASeminormValue:
@@ -170,22 +170,23 @@ def a_seminorm_oracle(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfi
     range of the weight, evaluated as the top eigenvalue of
     (A^(1/2))^dagger X*AX (A^(1/2))^dagger.  The supremum over all states is
     attained at a vector state, so this equals the seminorm for members.
+    X*AX is degree 2 in X: it is formed on unit_scaled(X), and the root scaled back, so nothing overflows.
     """
-    x = _require_member(d, x, tol).x
-    gram = d.sqrt_pinv @ (x.conj().T @ d.a @ x) @ d.sqrt_pinv
+    x, k = unit_scaled(_require_member(d, x, tol).x)
+    r = d.power(-0.5)
+    gram = r @ (x.conj().T @ d.a @ x) @ r
     gram = (gram + gram.conj().T) / 2
     mu_max = float(np.max(np.linalg.eigvalsh(gram)))
-    return float(np.sqrt(max(mu_max, 0.0)))
+    return float(times_pow2(np.sqrt(max(mu_max, 0.0)), k))
 
 
 def a_adjoint(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> ComplexMatrix:
     """Canonical weighted adjoint A^dagger X* A, satisfying A X = (adjoint)* A.
 
-    Weighted adjoints are not unique; this pins the representative supported
-    on the range of the weight.  Raises NotMemberError for non-members.
+    Weighted adjoints are not unique; this pins the representative supported on the range of the
+    weight, lift(M*) = Q L^-1 C* L Q* from the member's M.  Raises NotMemberError for non-members.
     """
-    x = _require_member(d, x, tol).x
-    return d.pinv @ x.conj().T @ d.a
+    return d.lift(_require_member(d, x, tol).m.conj().T)
 
 
 def _complex_gaussian(rng: np.random.Generator, shape, scale: float = 1.0) -> np.ndarray:
@@ -199,9 +200,10 @@ def random_member(d: PsdDecomposition, rng: np.random.Generator) -> ComplexMatri
     The construction keeps the null space of the weight invariant, so
     membership holds by design (up to rounding).
     """
-    m = _complex_gaussian(rng, (d.dim, d.dim))
-    m2 = _complex_gaussian(rng, (d.dim, d.dim))
-    return d.proj @ m @ d.proj + d.null_proj @ m2 @ d.null_proj
+    m, m2 = (_complex_gaussian(rng, (d.dim, d.dim)) for _ in range(2))
+    p = d.power(0)
+    n = np.eye(d.dim) - p
+    return p @ m @ p + n @ m2 @ n
 
 
 def is_a_selfadjoint(a: ComplexMatrix, x: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> bool:

@@ -9,7 +9,7 @@ import pytest
 from aspec import invert, seminorm, spectrum
 from aspec.douglas import NotMajorizedError, douglas_solve, power_factorize
 from aspec.harness import CheckContext, RandomInstanceSpec, _prop_annihilated_member_singular, generate_instance
-from aspec.linalg import DEFAULT_TOL
+from aspec.linalg import DEFAULT_TOL, max_abs, unit_scaled
 from aspec.psd import NotPsdError, psd_decompose
 from aspec.seminorm import random_member
 
@@ -104,7 +104,7 @@ def test_small_compression_above_rounding_stays_invertible():
     # 1e-11, and so are XP and PX, which have the same compression
     d = psd_decompose(np.diag([1.0, 0.0]).astype(np.complex128))
     x = np.diag([1e-11, 1.0]).astype(np.complex128)
-    for y in (x, x @ d.proj, d.proj @ x):
+    for y in (x, x @ d.power(0), d.power(0) @ x):
         assert invert.a_invertible(d, y).invertible
         assert invert.thvn_certificate(d, y) is not None
         (point,) = spectrum.a_spectrum(d, y).points
@@ -198,3 +198,9 @@ def test_decisions_near_float_max_are_those_at_scale_one():
     # an error message past float max reads inf, and raises nothing else
     with pytest.raises(ValueError, match="not dominated by B .eigenvalue defect -inf"):
         power_factorize(non_member, d1, 0.25)
+    # both parts of 1.3e308 (1 + i) are finite, but its modulus is not: the scaling reads it on X / 2
+    z = 1.3e308 + 1.3e308j
+    scaled, k = unit_scaled(np.array([[z, 0], [0, 1]]))
+    assert k == 1025 and 0.5 <= max_abs(scaled) < 1
+    assert seminorm.a_membership(d1, np.array([[z, 0], [0, 1]]))
+    assert seminorm.a_seminorm(d1, np.array([[0, z], [0, 1]])) == seminorm.ASeminormValue(finite=False)

@@ -82,6 +82,7 @@ def test_algebra_additive_inverse():
     zero = x - x
     assert zero.odd_branch.is_zero and zero.even_branch.is_zero
     assert zero.value_at_zero == 0
+    assert -x == parse_element("odd=-1/(2*n-1);even=-1/(2*n)") and -x + x == zero
 
 
 def test_algebra_pointwise_square():
@@ -147,6 +148,15 @@ def test_classify_no_solution():
     zero_even = parse_element("odd=1;even=0")
     weight = parse_element("odd=1;even=1")
     assert a_inverse_classify(weight, zero_even).verdict is Verdict.NO_SOLUTION
+    # x vanishes at the integer point n = 1 of the odd branch, where a does not
+    assert a_inverse_classify(weight, parse_element("odd=n-1;even=1")).verdict is Verdict.NO_SOLUTION
+
+
+def test_classify_refuses_a_forced_pole_off_the_support():
+    # a and x both vanish at n = 1 of the odd branch: the forced 1/(n-1) has a pole the two-branch model cannot hold
+    x = parse_element("odd=n-1;even=1")
+    with pytest.raises(ValueError, match="pole at n=1 off the support"):
+        a_inverse_classify(x, x)
 
 
 def test_classify_bounded_discontinuous():

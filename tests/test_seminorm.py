@@ -62,9 +62,9 @@ def test_membership_certificate_identities():
         d = psd_decompose((g * vals) @ g.conj().T)
         x = random_member(d, rng)
         u = membership_certificate(d, x)
-        assert approx_equal(d.sqrt @ x, u @ d.quarter)
+        assert approx_equal(d.power(0.5) @ x, u @ d.power(0.25))
         c = a_seminorm(d, x).value ** 2
-        assert np.min(np.linalg.eigvalsh(c * d.sqrt - u.conj().T @ u)) >= -1e-8 * max(1.0, c)
+        assert np.min(np.linalg.eigvalsh(c * d.power(0.5) - u.conj().T @ u)) >= -1e-8 * max(1.0, c)
 
 
 def test_certificate_refuses_non_member(d_rank1):
@@ -119,6 +119,16 @@ def test_seminorm_oracle_examples(d_rank1):
     assert a_seminorm_oracle(d_ones, np.eye(2, dtype=complex)) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e160, 1e300, 1e-300])
+def test_oracle_matches_the_seminorm_where_x_star_a_x_leaves_float_range(scale):
+    # X*AX is degree 2 in X: formed unscaled it overflows from about X * 1e154 on and underflows to 0 at X * 1e-300
+    a, x = generate_instance(RandomInstanceSpec(dim=4, rank=3, member_only=True, seed=3))
+    d = psd_decompose(a)
+    value = a_seminorm(d, x * scale).value
+    assert np.isfinite(value) and a_seminorm_oracle(d, x * scale) == pytest.approx(value, rel=1e-12, abs=0)
+
+
 def test_oracle_matches_closed_form():
     rng = np.random.default_rng(17)
     for _ in range(25):
@@ -157,7 +167,7 @@ def test_adjoint_diagonal_weight(d_rank1):
 
 
 def test_adjoint_of_projection_is_projection(d_rank1):
-    assert approx_equal(a_adjoint(d_rank1, d_rank1.proj), d_rank1.proj)
+    assert approx_equal(a_adjoint(d_rank1, d_rank1.power(0)), d_rank1.power(0))
 
 
 def test_adjoint_refuses_non_member(d_rank1):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from aspec.harness import RandomInstanceSpec, generate_instance
-from aspec.linalg import DEFAULT_TOL
+from aspec.linalg import DEFAULT_TOL, ToleranceConfig
 from aspec.psd import psd_decompose
 from aspec.seminorm import (
     NotMemberError,
@@ -24,6 +24,7 @@ from aspec.seminorm import (
 )
 from aspec.spectrum import (
     _BLAS_THREAD_VARS,
+    NumericalRangePolygon,
     SpectrumPointError,
     _block_size,
     _spectrum,
@@ -61,7 +62,7 @@ def _match(points, expected, tol=1e-9):
 
 
 def test_spectrum_of_projection(d_rank1):
-    spec = a_spectrum(d_rank1, d_rank1.proj)
+    spec = a_spectrum(d_rank1, d_rank1.power(0))
     _match(spec.points, [1.0])
     assert not spec.contains_zero
     assert spec.radius == pytest.approx(1.0)
@@ -105,7 +106,7 @@ def test_radius_examples(d_rank1, d_eye):
 
 
 def test_gelfand_projection(d_rank1):
-    assert gelfand_sequence(d_rank1, d_rank1.proj, 8) == pytest.approx([1.0] * 8)
+    assert gelfand_sequence(d_rank1, d_rank1.power(0), 8) == pytest.approx([1.0] * 8)
 
 
 def test_gelfand_nilpotent():
@@ -147,9 +148,9 @@ def test_gelfand_bounded_below_by_radius():
 
 
 def test_witness_projection(d_rank1):
-    state = spectrum_witness(d_rank1, d_rank1.proj, 1.0, "left")
+    state = spectrum_witness(d_rank1, d_rank1.power(0), 1.0, "left")
     assert state is not None
-    assert state(d_rank1.a @ d_rank1.proj) == pytest.approx(1.0)
+    assert state(d_rank1.a @ d_rank1.power(0)) == pytest.approx(1.0)
 
 
 def test_witness_classical_normal():
@@ -188,6 +189,14 @@ def test_witness_verification_rejects_random_states_at_every_scale():
                 assert not _verify_witness(member, lam, side, d.range_basis.conj().T @ h)
 
 
+def test_witness_is_none_when_no_candidate_verifies():
+    # at rank_rtol 0.9, 1.5 is a point of diag(1, 2) (sigma_min(C - 1.5) = 0.5 <= 0.9 * 2), yet no state has
+    # f(X) = 1.5 with a vanishing annihilation supremum: the search is an outcome, not an error
+    d = psd_decompose(np.eye(2, dtype=complex))
+    for side in ("left", "right"):
+        assert spectrum_witness(d, cdiag(1, 2), 1.5, side, ToleranceConfig(rank_rtol=0.9)) is None
+
+
 def test_witness_rejects_non_spectrum_point(d_rank1):
     with pytest.raises(ValueError):
         spectrum_witness(d_rank1, cdiag(2, 3), 9.0, "left")
@@ -204,7 +213,7 @@ def test_numerical_range_classical_segment():
 
 
 def test_numerical_range_projection_point(d_rank1):
-    poly = a_numerical_range(d_rank1, d_rank1.proj, 16)
+    poly = a_numerical_range(d_rank1, d_rank1.power(0), 16)
     assert len(poly.vertices) == 1
     assert abs(poly.vertices[0] - 1.0) <= 1e-9
 
@@ -213,6 +222,12 @@ def test_numerical_range_diagonal_point(d_rank1):
     poly = a_numerical_range(d_rank1, cdiag(2, 3), 24)
     assert len(poly.vertices) == 1
     assert abs(poly.vertices[0] - 2.0) <= 1e-9
+
+
+def test_numerical_range_of_the_zero_weight_is_empty():
+    # no range vector, so no state: every X is a member and the polygon is empty
+    poly = a_numerical_range(psd_decompose(np.zeros((2, 2), dtype=complex)), cmat([[1, 2], [3, 4]]), 8)
+    assert poly == NumericalRangePolygon(directions=8, vertices=(), angles=(), support=())
 
 
 def test_numerical_range_validation(d_rank1):
@@ -819,7 +834,7 @@ def test_mollifier_matches_full_space_inverse_and_defects():
                 x_n = canonical / a_seminorm_oracle(d, canonical)
                 assert np.abs(step.x_n - x_n).max() <= 1e-10 * np.abs(x_n).max(), (dim, rank, scale)
                 for defect, z in ((step.left_defect, x_n @ shift), (step.right_defect, shift @ x_n)):
-                    oracle = a_seminorm_oracle(d, d.proj @ z @ d.proj)
+                    oracle = a_seminorm_oracle(d, d.power(0) @ z @ d.power(0))
                     assert abs(defect - oracle) <= max(1e-9 * oracle, floor), (dim, rank, scale, defect, oracle)
                 steps_checked += 1
     assert steps_checked == 3 * 3 * len(pairs)
@@ -980,8 +995,8 @@ def test_witness_supremum_bounds_drawn_members_and_is_attained():
         shift = x - lam * np.eye(dim)
         # 2000 members P G P in the full space, and their seminorms sigma_max(A^(1/2) Y (A^(1/2))^+)
         gauss = rng.standard_normal((2000, dim, dim)) + 1j * rng.standard_normal((2000, dim, dim))
-        ys = d.proj @ gauss @ d.proj
-        y_norms = np.linalg.svd(d.sqrt @ ys @ d.sqrt_pinv, compute_uv=False)[:, 0]
+        ys = d.power(0) @ gauss @ d.power(0)
+        y_norms = np.linalg.svd(d.power(0.5) @ ys @ d.power(-0.5), compute_uv=False)[:, 0]
         for _ in range(3):
             h = q @ (rng.standard_normal(rank) + 1j * rng.standard_normal(rank))
             h /= np.linalg.norm(h)
