@@ -23,7 +23,7 @@ import numpy as np
 
 from .linalg import DEFAULT_TOL, ComplexMatrix, ToleranceConfig
 from .psd import PsdDecomposition
-from .seminorm import Member, NotMemberError, _require_member
+from .seminorm import NotMemberError, _require_member
 
 
 class ConvergenceError(RuntimeError):
@@ -58,15 +58,6 @@ class ThvnCertificate:
     alpha: float
 
 
-def _invert(member: Member) -> AInverseResult:
-    """Invertibility of a member and, when it holds, both inverses."""
-    if member.singular:
-        return AInverseResult(invertible=False)
-    q = member.d.range_basis
-    canonical = q @ np.linalg.inv(member.c) @ q.conj().T
-    return AInverseResult(invertible=True, canonical=canonical, invertible_form=canonical + (np.eye(len(q)) - member.d.power(0)))
-
-
 def a_invertible(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> AInverseResult:
     """Decide weighted invertibility and build the canonical and invertible inverses.
 
@@ -79,7 +70,11 @@ def a_invertible(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig = D
         member = _require_member(d, x, tol)
     except NotMemberError:
         return AInverseResult(invertible=False)
-    return _invert(member)
+    if member.singular:
+        return AInverseResult(invertible=False)
+    q = d.range_basis
+    canonical = q @ np.linalg.inv(member.c) @ q.conj().T
+    return AInverseResult(invertible=True, canonical=canonical, invertible_form=canonical + (np.eye(d.dim) - d.power(0)))
 
 
 def neumann_a_inverse(
@@ -92,13 +87,9 @@ def neumann_a_inverse(
 
     Sums the powers of the member's M in rank x rank, lifts the sum
     once as Q L^(-1/2) (sum M^k) L^(1/2) Q*, and completes by the identity on
-    the null space.  Truncates once a term's seminorm sigma_max(M^k) drops
-    below atol; raises ConvergenceError if max_terms is hit first.  The stop
-    is read off the bracket sigma_max(T) <= ||T||_F <= sqrt(rank) sigma_max(T):
-    a term whose Frobenius norm lies below atol stops the series, one whose
-    Frobenius norm is at least sqrt(rank) atol does not, and only a term
-    between the two, within a rounding margin, takes an svd.  So the terms
-    kept, and the sum, are those of one svd per term.
+    the null space.  Truncates at the first term whose Frobenius norm, and so
+    whose seminorm sigma_max(M^k) <= ||M^k||_F, drops below atol; raises
+    ConvergenceError if max_terms is hit first.
     """
     if max_terms < 1:
         raise ValueError("max_terms must be positive")
@@ -108,14 +99,9 @@ def neumann_a_inverse(
         raise ValueError(f"seminorm {norm:.6g} is not below 1; the series diverges")
     total = np.eye(d.rank, dtype=np.complex128)
     term = total
-    # the Frobenius norm decides alone outside [atol, sqrt(rank) atol], widened by a margin that covers
-    # the rounding of both norms
-    margin = tol.rounding(d.rank)
-    below, above = tol.atol * (1 - margin), math.sqrt(d.rank) * tol.atol * (1 + margin)
     for _ in range(max_terms):
         term = term @ m
-        fro = np.linalg.norm(term)
-        if fro < below or (fro < above and np.linalg.svd(term, compute_uv=False)[0] < tol.atol):
+        if np.linalg.norm(term) < tol.atol:
             break
         total = total + term
     else:

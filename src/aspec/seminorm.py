@@ -94,7 +94,11 @@ class Member:
     d: PsdDecomposition
     x: ComplexMatrix
     tol: ToleranceConfig
-    rounding: float
+
+    @cached_property
+    def rounding(self) -> float:
+        s, k = unit_scaled(self.x)
+        return times_pow2(self.tol.rounding(self.d.dim, float(np.linalg.norm(s))), k)
 
     @cached_property
     def c(self) -> ComplexMatrix:
@@ -132,7 +136,7 @@ class Member:
 
 
 def _require_member(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig) -> Member:
-    """X as a complex128 Member with its rounding level, after the one membership decision of a public call.
+    """X as a complex128 Member, after the one membership decision of a public call.
 
     Raises NotMemberError for non-members.  What follows runs member-assuming
     cores and decides nothing again for matrices that are members by
@@ -141,8 +145,7 @@ def _require_member(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig)
     x = np.asarray(x, dtype=np.complex128)
     if not a_membership(d, x, tol):
         raise NotMemberError("operation requires a member, but X moves the null space of the weight")
-    s, k = unit_scaled(x)
-    return Member(d, x, tol, times_pow2(tol.rounding(d.dim, float(np.linalg.norm(s))), k))
+    return Member(d, x, tol)
 
 
 def membership_certificate(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> ComplexMatrix:

@@ -101,17 +101,22 @@ class MollifierStep:
     right_defect: float
 
 
-def _spectrum(member: Member) -> ASpectrumResult:
-    """Spectrum of a member: the eigenvalues of C, grouped by the rank test of lam - C.
+def a_spectrum(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> ASpectrumResult:
+    """Weighted spectrum of a member X.
 
-    In (Re, Im) order each eigenvalue joins its nearest group when the grown
-    group's centroid is a point, and otherwise starts a new group.  When 0 is
-    a point it anchors a group that is reported as exactly 0.  The svd of a
-    centroid's shift is skipped when the Bauer-Fike bound
-    sigma_min(C - mu) >= dist(mu, eig(C)) / cond(V), with V the eigenvectors,
-    already clears the cutoff by more than a rounding margin.
+    The points are the lam at which lam - C, for the compression C = Q* X Q,
+    fails the rank test of Member.is_point.  They are the eigenvalues of C,
+    grouped by that rank test: in (Re, Im) order each eigenvalue joins its
+    nearest group when the grown group's centroid is a point, and otherwise
+    starts a new group.  When 0 is a point it anchors a group that is
+    reported as exactly 0.  The svd of a centroid's shift is skipped when the
+    Bauer-Fike bound sigma_min(C - mu) >= dist(mu, eig(C)) / cond(V), with V
+    the eigenvectors, already clears the cutoff by more than a rounding
+    margin.  Left and right variants coincide with this set in finite
+    dimensions.
     """
-    d, c, cut = member.d, member.c, member.cut
+    member = _require_member(d, x, tol)
+    c, cut = member.c, member.cut
     contains_zero = member.singular
     groups: list[list[complex]] = [[0j]] if contains_zero else []
     centroids: list[complex] = [0j] if contains_zero else []
@@ -132,17 +137,6 @@ def _spectrum(member: Member) -> ASpectrumResult:
             centroids.append(z)
     points = sorted([0j] * contains_zero + centroids[contains_zero:], key=lambda w: (w.real, w.imag))
     return ASpectrumResult(points=tuple(points), radius=max(map(abs, points), default=0.0), contains_zero=contains_zero)
-
-
-def a_spectrum(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> ASpectrumResult:
-    """Weighted spectrum of a member X.
-
-    The points are the lam at which lam - C, for the compression C = Q* X Q,
-    fails the rank test of Member.is_point.  They are found as groups of
-    eigenvalues of C; 0 is tested directly and reported exactly.  Left and
-    right variants coincide with this set in finite dimensions.
-    """
-    return _spectrum(_require_member(d, x, tol))
 
 
 def a_spectral_radius(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> float:

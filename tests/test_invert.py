@@ -116,13 +116,18 @@ def test_neumann_matches_canonical():
         assert approx_equal(d.a @ y, d.a @ res.canonical)
 
 
-def _neumann_reference(d, x, tol=DEFAULT_TOL, max_terms=10_000):
-    """neumann_a_inverse with one svd per term deciding the stop, as a reference."""
+def _sigma_max(t):
+    return np.linalg.svd(t, compute_uv=False).max(initial=0.0)
+
+
+def _neumann_reference(d, x, tol=DEFAULT_TOL, max_terms=10_000, size=np.linalg.norm):
+    """neumann_a_inverse with size(term) < atol deciding the stop, as a reference: the Frobenius norm by
+    default, or _sigma_max, the rule of one svd per term, which stops at the term's seminorm."""
     m = _require_member(d, x, tol).m
     total = term = np.eye(d.rank, dtype=np.complex128)
     for _ in range(max_terms):
         term = term @ m
-        if np.linalg.svd(term, compute_uv=False).max(initial=0.0) < tol.atol:
+        if size(term) < tol.atol:
             break
         total = total + term
     else:
@@ -134,7 +139,7 @@ def _neumann_reference(d, x, tol=DEFAULT_TOL, max_terms=10_000):
 
 def _neumann_cases():
     """Members at seminorms up to 0.99 and ranks 0-8, 16 and 64: random, normal with equal singular values
-    (so ||T||_F = sqrt(rank) sigma_max(T) and every term falls between the bracket's ends), nilpotent."""
+    (so ||T||_F = sqrt(rank) sigma_max(T), the widest gap between the two stops), nilpotent."""
     rng = np.random.default_rng(31)
     for rank in (0, 1, 2, 3, 5, 8, 16, 64):
         dim = rank + 1
@@ -152,32 +157,33 @@ def _neumann_cases():
 
 
 @pytest.mark.parametrize("atol", [1e-10, 1e-4, 0.3])
-def test_neumann_bracket_keeps_the_terms_of_one_svd_per_term(atol, monkeypatch):
+def test_neumann_stops_on_the_frobenius_norm_with_one_svd_per_call(atol, monkeypatch):
     tol = ToleranceConfig(atol=atol)
-    calls = {"ref": 0, "new": 0}
-    counting = ["ref"]
-    svd = np.linalg.svd
+    cases = list(_neumann_cases())
+    expected = [_neumann_reference(d, x, tol) for d, x in cases]
+    seminorm_stop = [_neumann_reference(d, x, tol, size=_sigma_max) for d, x in cases]
+    svd, calls = np.linalg.svd, []
 
     def counted(*args, **kwargs):
-        calls[counting[0]] += 1
+        calls.append(args[0].shape)
         return svd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted)
-    cases = list(_neumann_cases())
-    for d, x in cases:
-        counting[0] = "ref"
-        ref = _neumann_reference(d, x, tol)
-        counting[0] = "new"
-        assert np.array_equal(neumann_a_inverse(d, x, tol), ref), (d.rank, atol)
-    # beyond the one svd of the seminorm per call, the equal-singular-value members straddle, so the
-    # svd branch is taken, but far less often than once per term
-    assert len(cases) < calls["new"] < calls["ref"] / 4, calls
+    got = [neumann_a_inverse(d, x, tol) for d, x in cases]
+    monkeypatch.undo()
+    assert len(calls) == len(cases)  # the member's m_svals, for the seminorm check; none in the loop
+    for (d, x), y, ref, old in zip(cases, got, expected, seminorm_stop):
+        assert np.array_equal(y, ref), (d.rank, atol)
+        # the Frobenius stop keeps every term the seminorm stop keeps, and the extra ones bring the sum no
+        # farther from the canonical inverse
+        canonical = a_invertible(d, np.eye(d.dim) - x, tol).canonical
+        assert max_abs(d.a @ (y - canonical)) <= max_abs(d.a @ (old - canonical)), (d.rank, atol)
 
 
-def test_neumann_bracket_raises_where_one_svd_per_term_does(d_rank1):
+def test_neumann_raises_when_max_terms_or_a_zero_atol_cuts_the_series(d_rank1):
     for max_terms in (1, 3, 50):
         with pytest.raises(ConvergenceError):
-            _neumann_reference(d_rank1, cdiag(0.9, 0), max_terms=max_terms)
+            _neumann_reference(d_rank1, cdiag(0.9, 0), max_terms=max_terms, size=_sigma_max)
         with pytest.raises(ConvergenceError):
             neumann_a_inverse(d_rank1, cdiag(0.9, 0), max_terms=max_terms)
     zero_atol = ToleranceConfig(atol=0.0)

@@ -27,7 +27,6 @@ from aspec.spectrum import (
     NumericalRangePolygon,
     SpectrumPointError,
     _block_size,
-    _spectrum,
     _support_data,
     _verify_witness,
     _witness_supremum,
@@ -657,7 +656,7 @@ def test_numerical_range_vertex_count_is_scale_invariant():
 
 
 def _brute_force_points(c, tol=DEFAULT_TOL):
-    """_spectrum's grouping of the eigenvalues of C with the rank test of every grown centroid
+    """a_spectrum's grouping of the eigenvalues of C with the rank test of every grown centroid
     taken by svd (no Bauer-Fike skip) and every mean recomputed, as a reference."""
     cut = tol.cutoff(np.linalg.svd(c, compute_uv=False).max(initial=0.0))
 
@@ -714,9 +713,8 @@ def test_spectrum_grouping_matches_brute_force_rank_test():
         d = psd_decompose(np.diag(np.r_[rng.uniform(0.5, 1.5, r), 0.0]).astype(complex))
         x = np.zeros((r + 1, r + 1), dtype=complex)
         x[:r, :r], x[r, r] = c0, 5.0
-        member = _require_member(d, x, DEFAULT_TOL)
-        spec = _spectrum(member)
-        assert spec.points == _brute_force_points(member.c), c0
+        spec = a_spectrum(d, x)
+        assert spec.points == _brute_force_points(_require_member(d, x, DEFAULT_TOL).c), c0
         merged += len(spec.points) < r
     assert merged > 100, merged
 
@@ -780,22 +778,28 @@ def test_witness_and_mollifier_work_in_range_coordinates(monkeypatch):
     monkeypatch.setattr(aspec.seminorm, "random_member", forbidden)
     monkeypatch.setattr(aspec.spectrum, "random_member", forbidden, raising=False)
     shapes = []
-    inside_membership = [False]
-    membership = aspec.spectrum._require_member
+    unrecorded = [False]
 
-    def recorded_membership(*args, **kwargs):
-        inside_membership[0] = True
-        try:
-            return membership(*args, **kwargs)
-        finally:
-            inside_membership[0] = False
+    def reading_x(f):
+        """f with its linalg calls left unrecorded: they read X itself, in the full space."""
 
-    monkeypatch.setattr(aspec.spectrum, "_require_member", recorded_membership)
+        def wrapper(*args, **kwargs):
+            unrecorded[0] = True
+            try:
+                return f(*args, **kwargs)
+            finally:
+                unrecorded[0] = False
+
+        return wrapper
+
+    # the membership decision and the rounding level of forming C from X, which the rank cutoff reads
+    monkeypatch.setattr(aspec.spectrum, "_require_member", reading_x(aspec.spectrum._require_member))
+    monkeypatch.setattr(aspec.seminorm.Member, "rounding", property(reading_x(aspec.seminorm.Member.rounding.func)))
     for name in ("svd", "eig", "eigvals", "eigh", "eigvalsh", "inv", "pinv", "solve", "norm", "qr", "det"):
         original = getattr(np.linalg, name)
 
         def wrapper(*args, _original=original, **kwargs):
-            if not inside_membership[0]:
+            if not unrecorded[0]:
                 shapes.extend(np.shape(arg) for arg in args if isinstance(arg, np.ndarray))
             return _original(*args, **kwargs)
 
