@@ -330,16 +330,21 @@ def _prop_seminorm_state_dominance(ctx: CheckContext):
         ctx.check(sampled <= value + bound, f"state value {sampled}", f"<= seminorm {value}")
 
 
+def _worst_point_deviation(ctx: CheckContext, points, x: ComplexMatrix) -> float:
+    """Worst gap between the points and X's eigenvalues, both sorted by (Re, Im); a failure unless counts agree."""
+    points = sorted(points, key=lambda z: (z.real, z.imag))
+    eigs = sorted((complex(z) for z in np.linalg.eigvals(x)), key=lambda z: (z.real, z.imag))
+    ctx.check(len(points) == len(eigs), f"{len(points)} points", f"{len(eigs)} eigenvalues")
+    return max((abs(p - e) for p, e in zip(points, eigs)), default=0.0)
+
+
 def _prop_invertible_weight_classical(ctx: CheckContext):
     # full-rank weight: membership is automatic and the spectrum is the
     # ordinary one (the range projection is the identity)
     dec = ctx.weight(rank=ctx.dim)
     x = ctx.raw()
     ctx.check(a_membership(dec, x, ctx.tol), "not a member", "membership automatic for invertible weight")
-    pts = sorted(a_spectrum(dec, x, ctx.tol).points, key=lambda z: (z.real, z.imag))
-    eigs = sorted((complex(z) for z in np.linalg.eigvals(x)), key=lambda z: (z.real, z.imag))
-    ctx.check(len(pts) == len(eigs), f"{len(pts)} points", f"{len(eigs)} eigenvalues")
-    worst = max((abs(p - e) for p, e in zip(pts, eigs)), default=0.0)
+    worst = _worst_point_deviation(ctx, a_spectrum(dec, x, ctx.tol).points, x)
     scale = max(1.0, float(np.linalg.norm(x, 2)))
     ctx.check(worst <= 10 * ctx.tol.atol + ctx.tol.rtol * scale, f"deviation {worst:.3e}", "classical spectrum")
 
@@ -410,11 +415,8 @@ def _prop_identity_weight_collapse(ctx: CheckContext):
     opnorm = float(np.linalg.norm(x, 2))
     ctx.check(abs(val - opnorm) <= 1e-9 * max(1.0, opnorm), f"seminorm {val}", f"operator norm {opnorm}")
     ctx.check_matrix(a_adjoint(dec, x, ctx.tol), x.conj().T, "adjoint = conjugate transpose")
-    spec_pts = sorted(a_spectrum(dec, x, ctx.tol).points, key=lambda z: (z.real, z.imag))
-    eigs = sorted((complex(z) for z in np.linalg.eigvals(x)), key=lambda z: (z.real, z.imag))
-    ctx.check(len(spec_pts) == len(eigs), f"{len(spec_pts)} points", f"{len(eigs)} eigenvalues")
-    worst = max((abs(p - e) for p, e in zip(spec_pts, eigs)), default=0.0)
-    ctx.check(worst <= 1e-9 * max(1.0, float(np.linalg.norm(x, 2))), f"point deviation {worst:.3e}", "<= 1e-9 scale")
+    worst = _worst_point_deviation(ctx, a_spectrum(dec, x, ctx.tol).points, x)
+    ctx.check(worst <= 1e-9 * max(1.0, opnorm), f"point deviation {worst:.3e}", "<= 1e-9 scale")
 
 
 def _inverse_identities(ctx: CheckContext, dec: PsdDecomposition, x: ComplexMatrix, y: ComplexMatrix, what: str):

@@ -88,8 +88,8 @@ def neumann_a_inverse(
     Sums the powers of the member's M in rank x rank, lifts the sum
     once as Q L^(-1/2) (sum M^k) L^(1/2) Q*, and completes by the identity on
     the null space.  Truncates at the first term whose Frobenius norm, and so
-    whose seminorm sigma_max(M^k) <= ||M^k||_F, drops below atol; raises
-    ConvergenceError if max_terms is hit first.
+    whose seminorm sigma_max(M^k) <= ||M^k||_F, is at most atol (a zero term
+    at atol = 0); raises ConvergenceError if max_terms is hit first.
     """
     if max_terms < 1:
         raise ValueError("max_terms must be positive")
@@ -101,7 +101,7 @@ def neumann_a_inverse(
     term = total
     for _ in range(max_terms):
         term = term @ m
-        if np.linalg.norm(term) < tol.atol:
+        if np.linalg.norm(term) <= tol.atol:
             break
         total = total + term
     else:

@@ -82,23 +82,23 @@ def psd_decompose(a: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> PsdDe
     raised if ||A - A*||_F is not negligible against ||A||_F or an eigenvalue
     lies below -cut, cut = rank_rtol * max|eigenvalue|.  Eigenvalues in
     [-cut, cut] are hard-zeroed; all decisions are invariant under A -> cA.
-    Neither the norms, read on unit_scaled(A), nor the Hermitian part A/2 + A*/2 overflow near float max.
+    All is read on (S, k) = unit_scaled(A): eigh solves S/2 + S*/2, and its eigenvalues and ``a`` are scaled
+    back by 2^k.  So LAPACK never rescales, and under A -> 4^j A the eigenvectors keep their bits.
     """
-    a = operand(a, "weight")
-    s, k = unit_scaled(a)
+    s, k = unit_scaled(operand(a, "weight"))
     herm_gap = float(np.linalg.norm(s - s.conj().T))
     if not tol.negligible(herm_gap, np.linalg.norm(s)):
         raise NotPsdError(f"weight is not Hermitian within tolerance (defect {times_pow2(herm_gap, k):.3e})")
-    h = a / 2 + a.conj().T / 2
+    h = s / 2 + s.conj().T / 2
     w, u = np.linalg.eigh(h)
     cut = tol.cutoff(float(np.max(np.abs(w))))
     if w[0] < -cut:
-        raise NotPsdError(f"weight has negative eigenvalue {w[0]:.3e}")
-    w = np.where(w > cut, w, 0.0)
+        raise NotPsdError(f"weight has negative eigenvalue {times_pow2(w[0], k):.3e}")
+    w = times_pow2(np.where(w > cut, w, 0.0), k)
     retained = w > 0
     rank = int(np.count_nonzero(retained))
     gap = float(np.min(w[retained])) if rank else 0.0
-    return PsdDecomposition(a=h, eigvals=w, eigvecs=u, rank=rank, gap=gap)
+    return PsdDecomposition(a=times_pow2(h, k), eigvals=w, eigvecs=u, rank=rank, gap=gap)
 
 
 def fractional_power(d: PsdDecomposition, s: float) -> ComplexMatrix:

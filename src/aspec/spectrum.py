@@ -153,47 +153,49 @@ def gelfand_sequence(
     """Root-norm sequence of the compressed powers: the n-th entry is the
     seminorm of X^n raised to 1/n.
 
-    Runs on the compression W of X.  Each power is rescaled by its largest
-    entry modulus, which is zero exactly when the power is and, unlike the
-    Frobenius norm, neither overflows nor underflows on the way; the logs of
-    the scales are summed, so powers never overflow even for radius above 1.
-    The 2-norm of a rescaled power P is the square root of the top eigenvalue
-    of its Gram matrix P* P, and the Gram matrices of a block of powers take
-    one stacked eigvalsh, which needs no singular vectors and costs less than
-    an svd.  The rescaled entries are at most 1 in modulus, so the Gram
-    entries are at most rank.  A zero power makes every later term 0.  The
-    sequence is bounded below by the spectral radius and converges to it.
+    Runs on the similar form W of the compression.  X^n's form is kept as
+    P_n 2^(E_n): P_n, from unit_scaled, has its largest entry modulus in
+    [1/2, 1), and E_n is the integer sum of the exponents of the rescales of
+    W and of each product.  Every rescale is by a power of two, so no power
+    overflows or underflows, and the n-th term is
+    exp(((E_n mod n) ln 2 + log ||P_n||) / n) 2^(E_n div n): under
+    X -> 2^k X only E_n moves, by n k, so each term scales by exactly 2^k.
+    The 2-norm of P_n is the square root of the top eigenvalue of its Gram
+    matrix P_n* P_n, whose entries are at most rank, and the Gram matrices
+    of a block of powers take one stacked eigvalsh, which needs no singular
+    vectors and costs less than an svd.  A zero power, the one rescale with
+    k = 0 and no nonzero entry, makes every later term 0.  The sequence is
+    bounded below by the spectral radius and converges to it.
     """
     if n_max < 1:
         raise ValueError("n_max must be positive")
     member = _require_member(d, x, tol)
     if d.rank == 0:
         return [0.0] * n_max
-    w = member.m
+    w, k_w = unit_scaled(member.m)
     step = min(_block_size(d.rank), n_max)
     block = np.empty((step, d.rank, d.rank), dtype=np.complex128)
-    logs, norms = np.empty(n_max), np.empty(n_max)
+    exps, norms = np.empty(n_max, dtype=np.int64), np.empty(n_max)
     cur = np.eye(d.rank, dtype=np.complex128)
-    log_scale = 0.0
-    n, zero = 0, False  # n powers are nonzero; a zero power ends the run, as every later one vanishes too
+    # n powers are nonzero (a zero one ends the run, as every later one vanishes too); E_n is total + n k_w
+    n, zero, total = 0, False, 0
     while n < n_max and not zero:
         count = min(step, n_max - n)
         for j in range(count):
-            cur = cur @ w
-            scale = float(np.abs(cur).max())
-            if scale == 0.0:
+            cur, k = unit_scaled(cur @ w)
+            if k == 0 and not cur.any():
                 count, zero = j, True
                 break
-            log_scale += math.log(scale)
-            cur = cur / scale
-            block[j], logs[n + j] = cur, log_scale
+            total += k
+            block[j], exps[n + j] = cur, total
         if count:
             powers = block[:count]
             gram = powers.conj().transpose(0, 2, 1) @ powers
             norms[n : n + count] = np.sqrt(np.linalg.eigvalsh(gram)[:, -1])
         n += count
-    terms = np.exp((logs[:n] + np.log(norms[:n])) / np.arange(1, n + 1)).tolist()
-    return terms + [0.0] * (n_max - n)
+    steps = np.arange(1, n + 1)
+    whole, part = np.divmod(exps[:n], steps)  # E_n div n is this plus k_w, and E_n mod n is part
+    return times_pow2(np.exp((part * math.log(2) + np.log(norms[:n])) / steps), whole + k_w).tolist() + [0.0] * (n_max - n)
 
 
 Side = Literal["left", "right"]
@@ -240,23 +242,18 @@ def spectrum_witness(
     return None
 
 
-def _witness_supremum(member: Member, lam: complex, side: Side, g: np.ndarray) -> float:
-    """sup over members Y with ||Y||_A <= 1 of |f(A (X - lam) Y)| (right) or |f(A Y (X - lam))| (left).
-
-    f is the vector state of h = Q g, the ordinary state of M at
-    u = L^(1/2) g: f(AZ) = u* M_Z u / |u|^2 for members Z, with M_Z the
-    similar form of Z and ||Z||_A = ||M_Z||.  The right value is
-    ((M - lam)* u)* M_Y u / |u|^2 and the left one u* M_Y (M - lam) u / |u|^2.
-    The supremum of |a* D b| over ||D|| <= 1 is |a| |b|, so the supremum is
-    |(M - lam)* u| / |u| on the right and |(M - lam) u| / |u| on the left.
-    """
-    _, sup, k = _scaled_witness(member, lam, side, g)
-    return times_pow2(sup, k)
-
-
 def _scaled_witness(member: Member, lam: complex, side: Side, g: np.ndarray) -> tuple[float, float, int]:
-    """(|f(AX) - lam| 2^-k, _witness_supremum 2^-k, k) for (M 2^-k, k) = unit_scaled(M), read on M 2^-k, lam 2^-k
-    and unit_scaled(u), so that no norm overflows or underflows."""
+    """(|f(AX) - lam| 2^-k, sup 2^-k, k) for the state f of h = Q g and (M 2^-k, k) = unit_scaled(M), where sup is
+    the supremum over members Y with ||Y||_A <= 1 of |f(A (X - lam) Y)| (right) or |f(A Y (X - lam))| (left).
+
+    f is the ordinary state of M at u = L^(1/2) g: f(AZ) = u* M_Z u / |u|^2
+    for members Z, with M_Z the similar form of Z and ||Z||_A = ||M_Z||.
+    The right value is ((M - lam)* u)* M_Y u / |u|^2 and the left one
+    u* M_Y (M - lam) u / |u|^2.  The supremum of |a* D b| over ||D|| <= 1 is
+    |a| |b|, so sup is |(M - lam)* u| / |u| on the right and
+    |(M - lam) u| / |u| on the left.  All is read on M 2^-k, lam 2^-k and
+    unit_scaled(u), so that no norm overflows or underflows.
+    """
     m, k = unit_scaled(member.m)
     u, lam = unit_scaled(member.d.range_sqrt * g)[0], times_pow2(lam, -k)
     gap = abs(complex(u.conj() @ (m @ u)) / np.vdot(u, u).real - lam)
@@ -268,7 +265,7 @@ def _verify_witness(member: Member, lam: complex, side: Side, g: np.ndarray) -> 
     """f(AX) = lam and the annihilation supremum for the state of h = Q g, each within rtol of its size.
 
     The state is that of M at u = L^(1/2) g, so f(AX) = u* M u / |u|^2.  |f(AX) - lam| must be at most
-    rtol ||X||_A, and the supremum from _witness_supremum at most rtol (||X||_A + |lam|), all compared times
+    rtol ||X||_A, and the supremum from _scaled_witness at most rtol (||X||_A + |lam|), all compared times
     the 2^-k of _scaled_witness.  That implies the side identities within the bound times ||Y||_A: Y = A
     gives f(AXA) = lam f(A^2) and Y = X*A gives f(AXX*A) = lam f(AX*A) on the right, and
     Y = (X - lam)^# gives f((X - lam)* A (X - lam)) = 0 on the left.

@@ -9,7 +9,7 @@ import pytest
 from aspec import invert, seminorm, spectrum
 from aspec.douglas import NotMajorizedError, douglas_solve, power_factorize
 from aspec.harness import CheckContext, RandomInstanceSpec, _prop_annihilated_member_singular, generate_instance
-from aspec.linalg import DEFAULT_TOL, max_abs, unit_scaled
+from aspec.linalg import DEFAULT_TOL, max_abs, times_pow2, unit_scaled
 from aspec.psd import NotPsdError, psd_decompose
 from aspec.seminorm import random_member
 
@@ -204,3 +204,54 @@ def test_decisions_near_float_max_are_those_at_scale_one():
     assert k == 1025 and 0.5 <= max_abs(scaled) < 1
     assert seminorm.a_membership(d1, np.array([[z, 0], [0, 1]]))
     assert seminorm.a_seminorm(d1, np.array([[0, z], [0, 1]])) == seminorm.ASeminormValue(finite=False)
+
+
+def _outputs(a, x):
+    """Every output of the member-taking calls at (A, X), for X of seminorm below 1 (so the Neumann series
+    converges); the witnesses and the mollifier steps are taken at the largest spectrum point."""
+    d = psd_decompose(a)
+    points = spectrum.a_spectrum(d, x).points
+    lam = max(points, key=abs)
+    inverse, cert = invert.a_invertible(d, x), invert.thvn_certificate(d, x)
+    steps = spectrum.boundary_mollifier(d, x, lam, [lam * (1 + t) for t in (0.1, 0.01, 0.001)])
+    witnesses = (spectrum.spectrum_witness(d, x, lam, side) for side in ("left", "right"))
+    return {
+        "seminorm": seminorm.a_seminorm(d, x).value,
+        "oracle": seminorm.a_seminorm_oracle(d, x),
+        "adjoint": seminorm.a_adjoint(d, x),
+        "inverses": (inverse.canonical, inverse.invertible_form),
+        "thvn_certificate": None if cert is None else (cert.c, cert.alpha),
+        "neumann": invert.neumann_a_inverse(d, x),
+        "points": points,
+        "witnesses": [None if w is None else (w.h, w.weight) for w in witnesses],
+        "mollifier": [(s.x_n, s.left_defect, s.right_defect) for s in steps],
+        "membership_certificate": seminorm.membership_certificate(d, x),
+    }
+
+
+def _same_bits(p, q) -> bool:
+    if isinstance(p, (list, tuple)):
+        return isinstance(q, (list, tuple)) and len(p) == len(q) and all(map(_same_bits, p, q))
+    return (p is None) == (q is None) and (p is None or np.array_equal(p, q))
+
+
+def test_outputs_under_a_times_2_to_the_600_keep_their_bits():
+    # psd_decompose solves unit_scaled(A), so under A -> 2^k A, k a multiple of 4, the eigenvectors keep their
+    # bits and L^(1/2) scales by exactly 2^(k/2): every output is that at A, but the witness weight f(A) times
+    # 2^k and the membership certificate, of degree 1/4 in A, times 2^(k/4)
+    pairs = [(dim, rank) for dim in range(1, 7) for rank in range(1, dim + 1)]
+    failures, found = [], 0
+    for i, (dim, rank) in enumerate(pairs * 2):
+        a, x = generate_instance(RandomInstanceSpec(dim=dim, rank=rank, member_only=True, seed=3000 + i))
+        x = x * (0.5 / seminorm.a_seminorm(psd_decompose(a), x).value)
+        base = _outputs(a, x)
+        found += sum(w is not None for w in base["witnesses"])
+        for k in (600, -600):
+            want = dict(base)
+            want["witnesses"] = [None if w is None else (w[0], times_pow2(w[1], k)) for w in base["witnesses"]]
+            want["membership_certificate"] = times_pow2(base["membership_certificate"], k // 4)
+            got = _outputs(times_pow2(a, k), x)
+            failures += [(dim, rank, k, name) for name in want if not _same_bits(got[name], want[name])]
+    assert not failures, failures
+    assert found > len(pairs) * 2, found
+

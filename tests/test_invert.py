@@ -121,13 +121,13 @@ def _sigma_max(t):
 
 
 def _neumann_reference(d, x, tol=DEFAULT_TOL, max_terms=10_000, size=np.linalg.norm):
-    """neumann_a_inverse with size(term) < atol deciding the stop, as a reference: the Frobenius norm by
+    """neumann_a_inverse with size(term) <= atol deciding the stop, as a reference: the Frobenius norm by
     default, or _sigma_max, the rule of one svd per term, which stops at the term's seminorm."""
     m = _require_member(d, x, tol).m
     total = term = np.eye(d.rank, dtype=np.complex128)
     for _ in range(max_terms):
         term = term @ m
-        if size(term) < tol.atol:
+        if size(term) <= tol.atol:
             break
         total = total + term
     else:
@@ -189,6 +189,13 @@ def test_neumann_raises_when_max_terms_or_a_zero_atol_cuts_the_series(d_rank1):
     zero_atol = ToleranceConfig(atol=0.0)
     with pytest.raises(ConvergenceError):
         neumann_a_inverse(d_rank1, cdiag(0.5, 0), zero_atol, max_terms=200)
+
+
+def test_neumann_at_zero_atol_stops_on_the_first_zero_term(d_rank1):
+    # every term of the zero member is exactly 0, so the sum is exact after one product, even at atol = 0
+    zero, zero_atol = np.zeros((2, 2), dtype=complex), ToleranceConfig(atol=0.0)
+    for max_terms in (1, 10_000):
+        assert np.array_equal(neumann_a_inverse(d_rank1, zero, zero_atol, max_terms=max_terms), np.eye(2)), max_terms
 
 
 def test_thvn_identity_element(d_rank1):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from aspec.harness import RandomInstanceSpec, generate_instance
-from aspec.linalg import DEFAULT_TOL, ToleranceConfig
+from aspec.linalg import DEFAULT_TOL, ToleranceConfig, times_pow2
 from aspec.psd import psd_decompose
 from aspec.seminorm import (
     NotMemberError,
@@ -27,9 +27,9 @@ from aspec.spectrum import (
     NumericalRangePolygon,
     SpectrumPointError,
     _block_size,
+    _scaled_witness,
     _support_data,
     _verify_witness,
-    _witness_supremum,
     _worker_cpus,
     a_numerical_range,
     a_spectral_radius,
@@ -501,18 +501,25 @@ def test_stacked_kernels_keep_memory_flat(monkeypatch):
 
 
 def _gelfand_reference(d, x, n_max):
-    """The root-norm sequence with one 2-norm per power, as a reference."""
+    """The root-norm sequence with one 2-norm per power, as a reference.
+
+    Each power is divided by its 2-norm; the log of the product of those norms is kept as an integer sum of
+    their frexp exponents plus a float sum of the logs of their mantissas, which lie in [1/2, 1), so the
+    float sum grows with n alone and not with n |log scale|.
+    """
     w = _require_member(d, x, DEFAULT_TOL).m
-    terms, cur, log_scale, dead = [], np.eye(d.rank, dtype=complex), 0.0, False
+    terms, cur, exp_sum, log_sum, dead = [], np.eye(d.rank, dtype=complex), 0, 0.0, False
     for n in range(1, n_max + 1):
         if not dead:
             cur = cur @ w
             nrm = float(np.linalg.norm(cur, 2))
             dead = nrm == 0.0
             if not dead:
-                log_scale += np.log(nrm)
+                mantissa, e = math.frexp(nrm)
+                exp_sum, log_sum = exp_sum + e, log_sum + math.log(mantissa)
                 cur = cur / nrm
-        terms.append(0.0 if dead else float(np.exp(log_scale / n)))
+        whole, part = divmod(exp_sum, n)
+        terms.append(0.0 if dead else math.ldexp(math.exp((part * math.log(2) + log_sum) / n), whole))
     return terms
 
 
@@ -538,6 +545,17 @@ def test_stacked_gelfand_matches_one_norm_per_power(rank):
     # log-scale bookkeeping of both sides rounds in proportion to |log scale|, and so does the bound
     for scale in (1e-170, 1e150):
         assert all(t > 0.0 for t in _assert_gelfand_matches(d, scale * x, 64, rel=1e-13 * abs(math.log(scale))))
+
+
+def test_gelfand_sequence_scales_bit_for_bit_with_x():
+    # X -> 2^k X moves only the exponent sum E_n, by n k, so every term is 2^k times the one at X
+    for i in range(40):
+        a, x = generate_instance(RandomInstanceSpec(dim=5, rank=3, member_only=True, seed=900 + i))
+        d = psd_decompose(a)
+        base = gelfand_sequence(d, x, 64)
+        assert all(t > 0.0 for t in base)
+        for k in (1, -1, 300, -300, 500, -600):
+            assert gelfand_sequence(d, times_pow2(x, k), 64) == [times_pow2(t, k) for t in base], (i, k)
 
 
 def test_stacked_gelfand_nilpotent_members_end_in_exact_zeros():
@@ -1007,7 +1025,8 @@ def test_witness_supremum_bounds_drawn_members_and_is_attained():
             state = VectorState(h=h, weight=float((h.conj() @ (a @ h)).real))
             g = q.conj().T @ h
             for side in ("left", "right"):
-                sup = _witness_supremum(member, lam, side, g)
+                _, sup, k = _scaled_witness(member, lam, side, g)
+                sup = times_pow2(sup, k)
                 if side == "right":
                     vals = (ys @ h) @ (h.conj() @ a @ shift)
                     u, v = (c.conj().T - np.conj(lam) * np.eye(rank)) @ (lam_r * g) / root, root * g
@@ -1052,7 +1071,8 @@ def test_witness_supremum_implies_the_side_identities():
                     "left": [(a_adjoint(d, -shift), f(shift.conj().T @ a @ shift))],
                 }
                 for side, cases in identities.items():
-                    sup = _witness_supremum(member, lam, side, g)
+                    _, sup, k = _scaled_witness(member, lam, side, g)
+                    sup = times_pow2(sup, k)
                     for y, defect in cases:
                         bound = sup * a_seminorm_oracle(d, y) * (1 + DEFAULT_TOL.rtol)
                         assert abs(defect) <= bound, (dim, rank, scale, lam, side, abs(defect), bound)
