@@ -130,12 +130,8 @@ def _parse_dims(text: str) -> tuple[int, ...]:
     text = text.strip()
     if ".." in text:
         lo, hi = text.split("..", 1)
-        dims = tuple(range(int(lo), int(hi) + 1))
-    else:
-        dims = tuple(int(p) for p in text.split(",") if p.strip())
-    if not dims or any(d < 1 for d in dims):
-        raise ValueError(f"invalid dimension list {text!r}")
-    return dims
+        return tuple(range(int(lo), int(hi) + 1))
+    return tuple(int(p) for p in text.split(",") if p.strip())
 
 
 def _cmd_proptest(args) -> int:
@@ -199,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_prop = sub.add_parser("proptest", help="run the randomized property suite")
     p_prop.add_argument("--trials", type=int, default=25)
-    p_prop.add_argument("--dims", default="2..8", help="dimensions, e.g. 2..8 or 2,4,6")
+    p_prop.add_argument("--dims", default="1..8", help="dimensions, e.g. 1..8 or 2,4,6")
     p_prop.add_argument("--seed", type=int, default=0, help="base seed")
     p_prop.add_argument("--tol", type=float, default=None)
     p_prop.set_defaults(handler=_cmd_proptest)

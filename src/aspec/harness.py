@@ -4,6 +4,8 @@ Every invariant of the numerical modules is registered here as a named
 property.  The runner drives each property over seeded instances; a failure
 records the property name, the exact seed entropy, and the full serialized
 instance, so it can be replayed even if generator code changes.
+generate_instance(dim, rank, seed) draws a weight of exact rank and a member
+of it; CheckContext.weight draws its weights by the same routine.
 """
 
 from __future__ import annotations
@@ -45,42 +47,28 @@ from .spectrum import a_numerical_range, a_spectral_radius, a_spectrum, convex_h
 from . import douglas
 
 
-@dataclass(frozen=True)
-class RandomInstanceSpec:
-    """Deterministic description of one random instance."""
-
-    dim: int
-    rank: int
-    member_only: bool
-    seed: int
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        if not 0 <= self.rank <= self.dim:
-            raise ValueError(f"rank must lie in [0, {self.dim}]")
-
-
-def generate_instance(spec: RandomInstanceSpec) -> tuple[ComplexMatrix, ComplexMatrix]:
-    """Weight of exact prescribed rank plus a matching test matrix.
-
-    The weight is G diag(d) G* with unitary G from the QR of a seeded
-    Gaussian matrix and d carrying exactly ``rank`` positive entries.  With
-    member_only the test matrix is assembled blockwise on the range and null
-    space of the weight, which guarantees membership.
-    """
-    rng = np.random.default_rng(spec.seed)
-    g, _ = np.linalg.qr(_complex_gaussian(rng, (spec.dim, spec.dim)))
-    d_vals = np.zeros(spec.dim)
-    d_vals[: spec.rank] = rng.uniform(0.5, 1.5, spec.rank)
+def _random_weight(rng: np.random.Generator, dim: int, rank: int) -> ComplexMatrix:
+    """G diag(d) G*, with unitary G from the QR of a Gaussian matrix and exactly ``rank`` entries of d in [0.5, 1.5)."""
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
+    if not 0 <= rank <= dim:
+        raise ValueError(f"rank must lie in [0, {dim}]")
+    g, _ = np.linalg.qr(_complex_gaussian(rng, (dim, dim)))
+    d_vals = np.zeros(dim)
+    d_vals[:rank] = rng.uniform(0.5, 1.5, rank)
     a = (g * d_vals) @ g.conj().T
-    a = (a + a.conj().T) / 2
-    if spec.member_only:
-        dec = psd_decompose(a)
-        x = random_member(dec, rng)
-    else:
-        x = _complex_gaussian(rng, (spec.dim, spec.dim))
-    return a, x
+    return (a + a.conj().T) / 2
+
+
+def generate_instance(dim: int, rank: int, seed: int) -> tuple[ComplexMatrix, ComplexMatrix]:
+    """A seeded weight of exact rank ``rank`` and a member of it.
+
+    The member is assembled blockwise on the range and null space of the
+    weight, which guarantees membership.
+    """
+    rng = np.random.default_rng(seed)
+    a = _random_weight(rng, dim, rank)
+    return a, random_member(psd_decompose(a), rng)
 
 
 @dataclass(frozen=True)
@@ -142,8 +130,7 @@ class CheckContext:
 
     def weight(self, rank: int | None = None) -> PsdDecomposition:
         rank = int(self.rng.integers(0, self.dim + 1)) if rank is None else rank
-        spec = RandomInstanceSpec(dim=self.dim, rank=rank, member_only=False, seed=int(self.rng.integers(2**63)))
-        a, _ = generate_instance(spec)
+        a = _random_weight(np.random.default_rng(int(self.rng.integers(2**63))), self.dim, rank)
         self._record("a", a)
         return psd_decompose(a, self.tol)
 
@@ -273,13 +260,12 @@ def _prop_power_factorization(ctx: CheckContext):
 
 def _prop_generator_soundness(ctx: CheckContext):
     rank = int(ctx.rng.integers(0, ctx.dim + 1))
-    spec = RandomInstanceSpec(dim=ctx.dim, rank=rank, member_only=True, seed=int(ctx.rng.integers(2**63)))
-    a, x = generate_instance(spec)
+    a, x = generate_instance(ctx.dim, rank, int(ctx.rng.integers(2**63)))
     ctx._record("a", a)
     ctx._record("x", x)
     dec = psd_decompose(a, ctx.tol)
     ctx.check(dec.rank == rank, f"rank {dec.rank}", f"spec rank {rank}")
-    ctx.check(a_membership(dec, x, ctx.tol), "non-member generated", "member_only instance passes membership")
+    ctx.check(a_membership(dec, x, ctx.tol), "non-member generated", "generated instance passes membership")
 
 
 def _prop_membership_certificate(ctx: CheckContext):
@@ -626,8 +612,7 @@ def _prop_block_permanence(ctx: CheckContext):
     rng = ctx.rng
     blocks_a, blocks_x = [], []
     for d in (d1, d2):
-        spec = RandomInstanceSpec(dim=d, rank=int(rng.integers(1, d + 1)), member_only=True, seed=int(rng.integers(2**63)))
-        a_b, x_b = generate_instance(spec)
+        a_b, x_b = generate_instance(d, int(rng.integers(1, d + 1)), int(rng.integers(2**63)))
         blocks_a.append(a_b)
         blocks_x.append(x_b)
     a = np.zeros((d1 + d2, d1 + d2), dtype=np.complex128)
@@ -731,7 +716,7 @@ PROPERTIES: tuple[tuple[str, object], ...] = (
 
 def run_property_suite(
     trials: int = 25,
-    dims: tuple[int, ...] = (2, 3, 4, 5, 6, 7, 8),
+    dims: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7, 8),
     tol: ToleranceConfig = DEFAULT_TOL,
     seed: int = 0,
 ) -> list[PropertyReport]:
@@ -743,6 +728,10 @@ def run_property_suite(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not dims or min(dims) < 1:
+        raise ValueError(f"dims must be a non-empty list of dimensions >= 1, got {tuple(dims)}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     reports: list[PropertyReport] = []
     for prop_idx, (name, fn) in enumerate(PROPERTIES):
         start = time.perf_counter()

@@ -25,7 +25,7 @@ class ShapeError(ValueError):
 class MatrixFormatError(ValueError):
     """A matrix document or operand is malformed: bad JSON, data that misses its declared shape, or a non-finite
     or out-of-range entry.  ``operand`` raises it for a non-finite entry, and ShapeError for an empty or
-    non-square operand."""
+    non-square operand; ``psd_decompose`` raises it for a weight with an eigenvalue past float max."""
 
 
 @dataclass(frozen=True)

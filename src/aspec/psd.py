@@ -10,12 +10,13 @@ stack; lift(R) carries a rank x rank form back to n x n.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, ComplexMatrix, ToleranceConfig, operand, times_pow2, unit_scaled
+from .linalg import DEFAULT_TOL, ComplexMatrix, MatrixFormatError, ToleranceConfig, operand, times_pow2, unit_scaled
 
 
 class NotPsdError(ValueError):
@@ -84,6 +85,7 @@ def psd_decompose(a: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> PsdDe
     [-cut, cut] are hard-zeroed; all decisions are invariant under A -> cA.
     All is read on (S, k) = unit_scaled(A): eigh solves S/2 + S*/2, and its eigenvalues and ``a`` are scaled
     back by 2^k.  So LAPACK never rescales, and under A -> 4^j A the eigenvectors keep their bits.
+    MatrixFormatError is raised, before that, if an eigenvalue's modulus is past float max.
     """
     s, k = unit_scaled(operand(a, "weight"))
     herm_gap = float(np.linalg.norm(s - s.conj().T))
@@ -91,7 +93,10 @@ def psd_decompose(a: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> PsdDe
         raise NotPsdError(f"weight is not Hermitian within tolerance (defect {times_pow2(herm_gap, k):.3e})")
     h = s / 2 + s.conj().T / 2
     w, u = np.linalg.eigh(h)
-    cut = tol.cutoff(float(np.max(np.abs(w))))
+    top = float(np.max(np.abs(w)))
+    if math.frexp(top)[1] + k > 1024:  # top 2^k >= 2^1024
+        raise MatrixFormatError(f"weight eigenvalue overflow: a modulus of about 2^{math.log2(top) + k:.1f}, past float max")
+    cut = tol.cutoff(top)
     if w[0] < -cut:
         raise NotPsdError(f"weight has negative eigenvalue {times_pow2(w[0], k):.3e}")
     w = times_pow2(np.where(w > cut, w, 0.0), k)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from aspec.cli import main
-from aspec.harness import CheckContext, RandomInstanceSpec, _hausdorff, generate_instance
+from aspec.harness import CheckContext, _hausdorff, generate_instance
 from aspec.invert import a_invertible, neumann_a_inverse, thvn_certificate
 from aspec.linalg import DEFAULT_TOL, max_abs
 from aspec.omega import demo_function, demo_weight, diagonal_truncation
@@ -43,9 +43,9 @@ def pool():
     for dim in DIMS:
         for i in range(PER_DIM):
             rank = i % (dim + 1)  # ranks cycle through 0..dim
-            spec = RandomInstanceSpec(dim=dim, rank=rank, member_only=True, seed=BASE_SEED + 1000 * dim + i)
-            a, x = generate_instance(spec)
-            instances.append((spec, psd_decompose(a), x))
+            seed = BASE_SEED + 1000 * dim + i
+            a, x = generate_instance(dim, rank, seed)
+            instances.append((seed, psd_decompose(a), x))
     assert len(instances) >= 500
     return instances
 
@@ -112,8 +112,8 @@ def test_criterion_03_invertibility_equivalences(pool):
 
 def test_criterion_04_product_and_duality(pool):
     exercised = 0
-    for spec, dec, x in pool:
-        rng = np.random.default_rng(spec.seed + 77)
+    for seed, dec, x in pool:
+        rng = np.random.default_rng(seed + 77)
         x2 = random_member(dec, rng)
         rx, r2 = a_invertible(dec, x), a_invertible(dec, x2)
         if not (rx.invertible and r2.invertible):
@@ -167,8 +167,8 @@ def test_criterion_06_radius_inequalities(pool):
 
 def test_criterion_07_witness_validity(pool, classical_pool):
     checked = 0
-    for spec, dec, x in pool:
-        rng = np.random.default_rng(spec.seed + 99)
+    for seed, dec, x in pool:
+        rng = np.random.default_rng(seed + 99)
         shiftless = a_spectrum(dec, x)
         # homogeneous bounds, as spectrum_witness verifies: they reject wrong states at every scale
         x_norm = a_seminorm(dec, x).value
@@ -242,8 +242,7 @@ def test_criterion_09_block_permanence():
         d1, d2 = int(rng.integers(2, 5)), int(rng.integers(2, 5))
         blocks = []
         for d in (d1, d2):
-            spec = RandomInstanceSpec(dim=d, rank=int(rng.integers(1, d + 1)), member_only=True, seed=int(rng.integers(2**63)))
-            blocks.append(generate_instance(spec))
+            blocks.append(generate_instance(d, int(rng.integers(1, d + 1)), int(rng.integers(2**63))))
         dim = d1 + d2
         a = np.zeros((dim, dim), dtype=np.complex128)
         x = np.zeros_like(a)

@@ -151,6 +151,21 @@ def test_proptest_smoke(capsys):
     assert {r["suite"] for r in doc["reports"]} >= {"seminorm_oracle_agreement", "spectrum_compression"}
 
 
+@pytest.mark.parametrize("argv", [["--dims", "0..2"], ["--dims", "3..2"], ["--seed", "-1"]])
+def test_proptest_rejects_bad_dims_and_seed(capsys, argv):
+    code, out, err = run_cli(capsys, "proptest", "--trials", "1", *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: " + argv[0][2:] + " must")
+
+
+def test_weight_eigenvalue_past_float_max_is_an_error(files, capsys):
+    a = files("a", cmat(1e308 * np.ones((2, 2))))
+    x = files("x", cdiag(1, 1))
+    code, out, err = run_cli(capsys, "seminorm", "--a", a, "--x", x)
+    assert code == 1 and out == ""
+    assert "eigenvalue overflow" in err
+
+
 def test_tol_override_changes_policy(files, capsys):
     # a weight that is PSD only up to 1e-6 noise: rejected at defaults,
     # accepted when --tol loosens the whole policy

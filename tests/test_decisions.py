@@ -8,7 +8,7 @@ import pytest
 
 from aspec import invert, seminorm, spectrum
 from aspec.douglas import NotMajorizedError, douglas_solve, power_factorize
-from aspec.harness import CheckContext, RandomInstanceSpec, _prop_annihilated_member_singular, generate_instance
+from aspec.harness import CheckContext, _prop_annihilated_member_singular, generate_instance
 from aspec.linalg import DEFAULT_TOL, max_abs, times_pow2, unit_scaled
 from aspec.psd import NotPsdError, psd_decompose
 from aspec.seminorm import random_member
@@ -183,7 +183,7 @@ def test_decisions_are_invariant_under_scaling_and_unitary_conjugation():
 @pytest.mark.filterwarnings("error")
 def test_decisions_near_float_max_are_those_at_scale_one():
     # the Frobenius norm of each operand overflows, so a norm taken unscaled reads inf and accepts every defect
-    a, x = generate_instance(RandomInstanceSpec(dim=4, rank=4, member_only=True, seed=3))
+    a, x = generate_instance(4, 4, 3)
     d = psd_decompose(a)
     big = x * (1e308 / np.abs(x).max())
     assert invert.a_invertible(d, x).invertible and invert.a_invertible(d, big).invertible
@@ -242,7 +242,7 @@ def test_outputs_under_a_times_2_to_the_600_keep_their_bits():
     pairs = [(dim, rank) for dim in range(1, 7) for rank in range(1, dim + 1)]
     failures, found = [], 0
     for i, (dim, rank) in enumerate(pairs * 2):
-        a, x = generate_instance(RandomInstanceSpec(dim=dim, rank=rank, member_only=True, seed=3000 + i))
+        a, x = generate_instance(dim, rank, 3000 + i)
         x = x * (0.5 / seminorm.a_seminorm(psd_decompose(a), x).value)
         base = _outputs(a, x)
         found += sum(w is not None for w in base["witnesses"])

@@ -8,50 +8,49 @@ import pytest
 
 from aspec.harness import (
     PROPERTIES,
-    RandomInstanceSpec,
     generate_instance,
     run_property_suite,
 )
 from aspec.psd import psd_decompose
-from aspec.seminorm import a_membership
+from aspec.seminorm import _complex_gaussian, a_membership
 
 
 def test_generator_full_rank_spec():
-    a, x = generate_instance(RandomInstanceSpec(dim=2, rank=2, member_only=False, seed=1))
+    a, _ = generate_instance(2, 2, 1)
     d = psd_decompose(a)
     assert d.rank == 2
+    x = _complex_gaussian(np.random.default_rng(1), (2, 2))  # raw, not built as a member
     assert a_membership(d, x)  # full-rank weight: everything is a member
 
 
 def test_generator_zero_rank():
-    a, x = generate_instance(RandomInstanceSpec(dim=4, rank=0, member_only=False, seed=2))
+    a, _ = generate_instance(4, 0, 2)
     assert np.all(a == 0)
     from aspec.seminorm import a_seminorm
 
-    value = a_seminorm(psd_decompose(a), x)
+    value = a_seminorm(psd_decompose(a), _complex_gaussian(np.random.default_rng(2), (4, 4)))
     assert value.finite and value.value == 0.0
 
 
-def test_generator_member_only():
-    a, x = generate_instance(RandomInstanceSpec(dim=3, rank=2, member_only=True, seed=42))
+def test_generator_draws_a_member():
+    a, x = generate_instance(3, 2, 42)
     d = psd_decompose(a)
     assert d.rank == 2
     assert a_membership(d, x)
 
 
 def test_generator_determinism():
-    spec = RandomInstanceSpec(dim=5, rank=3, member_only=True, seed=99)
-    a1, x1 = generate_instance(spec)
-    a2, x2 = generate_instance(spec)
+    a1, x1 = generate_instance(5, 3, 99)
+    a2, x2 = generate_instance(5, 3, 99)
     assert np.array_equal(a1, a2)
     assert np.array_equal(x1, x2)
 
 
 def test_generator_validation():
-    with pytest.raises(ValueError):
-        RandomInstanceSpec(dim=2, rank=3, member_only=False, seed=0)
-    with pytest.raises(ValueError):
-        RandomInstanceSpec(dim=0, rank=0, member_only=False, seed=0)
+    with pytest.raises(ValueError, match="rank must lie in"):
+        generate_instance(2, 3, 0)
+    with pytest.raises(ValueError, match="dim must be >= 1"):
+        generate_instance(0, 0, 0)
 
 
 def test_registry_size():
@@ -71,6 +70,17 @@ def test_smoke_run_and_determinism():
         ]
 
     assert json.dumps(strip(reports)) == json.dumps(strip(again))
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [({"dims": ()}, "dims"), ({"dims": (0,)}, "dims"), ({"dims": (2, -3)}, "dims"), ({"seed": -1}, "seed")],
+    ids=["no-dims", "dim-0", "dim-minus-3", "seed-minus-1"],
+)
+def test_suite_rejects_arguments_that_check_nothing_or_cannot_seed(kwargs, name):
+    # no dims would report a pass that checked nothing, and dim 0 or a negative seed is bad input, not a property failure
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        run_property_suite(trials=1, **kwargs)
 
 
 def test_suite_passes_on_modest_run():

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from aspec.linalg import approx_equal
+from aspec.linalg import MatrixFormatError, approx_equal
 from aspec.psd import NotPsdError, fractional_power, psd_decompose
 
 from conftest import cdiag, cmat
@@ -121,6 +121,15 @@ def test_full_rank_weight_near_float_max_keeps_its_rank(a):
         d = psd_decompose(cmat(a))
     assert d.rank == 2
     assert np.isfinite(d.a).all() and np.isfinite(d.eigvals).all()
+
+
+@pytest.mark.parametrize("c", [1e308, -1e308], ids=["positive", "negative"])
+def test_weight_with_an_eigenvalue_past_float_max_is_refused_without_a_warning(c):
+    # every entry is finite, but the eigenvalue 2c is not: refused before it is scaled back to inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MatrixFormatError, match="eigenvalue overflow"):
+            psd_decompose(cmat(c * np.ones((2, 2))))
 
 
 def test_hermitian_part_has_the_bits_of_the_halved_sum_at_moderate_scales():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from aspec.harness import RandomInstanceSpec, generate_instance
+from aspec.harness import generate_instance
 from aspec.linalg import approx_equal
 from aspec.psd import psd_decompose
 from aspec.seminorm import (
@@ -123,7 +123,7 @@ def test_seminorm_oracle_examples(d_rank1):
 @pytest.mark.parametrize("scale", [1e160, 1e300, 1e-300])
 def test_oracle_matches_the_seminorm_where_x_star_a_x_leaves_float_range(scale):
     # X*AX is degree 2 in X: formed unscaled it overflows from about X * 1e154 on and underflows to 0 at X * 1e-300
-    a, x = generate_instance(RandomInstanceSpec(dim=4, rank=3, member_only=True, seed=3))
+    a, x = generate_instance(4, 3, 3)
     d = psd_decompose(a)
     value = a_seminorm(d, x * scale).value
     assert np.isfinite(value) and a_seminorm_oracle(d, x * scale) == pytest.approx(value, rel=1e-12, abs=0)
@@ -190,7 +190,7 @@ def test_is_a_selfadjoint_keeps_its_answer_at_every_power_of_two():
     assert is_a_selfadjoint(1e308 * np.eye(3, dtype=complex), 10 * np.eye(3, dtype=complex))
     rng = np.random.default_rng(19)
     for seed in range(30):
-        a, x = generate_instance(RandomInstanceSpec(dim=4, rank=int(rng.integers(1, 5)), member_only=True, seed=5000 + seed))
+        a, x = generate_instance(4, int(rng.integers(1, 5)), 5000 + seed)
         d = psd_decompose(a)
         raw = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         for y, expected in ((x + a_adjoint(d, x), True), (raw, False)):
@@ -210,7 +210,7 @@ def test_random_member_is_member():
 def test_members_stay_members_where_the_defect_is_subnormal():
     # at X * 2^-1000 the entries of X are normal, but the rounding left in the membership defect Q* X N is subnormal
     for seed in range(40):
-        a, x = generate_instance(RandomInstanceSpec(dim=5, rank=3, member_only=True, seed=4000 + seed))
+        a, x = generate_instance(5, 3, 4000 + seed)
         d = psd_decompose(a)
         assert a_membership(d, x * 2.0**-1000), seed
         assert a_seminorm(d, x * 2.0**-1000).value == pytest.approx(a_seminorm(d, x).value * 2.0**-1000, rel=1e-12)

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aspec.harness import RandomInstanceSpec, generate_instance
+from aspec.harness import generate_instance
 from aspec.linalg import DEFAULT_TOL, ToleranceConfig, times_pow2
 from aspec.psd import psd_decompose
 from aspec.seminorm import (
@@ -550,7 +550,7 @@ def test_stacked_gelfand_matches_one_norm_per_power(rank):
 def test_gelfand_sequence_scales_bit_for_bit_with_x():
     # X -> 2^k X moves only the exponent sum E_n, by n k, so every term is 2^k times the one at X
     for i in range(40):
-        a, x = generate_instance(RandomInstanceSpec(dim=5, rank=3, member_only=True, seed=900 + i))
+        a, x = generate_instance(5, 3, 900 + i)
         d = psd_decompose(a)
         base = gelfand_sequence(d, x, 64)
         assert all(t > 0.0 for t in base)
@@ -841,7 +841,7 @@ def test_mollifier_matches_full_space_inverse_and_defects():
     pairs = [(dim, rank) for dim in range(1, 9) for rank in range(1, dim + 1)]
     steps_checked = 0
     for i, (dim, rank) in enumerate(pairs):
-        a, x = generate_instance(RandomInstanceSpec(dim=dim, rank=rank, member_only=True, seed=1300 + i))
+        a, x = generate_instance(dim, rank, 1300 + i)
         d = psd_decompose(a)
         for scale in (1.0, 1e-9, 1e9):
             xs = scale * x
@@ -911,7 +911,7 @@ def test_witness_found_flags_match_full_space_reference():
     checked = found = 0
     for i in range(60):
         dim, rank = pairs[i % len(pairs)]
-        a, x = generate_instance(RandomInstanceSpec(dim=dim, rank=rank, member_only=True, seed=500 + i))
+        a, x = generate_instance(dim, rank, 500 + i)
         d = psd_decompose(a)
         for scale in (1.0, 1e-9, 1e9):
             xs = scale * x
@@ -984,7 +984,7 @@ def test_witness_found_flags_match_spot_checked_verification():
     cases = []
     for i in range(200):
         dim, rank = pairs[i % len(pairs)]
-        a, x = generate_instance(RandomInstanceSpec(dim=dim, rank=rank, member_only=True, seed=7000 + i))
+        a, x = generate_instance(dim, rank, 7000 + i)
         cases.append((psd_decompose(a), x, False))
     cases += [(psd_decompose(a), x, True) for a, x in _analysis_pairs(8)]
     checked = found = 0
@@ -1007,7 +1007,7 @@ def test_witness_supremum_bounds_drawn_members_and_is_attained():
     # from rank 2 on, where a random range vector is far from a witness and the supremum is not rounding
     rng = np.random.default_rng(61)
     for i, (dim, rank) in enumerate(((2, 2), (3, 2), (5, 3), (6, 6), (8, 5))):
-        a, x = generate_instance(RandomInstanceSpec(dim=dim, rank=rank, member_only=True, seed=800 + i))
+        a, x = generate_instance(dim, rank, 800 + i)
         d = psd_decompose(a)
         a, q, lam_r = d.a, d.range_basis, d.range_eigvals
         root = np.sqrt(lam_r)
@@ -1052,7 +1052,7 @@ def test_witness_supremum_implies_the_side_identities():
     checked = 0
     for i in range(len(pairs) * 2):
         dim, rank = pairs[i % len(pairs)]
-        a, x = generate_instance(RandomInstanceSpec(dim=dim, rank=rank, member_only=True, seed=1100 + i))
+        a, x = generate_instance(dim, rank, 1100 + i)
         d = psd_decompose(a)
         a, q = d.a, d.range_basis
         for scale in (1.0, 1e-9, 1e9):
@@ -1101,7 +1101,7 @@ def test_witness_perturbed_by_1e6_is_rejected_at_every_scale():
     rejected = 0
     for i in range(len(pairs) * 2):
         dim, rank = pairs[i % len(pairs)]
-        a, x = generate_instance(RandomInstanceSpec(dim=dim, rank=rank, member_only=True, seed=900 + i))
+        a, x = generate_instance(dim, rank, 900 + i)
         d = psd_decompose(a)
         q = d.range_basis
         for scale in (1.0, 1e-9, 1e9):
