@@ -21,10 +21,7 @@ import sys
 def _tolerance(value: float | None):
     from .linalg import DEFAULT_TOL, ToleranceConfig
 
-    if value is None:
-        return DEFAULT_TOL
-    # one knob scales the whole default policy (atol 1e-10 reproduces the defaults)
-    return ToleranceConfig(atol=value, rtol=100 * value, rank_rtol=value)
+    return DEFAULT_TOL if value is None else ToleranceConfig(value)
 
 
 def _load(path: str):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, ComplexMatrix, ToleranceConfig, operand, times_pow2, unit_scaled
+from .linalg import DEFAULT_TOL, ComplexMatrix, ToleranceConfig, operand, pow2_text, times_pow2, unit_scaled
 from .psd import PsdDecomposition
 
 
@@ -38,7 +38,7 @@ def douglas_solve(x: ComplexMatrix, y: ComplexMatrix, tol: ToleranceConfig = DEF
         xs, k = unit_scaled(x)
         defect = float(np.linalg.norm(xs @ null_basis))
         if not tol.negligible(defect, np.linalg.norm(xs)):
-            raise NotMajorizedError(f"N(Y) is not contained in N(X) (defect {times_pow2(defect, k):.3e}); "
+            raise NotMajorizedError(f"N(Y) is not contained in N(X) (defect {pow2_text(defect, k)}); "
                                     "no finite majorization constant exists")
     return (u[:, kept] / svals[kept]) @ (vh[kept] @ x.conj().T)
 
@@ -61,5 +61,5 @@ def power_factorize(
     xs, bs = times_pow2(x, -j), times_pow2(b.a, -2 * j)
     gram_gap = float(np.min(np.linalg.eigvalsh(bs - xs.conj().T @ xs)))
     if not tol.negligible(-gram_gap, np.linalg.norm(bs)):
-        raise ValueError(f"X*X is not dominated by B (eigenvalue defect {times_pow2(times_pow2(gram_gap, j), j):.3e})")
+        raise ValueError(f"X*X is not dominated by B (eigenvalue defect {pow2_text(gram_gap, 2 * j)})")
     return x @ b.power(-alpha)

@@ -26,8 +26,12 @@ from .psd import PsdDecomposition
 from .seminorm import NotMemberError, _require_member
 
 
+# terms neumann_a_inverse sums at most before it raises ConvergenceError
+_MAX_TERMS = 10_000
+
+
 class ConvergenceError(RuntimeError):
-    """The truncated inverse series did not reach the tolerance within max_terms."""
+    """The inverse series still had a term above atol after its cap of 10 000 terms (_MAX_TERMS)."""
 
 
 @dataclass(frozen=True)
@@ -77,35 +81,28 @@ def a_invertible(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig = D
     return AInverseResult(invertible=True, canonical=canonical, invertible_form=canonical + (np.eye(d.dim) - d.power(0)))
 
 
-def neumann_a_inverse(
-    d: PsdDecomposition,
-    x: ComplexMatrix,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    max_terms: int = 10_000,
-) -> ComplexMatrix:
+def neumann_a_inverse(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> ComplexMatrix:
     """Weighted inverse of (1 - X) by geometric series, for seminorm of X below 1.
 
     Sums the powers of the member's M in rank x rank, lifts the sum
     once as Q L^(-1/2) (sum M^k) L^(1/2) Q*, and completes by the identity on
     the null space.  Truncates at the first term whose Frobenius norm, and so
     whose seminorm sigma_max(M^k) <= ||M^k||_F, is at most atol (a zero term
-    at atol = 0); raises ConvergenceError if max_terms is hit first.
+    at atol = 0); raises ConvergenceError if the cap of 10 000 terms is hit first.
     """
-    if max_terms < 1:
-        raise ValueError("max_terms must be positive")
     member = _require_member(d, x, tol)
     norm, m = member.norm, member.m
     if norm >= 1:
         raise ValueError(f"seminorm {norm:.6g} is not below 1; the series diverges")
     total = np.eye(d.rank, dtype=np.complex128)
     term = total
-    for _ in range(max_terms):
+    for _ in range(_MAX_TERMS):
         term = term @ m
         if np.linalg.norm(term) <= tol.atol:
             break
         total = total + term
     else:
-        raise ConvergenceError(f"series still above atol after {max_terms} terms")
+        raise ConvergenceError(f"series still above atol after {_MAX_TERMS} terms")
     return d.lift(total) + (np.eye(d.dim) - d.power(0))
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import IO, Union
 
 import numpy as np
@@ -30,8 +30,10 @@ class MatrixFormatError(ValueError):
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Single tolerance policy threaded through all modules.
+    """Single tolerance policy threaded through all modules, set by one number t (default 1e-10).
 
+    t fixes three derived values: atol = t, rtol = 100 t and rank_rtol = t.  t must be finite and
+    nonnegative with 100 t finite, else ValueError.
     Each yes/no decision compares a defect with a unitarily invariant scale of
     its own operand, both read on unit_scaled(operand).  Entries more than about
     2^1000 below an operand's largest entry underflow to zero; nothing else changes with scale.
@@ -49,15 +51,16 @@ class ToleranceConfig:
         of its points; neither has an absolute floor.
     """
 
-    atol: float = 1e-10
-    rtol: float = 1e-8
-    rank_rtol: float = 1e-10
+    t: float = 1e-10
+    atol: float = field(init=False)
+    rtol: float = field(init=False)
+    rank_rtol: float = field(init=False)
 
     def __post_init__(self):
-        for name in ("atol", "rtol", "rank_rtol"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+        if not (math.isfinite(self.t) and self.t >= 0 and math.isfinite(100 * self.t)):
+            raise ValueError(f"tolerance t must be finite and nonnegative, with 100 t finite, got {self.t}")
+        for name, value in (("atol", self.t), ("rtol", 100 * self.t), ("rank_rtol", self.t)):
+            object.__setattr__(self, name, value)  # frozen: the derived values are set once, here
 
     def negligible(self, defect: float, scale: float) -> bool:
         """True iff the defect is at most rtol times its operand's scale."""
@@ -163,6 +166,12 @@ def unit_scaled(m: ComplexMatrix) -> tuple[ComplexMatrix, int]:
 def times_pow2(v, k: int):
     """v 2^k, exact or inf or subnormal; in two halves, as 2^1024 overflows and a subnormal needs up to 2^1074."""
     return v * 2.0 ** (k // 2) * 2.0 ** (k - k // 2)
+
+
+def pow2_text(v: float, k: int) -> str:
+    """v 2^k for a message: in %.3e form, or as a mantissa in [1, 2) times 2^e where that float would overflow."""
+    m, e = math.frexp(v)
+    return f"{math.ldexp(v, k):.3e}" if e + k <= 1024 else f"{2 * m:.3f} * 2^{e + k - 1}"
 
 
 def approx_equal(m: ComplexMatrix, n: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> bool:

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, ComplexMatrix, MatrixFormatError, ToleranceConfig, operand, times_pow2, unit_scaled
+from .linalg import DEFAULT_TOL, ComplexMatrix, MatrixFormatError, ToleranceConfig, operand, pow2_text, times_pow2, unit_scaled
 
 
 class NotPsdError(ValueError):
@@ -90,15 +90,15 @@ def psd_decompose(a: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> PsdDe
     s, k = unit_scaled(operand(a, "weight"))
     herm_gap = float(np.linalg.norm(s - s.conj().T))
     if not tol.negligible(herm_gap, np.linalg.norm(s)):
-        raise NotPsdError(f"weight is not Hermitian within tolerance (defect {times_pow2(herm_gap, k):.3e})")
+        raise NotPsdError(f"weight is not Hermitian within tolerance (defect {pow2_text(herm_gap, k)})")
     h = s / 2 + s.conj().T / 2
     w, u = np.linalg.eigh(h)
     top = float(np.max(np.abs(w)))
     if math.frexp(top)[1] + k > 1024:  # top 2^k >= 2^1024
-        raise MatrixFormatError(f"weight eigenvalue overflow: a modulus of about 2^{math.log2(top) + k:.1f}, past float max")
+        raise MatrixFormatError(f"weight eigenvalue overflow: a modulus of {pow2_text(top, k)}, past float max")
     cut = tol.cutoff(top)
     if w[0] < -cut:
-        raise NotPsdError(f"weight has negative eigenvalue {times_pow2(w[0], k):.3e}")
+        raise NotPsdError(f"weight has negative eigenvalue {pow2_text(w[0], k)}")
     w = times_pow2(np.where(w > cut, w, 0.0), k)
     retained = w > 0
     rank = int(np.count_nonzero(retained))

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -166,6 +167,16 @@ def test_weight_eigenvalue_past_float_max_is_an_error(files, capsys):
     assert "eigenvalue overflow" in err
 
 
+def test_hermitian_defect_past_float_max_is_printed_finite(files, capsys):
+    a = files("a", cmat([[1e308, 1.7e308], [-1.7e308, 1e308]]))
+    x = files("x", cdiag(1, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "seminorm", "--a", a, "--x", x)
+    assert code == 1 and out == ""
+    assert "not Hermitian" in err and "inf" not in err
+
+
 def test_tol_override_changes_policy(files, capsys):
     # a weight that is PSD only up to 1e-6 noise: rejected at defaults,
     # accepted when --tol loosens the whole policy
@@ -179,9 +190,10 @@ def test_tol_override_changes_policy(files, capsys):
     assert json.loads(out)["member"] is True
 
 
-@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("value", ["inf", "nan", "1e307"])
 def test_non_finite_tol_is_an_error(files, capsys, value):
-    # a non-member pair: an infinite tolerance would otherwise call it a member with seminorm 0
+    # a non-member pair: an infinite tolerance would otherwise call it a member with seminorm 0; at 1e307 the
+    # defect bound 100 T is the infinite one
     a = files("a", cdiag(1, 0))
     x = files("x", cmat([[0, 1], [0, 0]]))
     code, out, err = run_cli(capsys, "seminorm", "--a", a, "--x", x, "--tol", value)

@@ -195,8 +195,9 @@ def test_decisions_near_float_max_are_those_at_scale_one():
         psd_decompose(1.5e308 * np.array([[1, 1, 0], [0, 1, 0], [0, 0, 1]], dtype=complex))
     with pytest.raises(NotMajorizedError):
         douglas_solve(non_member, d1.a)  # N(Y) = span(e2), which X does not annihilate
-    # an error message past float max reads inf, and raises nothing else
-    with pytest.raises(ValueError, match="not dominated by B .eigenvalue defect -inf"):
+    # an error message past float max prints a mantissa and a power of two, not inf, and raises nothing else:
+    # X*X has the eigenvalue 2 (1.3e308)^2 = 1.046 2^2048
+    with pytest.raises(ValueError, match=r"not dominated by B \(eigenvalue defect -1\.046 \* 2\^2048\)"):
         power_factorize(non_member, d1, 0.25)
     # both parts of 1.3e308 (1 + i) are finite, but its modulus is not: the scaling reads it on X / 2
     z = 1.3e308 + 1.3e308j

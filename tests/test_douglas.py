@@ -109,6 +109,16 @@ def test_power_factorize_decides_at_every_scale(scale):
         power_factorize(3 * x, b, 0.25)
 
 
+@pytest.mark.filterwarnings("error")
+def test_defects_past_float_max_print_finite():
+    # ||X N||_F = 1.7e308 sqrt(2) = 1.337 2^1024 for the basis N = e2 of N(diag(1, 0))
+    with pytest.raises(NotMajorizedError, match=r"\(defect 1\.337 \* 2\^1024\)"):
+        douglas_solve(np.full((2, 2), 1.7e308, dtype=complex), cdiag(1, 0))
+    # X*X = 1e320 I exceeds B = 1e300 I by about 1e320 = 1.012 2^1063, an eigenvalue defect past float max
+    with pytest.raises(ValueError, match=r"eigenvalue defect -1\.012 \* 2\^1063\)"):
+        power_factorize(cdiag(1e160, 1e160), psd_decompose(cdiag(1e300, 1e300)), 0.25)
+
+
 def test_douglas_decides_and_solves_from_one_svd(monkeypatch):
     # the null-space decision and Y^dagger come from one SVD, so they agree on the rank of Y; the reference is
     # Z = (X pinv(Y))* with pinv cutting at the same rank_rtol, and NotMajorizedError is raised exactly when

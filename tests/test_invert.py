@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from aspec.harness import generate_instance
-from aspec.invert import ConvergenceError, a_invertible, neumann_a_inverse, thvn_certificate
+from aspec.invert import _MAX_TERMS, ConvergenceError, a_invertible, neumann_a_inverse, thvn_certificate
 from aspec.linalg import DEFAULT_TOL, ToleranceConfig, approx_equal, max_abs
 from aspec.psd import psd_decompose
 from aspec.seminorm import NotMemberError, _require_member, a_seminorm, random_member
@@ -94,8 +94,17 @@ def test_neumann_rejects_large_seminorm(d_rank1):
 def test_neumann_reports_non_convergence(d_rank1):
     from aspec.invert import ConvergenceError
 
-    with pytest.raises(ConvergenceError):
-        neumann_a_inverse(d_rank1, cdiag(0.9, 0), max_terms=3)
+    # 0.999^k stays above atol 1e-10 for about 23 000 terms, past the cap of 10 000
+    with pytest.raises(ConvergenceError, match="after 10000 terms"):
+        neumann_a_inverse(d_rank1, cdiag(0.999, 0))
+
+
+def test_neumann_takes_no_term_cap(d_rank1):
+    # the cap is fixed, not a setting
+    with pytest.raises(TypeError):
+        neumann_a_inverse(d_rank1, cdiag(0.5, 0), DEFAULT_TOL, 10_000)
+    with pytest.raises(TypeError):
+        neumann_a_inverse(d_rank1, cdiag(0.5, 0), max_terms=10_000)
 
 
 def test_neumann_matches_canonical():
@@ -120,7 +129,7 @@ def _sigma_max(t):
     return np.linalg.svd(t, compute_uv=False).max(initial=0.0)
 
 
-def _neumann_reference(d, x, tol=DEFAULT_TOL, max_terms=10_000, size=np.linalg.norm):
+def _neumann_reference(d, x, tol=DEFAULT_TOL, max_terms=_MAX_TERMS, size=np.linalg.norm):
     """neumann_a_inverse with size(term) <= atol deciding the stop, as a reference: the Frobenius norm by
     default, or _sigma_max, the rule of one svd per term, which stops at the term's seminorm."""
     m = _require_member(d, x, tol).m
@@ -158,7 +167,7 @@ def _neumann_cases():
 
 @pytest.mark.parametrize("atol", [1e-10, 1e-4, 0.3])
 def test_neumann_stops_on_the_frobenius_norm_with_one_svd_per_call(atol, monkeypatch):
-    tol = ToleranceConfig(atol=atol)
+    tol = ToleranceConfig(atol)  # rtol = 100 atol: every case stays a member, at 0.3 too
     cases = list(_neumann_cases())
     expected = [_neumann_reference(d, x, tol) for d, x in cases]
     seminorm_stop = [_neumann_reference(d, x, tol, size=_sigma_max) for d, x in cases]
@@ -175,27 +184,28 @@ def test_neumann_stops_on_the_frobenius_norm_with_one_svd_per_call(atol, monkeyp
     for (d, x), y, ref, old in zip(cases, got, expected, seminorm_stop):
         assert np.array_equal(y, ref), (d.rank, atol)
         # the Frobenius stop keeps every term the seminorm stop keeps, and the extra ones bring the sum no
-        # farther from the canonical inverse
-        canonical = a_invertible(d, np.eye(d.dim) - x, tol).canonical
+        # farther from the canonical inverse, decided at the default policy: at t = 0.3 the rank cutoff
+        # 0.3 sigma_max would call some 1 - X singular
+        canonical = a_invertible(d, np.eye(d.dim) - x).canonical
         assert max_abs(d.a @ (y - canonical)) <= max_abs(d.a @ (old - canonical)), (d.rank, atol)
 
 
 def test_neumann_raises_when_max_terms_or_a_zero_atol_cuts_the_series(d_rank1):
-    for max_terms in (1, 3, 50):
-        with pytest.raises(ConvergenceError):
-            _neumann_reference(d_rank1, cdiag(0.9, 0), max_terms=max_terms, size=_sigma_max)
-        with pytest.raises(ConvergenceError):
-            neumann_a_inverse(d_rank1, cdiag(0.9, 0), max_terms=max_terms)
-    zero_atol = ToleranceConfig(atol=0.0)
+    # 0.999^k needs about 23 000 terms to reach atol 1e-10, so the cap of _MAX_TERMS cuts it
     with pytest.raises(ConvergenceError):
-        neumann_a_inverse(d_rank1, cdiag(0.5, 0), zero_atol, max_terms=200)
+        _neumann_reference(d_rank1, cdiag(0.999, 0), size=_sigma_max)
+    with pytest.raises(ConvergenceError):
+        neumann_a_inverse(d_rank1, cdiag(0.999, 0))
+    # at atol = 0 only a zero term stops the series: 0.9999^k underflows to 0 only after millions of terms
+    with pytest.raises(ConvergenceError):
+        neumann_a_inverse(d_rank1, cdiag(0.9999, 0), ToleranceConfig(0.0))
 
 
 def test_neumann_at_zero_atol_stops_on_the_first_zero_term(d_rank1):
     # every term of the zero member is exactly 0, so the sum is exact after one product, even at atol = 0
-    zero, zero_atol = np.zeros((2, 2), dtype=complex), ToleranceConfig(atol=0.0)
-    for max_terms in (1, 10_000):
-        assert np.array_equal(neumann_a_inverse(d_rank1, zero, zero_atol, max_terms=max_terms), np.eye(2)), max_terms
+    # (were the zero term not a stop, the series would run to the cap and raise)
+    zero, zero_atol = np.zeros((2, 2), dtype=complex), ToleranceConfig(0.0)
+    assert np.array_equal(neumann_a_inverse(d_rank1, zero, zero_atol), np.eye(2))
 
 
 def test_thvn_identity_element(d_rank1):

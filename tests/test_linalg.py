@@ -1,5 +1,6 @@
 """Wire format and tolerance policy."""
 
+import dataclasses
 import io
 import json
 import math
@@ -19,6 +20,7 @@ from aspec.linalg import (
     ToleranceConfig,
     approx_equal,
     max_abs,
+    pow2_text,
     read_matrix,
     times_pow2,
     unit_scaled,
@@ -174,16 +176,58 @@ def test_approx_equal_shape_mismatch():
 @pytest.mark.parametrize("field", ["atol", "rtol", "rank_rtol"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_tolerance_rejects_non_finite(field, value):
-    with pytest.raises(ValueError, match=f"{field} must be finite and nonnegative"):
+    # the one number t is refused; each derived value is read-only, so passing it alone is no way round
+    with pytest.raises(ValueError, match="must be finite and nonnegative"):
+        ToleranceConfig(value)
+    with pytest.raises(TypeError):
         ToleranceConfig(**{field: value})
+    with pytest.raises(AttributeError):
+        setattr(DEFAULT_TOL, field, value)
 
 
 def test_tolerance_validation():
     with pytest.raises(ValueError):
-        ToleranceConfig(atol=-1.0)
+        ToleranceConfig(-1.0)
+    assert DEFAULT_TOL.t == 1e-10
     assert DEFAULT_TOL.atol == 1e-10
     assert DEFAULT_TOL.rtol == 1e-8
     assert DEFAULT_TOL.rank_rtol == 1e-10
+
+
+@pytest.mark.parametrize("t", [0.0, 5e-324, 1e-19, 1e-10, 1e-4, 0.3, 1e306])
+def test_one_number_sets_the_whole_policy(t):
+    tol = ToleranceConfig(t)
+    derived = (tol.atol, tol.rtol, tol.rank_rtol)
+    assert [v.hex() for v in derived] == [t.hex(), (100 * t).hex(), t.hex()]
+
+
+def test_default_policy_is_the_default_number():
+    assert ToleranceConfig() == DEFAULT_TOL == ToleranceConfig(1e-10)
+    assert DEFAULT_TOL.rtol.hex() == (1e-8).hex()
+    assert [f.name for f in dataclasses.fields(ToleranceConfig) if f.init] == ["t"]
+
+
+@pytest.mark.parametrize("t", [1e307, float("inf"), float("nan"), -1e-12])
+def test_tolerance_out_of_range_raises(t):
+    # 1e307 is finite, but its relative defect bound 100 t is not
+    with pytest.raises(ValueError, match="must be finite and nonnegative"):
+        ToleranceConfig(t)
+
+
+@pytest.mark.parametrize("name", ["atol", "rtol", "rank_rtol"])
+def test_derived_tolerances_are_not_settable(name):
+    with pytest.raises(TypeError):
+        ToleranceConfig(**{name: 1e-10})
+    with pytest.raises(TypeError):
+        ToleranceConfig(1e-10, **{name: 1e-10})
+
+
+@pytest.mark.filterwarnings("error")
+def test_pow2_text_is_finite_at_every_scale():
+    # the float v 2^k where it is finite, and else a mantissa in [1, 2) and a power of two, never inf
+    assert pow2_text(0.75, 4) == "1.200e+01" and pow2_text(-0.75, -1074) == "-4.941e-324"
+    assert pow2_text(0.75, 1024) == f"{1.5 * 2.0**1023:.3e}" == "1.348e+308"
+    assert pow2_text(0.75, 1025) == "1.500 * 2^1024" and pow2_text(np.float64(-3.0), 2046) == "-1.500 * 2^2047"
 
 
 small_matrices = arrays(

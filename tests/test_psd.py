@@ -128,8 +128,17 @@ def test_weight_with_an_eigenvalue_past_float_max_is_refused_without_a_warning(c
     # every entry is finite, but the eigenvalue 2c is not: refused before it is scaled back to inf
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(MatrixFormatError, match="eigenvalue overflow"):
+        with pytest.raises(MatrixFormatError, match="eigenvalue overflow") as err:
             psd_decompose(cmat(c * np.ones((2, 2))))
+    # |2c| = 2e308 = 1.113 2^1024, in the mantissa and power-of-two form of linalg.pow2_text
+    assert "a modulus of 1.113 * 2^1024, past float max" in str(err.value)
+
+
+@pytest.mark.filterwarnings("error")
+def test_hermitian_defect_past_float_max_prints_finite():
+    # ||A - A*||_F = 2 sqrt(2) 1.7e308 = 1.337 2^1025 is past float max though every entry is finite
+    with pytest.raises(NotPsdError, match=r"not Hermitian within tolerance \(defect 1\.337 \* 2\^1025\)"):
+        psd_decompose(cmat([[1e308, 1.7e308], [-1.7e308, 1e308]]))
 
 
 def test_hermitian_part_has_the_bits_of_the_halved_sum_at_moderate_scales():

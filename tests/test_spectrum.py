@@ -189,11 +189,20 @@ def test_witness_verification_rejects_random_states_at_every_scale():
 
 
 def test_witness_is_none_when_no_candidate_verifies():
-    # at rank_rtol 0.9, 1.5 is a point of diag(1, 2) (sigma_min(C - 1.5) = 0.5 <= 0.9 * 2), yet no state has
-    # f(X) = 1.5 with a vanishing annihilation supremum: the search is an outcome, not an error
-    d = psd_decompose(np.eye(2, dtype=complex))
+    # at t = 1e-6 the weight diag(1, 1.5e-6) keeps rank 2 but is ill-conditioned: X = L^-1/2 R diag(1, 1.001) R* L^1/2
+    # has the member M = R diag(1, 1.001) R*, whose eigenvalues 1 and 1.001 merge into the one point 1.0005, since
+    # sigma_min(C - 1.0005) is within the cutoff of sigma_max(C).  Yet no state has f(X) = 1.0005 within
+    # rtol ||X||_A = 1e-4: the search is an outcome, not an error
+    tol, weights = ToleranceConfig(1e-6), np.array([1, 1.5e-6])
+    d = psd_decompose(np.diag(weights).astype(complex), tol)
+    c, s = np.cos(0.3), np.sin(0.3)
+    rot = np.array([[c, -s], [s, c]])
+    x = ((rot @ np.diag([1, 1.001]) @ rot.T) * weights**0.5 / weights[:, None] ** 0.5).astype(complex)
+    assert d.rank == 2
+    (point,) = a_spectrum(d, x, tol).points
+    assert point == pytest.approx(1.0005, abs=1e-9)
     for side in ("left", "right"):
-        assert spectrum_witness(d, cdiag(1, 2), 1.5, side, ToleranceConfig(rank_rtol=0.9)) is None
+        assert spectrum_witness(d, x, point, side, tol) is None
 
 
 def test_witness_rejects_non_spectrum_point(d_rank1):
