@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, ComplexMatrix, ToleranceConfig
+from .linalg import DEFAULT_TOL, ComplexMatrix, ToleranceConfig, times_pow2
 from .psd import PsdDecomposition
 from .seminorm import NotMemberError, _require_member
 
@@ -77,7 +77,7 @@ def a_invertible(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig = D
     if member.singular:
         return AInverseResult(invertible=False)
     q = d.range_basis
-    canonical = q @ np.linalg.inv(member.c) @ q.conj().T
+    canonical = times_pow2(q @ np.linalg.inv(member.c) @ q.conj().T, -member.k)
     return AInverseResult(invertible=True, canonical=canonical, invertible_form=canonical + (np.eye(d.dim) - d.power(0)))
 
 
@@ -91,7 +91,7 @@ def neumann_a_inverse(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfi
     at atol = 0); raises ConvergenceError if the cap of 10 000 terms is hit first.
     """
     member = _require_member(d, x, tol)
-    norm, m = member.norm, member.m
+    norm, m = times_pow2(member.norm, member.k), times_pow2(member.m, member.k)
     if norm >= 1:
         raise ValueError(f"seminorm {norm:.6g} is not below 1; the series diverges")
     total = np.eye(d.rank, dtype=np.complex128)
@@ -115,6 +115,8 @@ def thvn_certificate(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig
     invertibility; it is the top eigenvalue of the pencil (A^2, A X X* A).
     c and alpha are degree +-2 in X, so outside about 1e+-154 they leave float
     range: c reads inf, alpha inf or 0.  That is their size, not a defect.
+    c squares sigma_max(M) and 1 / sigma_min(M), each scaled back from the
+    member's S; alpha is scaled back once, by 2^(-2k).
     Raises NotMemberError for non-members.
     """
     member = _require_member(d, x, tol)
@@ -124,5 +126,7 @@ def thvn_certificate(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig
     if d.rank == 0:
         return ThvnCertificate(c=inflate, alpha=inflate)
     # squares by multiplication, which reads inf past float max where ** raises OverflowError
-    top, bottom = max(float(member.m_svals[0]), 1.0 / float(member.m_svals[-1])), float(member.svals[-1])
-    return ThvnCertificate(c=top * top * inflate, alpha=inflate / (bottom * bottom) if bottom * bottom else math.inf)
+    k, bottom = member.k, float(member.svals[-1])
+    top = max(times_pow2(float(member.m_svals[0]), k), times_pow2(1.0 / float(member.m_svals[-1]), -k))
+    alpha = times_pow2(inflate / (bottom * bottom), -2 * k) if bottom * bottom else math.inf
+    return ThvnCertificate(c=top * top * inflate, alpha=alpha)

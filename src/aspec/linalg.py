@@ -164,8 +164,8 @@ def unit_scaled(m: ComplexMatrix) -> tuple[ComplexMatrix, int]:
 
 
 def times_pow2(v, k: int):
-    """v 2^k, exact or inf or subnormal; in two halves, as 2^1024 overflows and a subnormal needs up to 2^1074."""
-    return v * 2.0 ** (k // 2) * 2.0 ** (k - k // 2)
+    """v 2^k, exact or inf or subnormal; in three parts, as 2^1024 overflows and alpha (degree -2) takes |k| to 2146."""
+    return v * 2.0 ** (k // 3) * 2.0 ** (k // 3) * 2.0 ** (k - 2 * (k // 3))
 
 
 def pow2_text(v: float, k: int) -> str:

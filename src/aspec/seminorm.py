@@ -4,8 +4,11 @@ A square matrix X has a finite weighted seminorm exactly when it leaves the
 null space of the weight invariant.  Each public call that needs a member
 decides that once, in _require_member, and hands its cores a Member, which
 holds the compressions of X to the range, their singular values, the
-seminorm and the rank cutoff (see its docstring).  An independent route to
-the seminorm goes through the supremum of the state functionals f(X*AX)/f(A)
+seminorm and the rank cutoff (see its docstring).  A Member is built once on
+S = X 2^-k, (S, k) = unit_scaled(X), and each public output leaves it scaled
+back once, by 2^(deg k) for its degree deg in X, so the outputs at 2^j X are
+those at X times 2^(deg j), bit for bit.  An independent route to the
+seminorm goes through the supremum of the state functionals f(X*AX)/f(A)
 in the full space; both are exposed so they can be cross-checked.
 """
 
@@ -76,34 +79,38 @@ def _is_point(svals: np.ndarray, cut: float) -> bool:
 class Member:
     """A member X of the weight d and the values the member-assuming cores read, each built on first use.
 
-    With Q the orthonormal range basis of d and L its retained eigenvalues,
-    c is the compression C = Q* X Q and m its similar form
-    M = L^(1/2) C L^(-1/2), which is A^(1/2) X (A^(1/2))^dagger on the range;
-    svals and m_svals are their singular values, descending, and norm, the
-    seminorm of X, is sigma_max(M) (0 at rank 0).  cut is the one rank test:
-    lam is a point of the weighted spectrum iff sigma_min(C - lam) <= cut, and
-    X is invertible iff 0 is not a point.  It is tol.cutoff(sigma_max(C)), or
-    sigma_max(C) itself when that is at most rounding = 2^k tol.rounding(dim,
-    ||X 2^-k||_F), k from unit_scaled(X), the rounding of forming C from X:
-    C is then zero to rounding, as when A X = 0, and every singular value is
-    cut.  C decides the cut, the points, the witness candidates and the
-    canonical inverse; every measurement, the witness checks and the
-    mollifier included, runs on M.  rounding is finite at every scale of X.
+    Every field is read on s, the S of (S, k) = unit_scaled(X), whose
+    largest entry modulus lies in [1/2, 1); a value of degree deg in X is
+    that at X times 2^(-deg k).  With Q the orthonormal range basis of d and
+    L its retained eigenvalues, c is the compression C = Q* S Q and m its
+    similar form M = L^(1/2) C L^(-1/2), which is A^(1/2) S (A^(1/2))^dagger
+    on the range; svals and m_svals are their singular values, descending,
+    and norm, the seminorm of S, is sigma_max(M) (0 at rank 0).  w is
+    (M 2^(k - e), e) for the e that brings the largest entry modulus of
+    M 2^(k - e) into [1/2, 1): the one scaled copy of M, with e the exponent
+    that takes it to units of X.  cut is the one rank test: lam is a point
+    of the weighted spectrum iff sigma_min(C - lam 2^-k) <= cut, and X is
+    invertible iff 0 is not a point.  It is tol.cutoff(sigma_max(C)), or
+    sigma_max(C) itself when that is at most rounding = tol.rounding(dim,
+    ||S||_F), the rounding of forming C from S: C is then zero to rounding,
+    as when A X = 0, and every singular value is cut.  C decides the cut,
+    the points, the witness candidates and the canonical inverse; every
+    measurement, the witness checks and the mollifier included, runs on M.
     """
 
     d: PsdDecomposition
-    x: ComplexMatrix
+    s: ComplexMatrix
+    k: int
     tol: ToleranceConfig
 
     @cached_property
     def rounding(self) -> float:
-        s, k = unit_scaled(self.x)
-        return times_pow2(self.tol.rounding(self.d.dim, float(np.linalg.norm(s))), k)
+        return self.tol.rounding(self.d.dim, float(np.linalg.norm(self.s)))
 
     @cached_property
     def c(self) -> ComplexMatrix:
         q = self.d.range_basis
-        return q.conj().T @ self.x @ q
+        return q.conj().T @ self.s @ q
 
     @cached_property
     def svals(self) -> np.ndarray:
@@ -119,6 +126,11 @@ class Member:
         return self.c * self.d.range_sqrt[:, None] / self.d.range_sqrt[None, :]
 
     @cached_property
+    def w(self) -> tuple[ComplexMatrix, int]:
+        w, j = unit_scaled(self.m)
+        return w, j + self.k
+
+    @cached_property
     def m_svals(self) -> np.ndarray:
         return np.linalg.svd(self.m, compute_uv=False)
 
@@ -131,21 +143,32 @@ class Member:
         """True iff 0 is a point of the spectrum, so X is not invertible."""
         return _is_point(self.svals, self.cut)
 
+    def shift(self, lam: complex) -> ComplexMatrix:
+        """C - lam 2^-k, the compression of X - lam in units of S, for lam in units of X.
+
+        The one check of a spectral parameter: ValueError, naming lam, unless lam 2^-k is finite.
+        """
+        mu = times_pow2(complex(lam), -self.k)
+        if not np.isfinite(mu):
+            raise ValueError(f"spectral parameter {lam} is not finite at the scale 2^{self.k} of X")
+        return self.c - mu * np.eye(len(self.c))
+
     def is_point(self, lam: complex) -> bool:
-        return _is_point(np.linalg.svd(self.c - lam * np.eye(len(self.c)), compute_uv=False), self.cut)
+        """True iff lam, in units of X, is a point of the weighted spectrum: the rank test of shift(lam)."""
+        return _is_point(np.linalg.svd(self.shift(lam), compute_uv=False), self.cut)
 
 
 def _require_member(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig) -> Member:
-    """X as a complex128 Member, after the one membership decision of a public call.
+    """X as a Member on (S, k) = unit_scaled(X), after the one membership decision of a public call, on S.
 
     Raises NotMemberError for non-members.  What follows runs member-assuming
     cores and decides nothing again for matrices that are members by
     construction: shifts lam - X, canonical inverses, products of members.
     """
-    x = np.asarray(x, dtype=np.complex128)
-    if not a_membership(d, x, tol):
+    s, k = unit_scaled(operand(x, "X", d.a))
+    if not a_membership(d, s, tol):
         raise NotMemberError("operation requires a member, but X moves the null space of the weight")
-    return Member(d, x, tol)
+    return Member(d, s, k, tol)
 
 
 def membership_certificate(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> ComplexMatrix:
@@ -153,8 +176,8 @@ def membership_certificate(d: PsdDecomposition, x: ComplexMatrix, tol: Tolerance
 
     U = Q (L^(1/2) C L^(-1/4)) Q*, from the member's C.  Raises NotMemberError when X is not a member.
     """
-    q, s = d.range_basis, d.range_sqrt
-    return (q * s) @ _require_member(d, x, tol).c @ (q / np.sqrt(s)).conj().T
+    q, s, member = d.range_basis, d.range_sqrt, _require_member(d, x, tol)
+    return times_pow2((q * s) @ member.c @ (q / np.sqrt(s)).conj().T, member.k)
 
 
 def a_seminorm(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> ASeminormValue:
@@ -163,7 +186,7 @@ def a_seminorm(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig = DEF
         member = _require_member(d, x, tol)
     except NotMemberError:
         return ASeminormValue(finite=False)
-    return ASeminormValue(finite=True, value=member.norm)
+    return ASeminormValue(finite=True, value=times_pow2(member.norm, member.k))
 
 
 def a_seminorm_oracle(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> float:
@@ -173,14 +196,13 @@ def a_seminorm_oracle(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfi
     range of the weight, evaluated as the top eigenvalue of
     (A^(1/2))^dagger X*AX (A^(1/2))^dagger.  The supremum over all states is
     attained at a vector state, so this equals the seminorm for members.
-    X*AX is degree 2 in X: it is formed on unit_scaled(X), and the root scaled back, so nothing overflows.
+    X*AX is degree 2 in X: it is formed on the member's S, and the root scaled back, so nothing overflows.
     """
-    x, k = unit_scaled(_require_member(d, x, tol).x)
-    r = d.power(-0.5)
-    gram = r @ (x.conj().T @ d.a @ x) @ r
+    member, r = _require_member(d, x, tol), d.power(-0.5)
+    gram = r @ (member.s.conj().T @ d.a @ member.s) @ r
     gram = (gram + gram.conj().T) / 2
     mu_max = float(np.max(np.linalg.eigvalsh(gram)))
-    return float(times_pow2(np.sqrt(max(mu_max, 0.0)), k))
+    return float(times_pow2(np.sqrt(max(mu_max, 0.0)), member.k))
 
 
 def a_adjoint(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> ComplexMatrix:
@@ -189,7 +211,8 @@ def a_adjoint(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig = DEFA
     Weighted adjoints are not unique; this pins the representative supported on the range of the
     weight, lift(M*) = Q L^-1 C* L Q* from the member's M.  Raises NotMemberError for non-members.
     """
-    return d.lift(_require_member(d, x, tol).m.conj().T)
+    member = _require_member(d, x, tol)
+    return times_pow2(d.lift(member.m.conj().T), member.k)
 
 
 def _complex_gaussian(rng: np.random.Generator, shape, scale: float = 1.0) -> np.ndarray:

@@ -14,7 +14,10 @@ f(A (X - lam) Y) (or f(A Y (X - lam))) must vanish for every Y, which is
 checked by its supremum over ||Y||_A <= 1, |(M - lam)* u| / |u| (or
 |(M - lam) u| / |u|), so no Y is drawn.  The boundary mollifier inverts
 lam_n - M and takes its norms on M.  Only returned states and inverses are
-lifted to n x n.
+lifted to n x n.  C is read on the member's S = X 2^-k, and M, for the
+Gelfand sequence, the witness checks, the numerical range and the
+mollifier, on the member's one unit-scaled copy W = M 2^-e; each output
+is scaled back once, by 2^k or 2^e, so it scales exactly with X.
 
 The numerical range and the Gelfand sequence solve many rank x rank problems
 of one size.  They stack them into blocks of about _BLOCK_ENTRIES complex
@@ -116,7 +119,7 @@ def a_spectrum(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig = DEF
     dimensions.
     """
     member = _require_member(d, x, tol)
-    c, cut = member.c, member.cut
+    c, cut, eye = member.c, member.cut, np.eye(d.rank)  # in units of X 2^-k, as each eigenvalue and centroid
     contains_zero = member.singular
     groups: list[list[complex]] = [[0j]] if contains_zero else []
     centroids: list[complex] = [0j] if contains_zero else []
@@ -129,14 +132,15 @@ def a_spectrum(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig = DEF
             if centroids:
                 k = min(range(len(centroids)), key=lambda i: abs(centroids[i] - z))
                 grown = complex(np.mean(groups[k] + [z]))
-                if np.abs(evals - grown).min() * inv_cond <= clear and member.is_point(grown):
+                if np.abs(evals - grown).min() * inv_cond <= clear and _is_point(np.linalg.svd(c - grown * eye, compute_uv=False), cut):
                     groups[k].append(z)
                     centroids[k] = grown
                     continue
             groups.append([z])
             centroids.append(z)
     points = sorted([0j] * contains_zero + centroids[contains_zero:], key=lambda w: (w.real, w.imag))
-    return ASpectrumResult(points=tuple(points), radius=max(map(abs, points), default=0.0), contains_zero=contains_zero)
+    radius = times_pow2(max(map(abs, points), default=0.0), member.k)
+    return ASpectrumResult(tuple(times_pow2(p, member.k) for p in points), radius, contains_zero)
 
 
 def a_spectral_radius(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> float:
@@ -153,11 +157,11 @@ def gelfand_sequence(
     """Root-norm sequence of the compressed powers: the n-th entry is the
     seminorm of X^n raised to 1/n.
 
-    Runs on the similar form W of the compression.  X^n's form is kept as
-    P_n 2^(E_n): P_n, from unit_scaled, has its largest entry modulus in
-    [1/2, 1), and E_n is the integer sum of the exponents of the rescales of
-    W and of each product.  Every rescale is by a power of two, so no power
-    overflows or underflows, and the n-th term is
+    Runs on the member's unit-scaled similar form W = M 2^-e, e in units of
+    X.  X^n's form is kept as P_n 2^(E_n): P_n, from unit_scaled, has its
+    largest entry modulus in [1/2, 1), and E_n is the integer sum of e and
+    of the exponents of the rescales of each product.  Every rescale is by
+    a power of two, so no power overflows or underflows, and the n-th term is
     exp(((E_n mod n) ln 2 + log ||P_n||) / n) 2^(E_n div n): under
     X -> 2^k X only E_n moves, by n k, so each term scales by exactly 2^k.
     The 2-norm of P_n is the square root of the top eigenvalue of its Gram
@@ -172,7 +176,7 @@ def gelfand_sequence(
     member = _require_member(d, x, tol)
     if d.rank == 0:
         return [0.0] * n_max
-    w, k_w = unit_scaled(member.m)
+    w, k_w = member.w
     step = min(_block_size(d.rank), n_max)
     block = np.empty((step, d.rank, d.rank), dtype=np.complex128)
     exps, norms = np.empty(n_max, dtype=np.int64), np.empty(n_max)
@@ -210,7 +214,8 @@ def spectrum_witness(
 ) -> VectorState | None:
     """Vector state certifying that lam belongs to the requested one-sided spectrum.
 
-    One svd of C - lam decides that lam is a point (else ValueError) and
+    One svd of C - lam, from Member.shift, which refuses a lam that is not
+    finite, decides that lam is a point (else ValueError) and
     supplies the candidates: the singular vectors whose singular values pass
     the cutoff, most singular first.  Every candidate is h = Q g for a unit
     range vector g, scaled by unit_scaled before it is normalized.  Right
@@ -228,7 +233,7 @@ def spectrum_witness(
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     member = _require_member(d, x, tol)
-    u, svals, vh = np.linalg.svd(member.c - lam * np.eye(d.rank))
+    u, svals, vh = np.linalg.svd(member.shift(lam))
     if not _is_point(svals, member.cut):
         raise ValueError(f"{lam} is not a point of the weighted spectrum")
     lam_r = d.range_eigvals
@@ -243,8 +248,8 @@ def spectrum_witness(
 
 
 def _scaled_witness(member: Member, lam: complex, side: Side, g: np.ndarray) -> tuple[float, float, int]:
-    """(|f(AX) - lam| 2^-k, sup 2^-k, k) for the state f of h = Q g and (M 2^-k, k) = unit_scaled(M), where sup is
-    the supremum over members Y with ||Y||_A <= 1 of |f(A (X - lam) Y)| (right) or |f(A Y (X - lam))| (left).
+    """(|f(AX) - lam| 2^-k, sup 2^-k, k) for the state f of h = Q g and the member's (M 2^-k, k) = member.w, where
+    sup is the supremum over members Y with ||Y||_A <= 1 of |f(A (X - lam) Y)| (right) or |f(A Y (X - lam))| (left).
 
     f is the ordinary state of M at u = L^(1/2) g: f(AZ) = u* M_Z u / |u|^2
     for members Z, with M_Z the similar form of Z and ||Z||_A = ||M_Z||.
@@ -252,9 +257,11 @@ def _scaled_witness(member: Member, lam: complex, side: Side, g: np.ndarray) -> 
     u* M_Y (M - lam) u / |u|^2.  The supremum of |a* D b| over ||D|| <= 1 is
     |a| |b|, so sup is |(M - lam)* u| / |u| on the right and
     |(M - lam) u| / |u| on the left.  All is read on M 2^-k, lam 2^-k and
-    unit_scaled(u), so that no norm overflows or underflows.
+    unit_scaled(u), so that no norm overflows or underflows; M 2^-k is the
+    member's one scaled copy of M, shared by every candidate, and k is in
+    units of X, with lam.
     """
-    m, k = unit_scaled(member.m)
+    m, k = member.w
     u, lam = unit_scaled(member.d.range_sqrt * g)[0], times_pow2(lam, -k)
     gap = abs(complex(u.conj() @ (m @ u)) / np.vdot(u, u).real - lam)
     m, mu = (m, lam) if side == "left" else (m.conj().T, np.conj(lam))
@@ -271,7 +278,7 @@ def _verify_witness(member: Member, lam: complex, side: Side, g: np.ndarray) -> 
     Y = (X - lam)^# gives f((X - lam)* A (X - lam)) = 0 on the left.
     """
     gap, sup, k = _scaled_witness(member, lam, side, g)
-    rtol, x_norm = member.tol.rtol, times_pow2(member.norm, -k)
+    rtol, x_norm = member.tol.rtol, times_pow2(member.norm, member.k - k)
     return gap <= rtol * x_norm and sup <= rtol * (x_norm + times_pow2(abs(lam), -k))
 
 
@@ -450,22 +457,21 @@ def a_numerical_range(
     one worker per CPU, each worker taking the next block as it finishes
     one, from rank 7 at 720 directions; the polygon has the same bits at
     every worker count.  The hull merges touching points within rtol times
-    their spread, so the polygon scales with X.
+    their spread.  All is read on the member's W = M 2^-e, and the support
+    values and vertices are scaled back by 2^e, so the polygon scales with
+    X exactly and nothing overflows near float max.
     """
     if directions < 3:
         raise ValueError("directions must be at least 3")
     member = _require_member(d, x, tol)
     if d.rank == 0:
         return NumericalRangePolygon(directions=directions, vertices=(), angles=(), support=())
-    angles, support, touch = _support_data(member.m, directions)
+    w, k = member.w
+    angles, support, touch = _support_data(w, directions)
     spread = max((abs(z) for z in touch), default=0.0)
     hull = convex_hull(touch, eps=tol.rtol * spread)
-    return NumericalRangePolygon(
-        directions=directions,
-        vertices=tuple(hull),
-        angles=tuple(angles),
-        support=tuple(support),
-    )
+    vertices, support = tuple(times_pow2(z, k) for z in hull), tuple(times_pow2(h, k) for h in support)
+    return NumericalRangePolygon(directions=directions, vertices=vertices, angles=tuple(angles), support=support)
 
 
 def boundary_mollifier(
@@ -481,21 +487,23 @@ def boundary_mollifier(
     to unit seminorm; its two defect seminorms against (lam - X) tend to zero
     along a valid approach.  All runs on M: the inverse's similar form is
     (value - M)^(-1), each seminorm is a 2-norm on M, and only x_n is lifted.
-    lam and each approach value are put to the rank test of the spectrum:
-    ValueError if lam is not a point, SpectrumPointError if an approach value
-    is one.
+    M, lam and the values are read on the member's W = M 2^-e, and the
+    defects scaled back by 2^e.  lam and each approach value are put to the
+    rank test of the spectrum: ValueError if lam is not a point,
+    SpectrumPointError if an approach value is one, and ValueError, naming
+    it, for a value that is not finite (Member.shift).
     """
     member = _require_member(d, x, tol)
     if not member.is_point(lam):
         raise ValueError(f"{lam} is not a point of the weighted spectrum")
-    eye, m = np.eye(d.rank), member.m
-    shift = lam * eye - m
+    (w, k), eye = member.w, np.eye(d.rank)
+    shift = times_pow2(lam, -k) * eye - w
     steps: list[MollifierStep] = []
     for lam_n in approach:
         if member.is_point(lam_n):
             raise SpectrumPointError(f"approach value {lam_n} lies on the spectrum")
-        inverse = np.linalg.inv(lam_n * eye - m)
+        inverse = np.linalg.inv(times_pow2(lam_n, -k) * eye - w)
         r_n = inverse / np.linalg.norm(inverse, 2)
-        left, right = (float(np.linalg.norm(p, 2)) for p in (r_n @ shift, shift @ r_n))
+        left, right = (times_pow2(float(np.linalg.norm(p, 2)), k) for p in (r_n @ shift, shift @ r_n))
         steps.append(MollifierStep(x_n=d.lift(r_n), left_defect=left, right_defect=right))
     return steps

@@ -85,6 +85,25 @@ def test_one_membership_decision_per_public_call(name, monkeypatch):
     calls = _count_membership_calls(monkeypatch)
     PUBLIC_CALLS[name](d, x, lam)
     assert len(calls) == 1
+    # the decision reads the member's S = X 2^-k, whose largest entry modulus lies in [1/2, 1)
+    assert 0.5 <= max_abs(calls[0][1]) < 1
+
+
+@pytest.mark.parametrize("name", list(MEMBER_CALLS))
+def test_x_is_unit_scaled_once_per_public_call(name, monkeypatch):
+    d, x, lam = _instance()
+    x, lam = times_pow2(x, -5), times_pow2(lam, -5)  # seminorm 2^-6, so the Neumann series converges
+    assert unit_scaled(x)[1] != 0  # not already unit-scaled
+    original, scaled = seminorm.unit_scaled, []
+
+    def counted(m):
+        if m.shape == x.shape and original(m)[1] != 0:  # the member's M is rank x rank, and S is unit-scaled
+            scaled.append(m)
+        return original(m)
+
+    monkeypatch.setattr(seminorm, "unit_scaled", counted)
+    MEMBER_CALLS[name](d, x, lam)
+    assert len(scaled) == 1 and np.array_equal(scaled[0], x)
 
 
 def _random_unitary(rng, dim):
@@ -234,6 +253,59 @@ def _same_bits(p, q) -> bool:
     if isinstance(p, (list, tuple)):
         return isinstance(q, (list, tuple)) and len(p) == len(q) and all(map(_same_bits, p, q))
     return (p is None) == (q is None) and (p is None or np.array_equal(p, q))
+
+
+def _x_outputs(d, x):
+    """(degree in X, value) of every output of the member-taking calls at X of finite degree, and the decisions.
+
+    The witnesses are taken at the largest spectrum point lam and the mollifier step at 1.5 lam.
+    """
+    spec = spectrum.a_spectrum(d, x)
+    lam = max(spec.points, key=abs)
+    inverse, cert = invert.a_invertible(d, x), invert.thvn_certificate(d, x)
+    polygon = spectrum.a_numerical_range(d, x, 16)
+    (step,) = spectrum.boundary_mollifier(d, x, lam, [1.5 * lam])
+    witnesses = [spectrum.spectrum_witness(d, x, lam, side) for side in ("left", "right")]
+    return {
+        "seminorm": (1, seminorm.a_seminorm(d, x).value),
+        "oracle": (1, seminorm.a_seminorm_oracle(d, x)),
+        "adjoint": (1, seminorm.a_adjoint(d, x)),
+        "membership_certificate": (1, seminorm.membership_certificate(d, x)),
+        "points": (1, spec.points),
+        "radius": (1, spec.radius),
+        "gelfand": (1, spectrum.gelfand_sequence(d, x, 16)),
+        "support": (1, polygon.support),
+        "vertices": (1, polygon.vertices),
+        "defects": (1, (step.left_defect, step.right_defect)),
+        "canonical": (-1, inverse.canonical),
+        "alpha": (-2, None if cert is None else cert.alpha),
+        "witnesses": (0, [None if w is None else (w.h, w.weight) for w in witnesses]),
+        "x_n": (0, step.x_n),
+        "decisions": (0, [seminorm.a_membership(d, x), inverse.invertible, spec.contains_zero]),
+    }
+
+
+def test_outputs_under_x_times_powers_of_two_scale_bit_for_bit():
+    # a Member is built on X 2^-k once, and unit_scaled(2^j X) is unit_scaled(X) to the bit: every output of
+    # degree deg in X is the one at X times 2^(deg j), wherever that is finite, odd j included
+    failures = []
+    for seed in range(40):
+        a, x = generate_instance(5, 3, seed)
+        d = psd_decompose(a)
+        base = _x_outputs(d, x)
+        for j in (1, -1, 3, 300, -300, 500, -600, 601):
+            got = _x_outputs(d, times_pow2(x, j))
+            for name, (degree, want) in base.items():
+                if degree == 0 or want is None:
+                    same = _same_bits(got[name][1], want)
+                else:
+                    with np.errstate(over="ignore"):  # a reference past float max reads inf, and is not compared
+                        want = times_pow2(np.asarray(want), degree * j)
+                    value, finite = np.asarray(got[name][1]), np.isfinite(want)
+                    same = value.shape == want.shape and np.array_equal(value[finite], want[finite])
+                if not same:
+                    failures.append((seed, j, name))
+    assert not failures, failures
 
 
 def test_outputs_under_a_times_2_to_the_600_keep_their_bits():

@@ -5,7 +5,7 @@ import pytest
 
 from aspec.harness import generate_instance
 from aspec.invert import _MAX_TERMS, ConvergenceError, a_invertible, neumann_a_inverse, thvn_certificate
-from aspec.linalg import DEFAULT_TOL, ToleranceConfig, approx_equal, max_abs
+from aspec.linalg import DEFAULT_TOL, ToleranceConfig, approx_equal, max_abs, times_pow2
 from aspec.psd import psd_decompose
 from aspec.seminorm import NotMemberError, _require_member, a_seminorm, random_member
 
@@ -132,7 +132,8 @@ def _sigma_max(t):
 def _neumann_reference(d, x, tol=DEFAULT_TOL, max_terms=_MAX_TERMS, size=np.linalg.norm):
     """neumann_a_inverse with size(term) <= atol deciding the stop, as a reference: the Frobenius norm by
     default, or _sigma_max, the rule of one svd per term, which stops at the term's seminorm."""
-    m = _require_member(d, x, tol).m
+    member = _require_member(d, x, tol)
+    m = times_pow2(member.m, member.k)  # the member's M in units of X
     total = term = np.eye(d.rank, dtype=np.complex128)
     for _ in range(max_terms):
         term = term @ m

@@ -3,6 +3,7 @@
 import importlib.util
 import math
 import os
+import re
 import sys
 import threading
 import tracemalloc
@@ -278,10 +279,12 @@ def _numrange_cases():
 @pytest.mark.parametrize("directions", [3, 7, 8, 720])
 def test_numerical_range_matches_one_eigh_per_direction(directions):
     for d, x in _numrange_cases():
-        m = _require_member(d, x, DEFAULT_TOL).m
+        member = _require_member(d, x, DEFAULT_TOL)
+        m, (w, k) = times_pow2(member.m, member.k), member.w  # M in units of X, and its unit-scaled form
         scale = float(np.linalg.norm(m, 2))
         poly = a_numerical_range(d, x, directions)
-        angles, support, touch = _support_data(m, directions)
+        angles, support, touch = _support_data(w, directions)
+        support, touch = [times_pow2(h, k) for h in support], [times_pow2(z, k) for z in touch]
         assert list(poly.angles) == angles == [2 * np.pi * k / directions for k in range(directions)]
         assert list(poly.support) == support
         for theta, h, z in zip(angles, support, touch):
@@ -516,7 +519,8 @@ def _gelfand_reference(d, x, n_max):
     their frexp exponents plus a float sum of the logs of their mantissas, which lie in [1/2, 1), so the
     float sum grows with n alone and not with n |log scale|.
     """
-    w = _require_member(d, x, DEFAULT_TOL).m
+    member = _require_member(d, x, DEFAULT_TOL)
+    w = times_pow2(member.m, member.k)  # the member's M in units of X
     terms, cur, exp_sum, log_sum, dead = [], np.eye(d.rank, dtype=complex), 0, 0.0, False
     for n in range(1, n_max + 1):
         if not dead:
@@ -674,6 +678,40 @@ def test_mollifier_requires_spectrum_point(d_rank1):
         boundary_mollifier(d_rank1, cdiag(2, 3), 7.0, [7.5])
 
 
+@pytest.mark.filterwarnings("error")
+def test_numerical_range_and_mollifier_stay_finite_at_the_ends_of_float_range():
+    # both read the member's unit-scaled M, so neither M + M* at 1e308 nor an inverse at 1e-310 leaves float range
+    d = psd_decompose(cdiag(1, 0))
+    poly = a_numerical_range(d, cdiag(1e308, 0), 8)
+    assert all(math.isfinite(h) for h in poly.support) and max(poly.support) == 1e308
+    assert poly.vertices == (1e308 + 0j,)
+    x = cdiag(1e-310, 0)
+    (lam,) = a_spectrum(d, x).points
+    steps = boundary_mollifier(d, x, lam, [1.5 * lam, 1.1 * lam])
+    assert len(steps) == 2 and all(math.isfinite(s.left_defect) and math.isfinite(s.right_defect) for s in steps)
+    # at rank 2 the defects are not 0: still finite, and positive
+    d2 = psd_decompose(cdiag(1, 1, 0))
+    x2 = 1e-310 * cmat([[1, 1, 0], [0, 2, 0], [0, 0, 0]])
+    steps = boundary_mollifier(d2, x2, max(a_spectrum(d2, x2).points, key=abs), [1.5 * 2e-310])
+    assert all(0 < s.left_defect < math.inf and 0 < s.right_defect < math.inf for s in steps)
+
+
+@pytest.mark.filterwarnings("error")
+def test_spectral_parameters_that_are_not_finite_are_refused_by_name():
+    # one check, Member.shift, before any LAPACK call: 1.5 lam is past float max, and so inf
+    d, x = psd_decompose(cdiag(1, 0)), cdiag(1.3e308, 0)
+    (lam,) = a_spectrum(d, x).points
+    for bad in (math.inf, -math.inf, math.nan, complex(0, math.nan), 1.5 * lam):
+        message = f"spectral parameter {re.escape(str(bad))} is not finite"
+        for side in ("left", "right"):
+            with pytest.raises(ValueError, match=message):
+                spectrum_witness(d, x, bad, side)
+        with pytest.raises(ValueError, match=message):
+            boundary_mollifier(d, x, bad, [0.5 * lam])
+        with pytest.raises(ValueError, match=message):
+            boundary_mollifier(d, x, lam, [0.5 * lam, bad])
+
+
 def test_numerical_range_vertex_count_is_scale_invariant():
     d = psd_decompose(cdiag(1, 0.8, 0.5, 0))
     x = random_member(d, np.random.default_rng(3))
@@ -741,7 +779,8 @@ def test_spectrum_grouping_matches_brute_force_rank_test():
         x = np.zeros((r + 1, r + 1), dtype=complex)
         x[:r, :r], x[r, r] = c0, 5.0
         spec = a_spectrum(d, x)
-        assert spec.points == _brute_force_points(_require_member(d, x, DEFAULT_TOL).c), c0
+        member = _require_member(d, x, DEFAULT_TOL)  # C in units of X 2^-k, and the points scaled back
+        assert spec.points == tuple(times_pow2(p, member.k) for p in _brute_force_points(member.c)), c0
         merged += len(spec.points) < r
     assert merged > 100, merged
 
@@ -878,15 +917,17 @@ def _reference_witness(d, x, lam, side, tol=DEFAULT_TOL, spot_checks=20):
     c = d.range_basis.conj().T @ x @ d.range_basis
     radius = tol.rtol * float(np.linalg.svd(c, compute_uv=False).max())  # candidate eigenvalues lie within rtol * sigma_max(C)
     lam_r = d.range_eigvals
+    member = _require_member(d, x, DEFAULT_TOL)
+    m = times_pow2(member.m, member.k)  # the member's M in units of X
     if side == "left":
-        evals, evecs = np.linalg.eig(_require_member(d, x, DEFAULT_TOL).m)
+        evals, evecs = np.linalg.eig(m)
         target, back = lam, lam_r**-0.5
     else:
         evals, evecs = np.linalg.eig(c.conj().T)
         target, back = np.conj(lam), lam_r**-1.0
     rng = np.random.default_rng(2024)
     a = d.a
-    x_norm = float(np.linalg.svd(_require_member(d, x, DEFAULT_TOL).m, compute_uv=False).max())
+    x_norm = float(np.linalg.svd(m, compute_uv=False).max())
     big = float(d.eigvals.max()) * x_norm**2
     for idx in np.argsort(np.abs(evals - target)):
         if abs(evals[idx] - target) > radius:
@@ -906,7 +947,8 @@ def _reference_witness(d, x, lam, side, tol=DEFAULT_TOL, spot_checks=20):
         for _ in range(spot_checks if ok else 0):
             y = random_member(d, rng)
             val = state(a @ shift @ y) if side == "right" else state(a @ y @ shift)
-            y_norm = float(np.linalg.svd(_require_member(d, y, DEFAULT_TOL).m, compute_uv=False).max())
+            y_member = _require_member(d, y, DEFAULT_TOL)
+            y_norm = float(np.linalg.svd(times_pow2(y_member.m, y_member.k), compute_uv=False).max())
             if abs(val) > tol.rtol * (x_norm + abs(lam)) * y_norm:
                 ok = False
                 break
@@ -939,7 +981,8 @@ def _spot_checked_witness(d, x, lam, side, tol=DEFAULT_TOL, spot_checks=20):
 
     The draws of a candidate are taken at once; after a failure the generator is set to where a loop of
     single draws, stopping at that failure, would have left it."""
-    c = _require_member(d, x, tol).c
+    member = _require_member(d, x, tol)
+    c = times_pow2(member.c, member.k)  # the member's C in units of X
     r, lam_r = d.rank, d.range_eigvals
     cut = tol.cutoff(float(np.linalg.svd(c, compute_uv=False).max(initial=0.0)))
     shift = c - lam * np.eye(r)
@@ -1022,7 +1065,7 @@ def test_witness_supremum_bounds_drawn_members_and_is_attained():
         root = np.sqrt(lam_r)
         lam = max(a_spectrum(d, x).points, key=abs)
         member = _require_member(d, x, DEFAULT_TOL)
-        c = member.c
+        c = times_pow2(member.c, member.k)  # the member's C in units of X
         shift = x - lam * np.eye(dim)
         # 2000 members P G P in the full space, and their seminorms sigma_max(A^(1/2) Y (A^(1/2))^+)
         gauss = rng.standard_normal((2000, dim, dim)) + 1j * rng.standard_normal((2000, dim, dim))
