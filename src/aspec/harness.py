@@ -6,6 +6,11 @@ records the property name, the exact seed entropy, and the full serialized
 instance, so it can be replayed even if generator code changes.
 generate_instance(dim, rank, seed) draws a weight of exact rank and a member
 of it; CheckContext.weight draws its weights by the same routine.
+
+CheckContext is the one door of a property: every matrix it draws, every
+matrix it records and every numeric bound it checks goes through the
+context, and every accuracy bound is read from the context's one tolerance
+number.  Only the two geometry constants below are fixed.
 """
 
 from __future__ import annotations
@@ -45,6 +50,15 @@ from .seminorm import (
 )
 from .spectrum import a_numerical_range, a_spectral_radius, a_spectrum, convex_hull, gelfand_sequence, spectrum_witness
 from . import douglas
+
+# The two geometry constants, the only numbers of the suite that --tol does not set: they choose the instances
+# drawn and the exact reference hull, not how close a computed value must come, so a tolerance that moved them
+# would move the draws.  Hull points of O(1) draws within _HULL_MERGE of each other count as one point.
+_HULL_MERGE = 1e-12
+# Support sampling at m directions cannot see hull vertices with a normal cone narrower than 2 pi / m, so
+# normal_matrix redraws a spectrum whose hull turns by less than this anywhere (0.06 rad covers 720 directions,
+# 2 pi / 720 = 0.0087 rad, with margin).
+_MIN_TURN = 0.06
 
 
 def _random_weight(rng: np.random.Generator, dim: int, rank: int) -> ComplexMatrix:
@@ -94,7 +108,7 @@ class PropertyReport:
 
 def _hull_min_turn(points) -> float:
     """Smallest exterior angle over the convex hull of the points (pi if degenerate)."""
-    hull = convex_hull([complex(z) for z in points], eps=1e-12)
+    hull = convex_hull([complex(z) for z in points], eps=_HULL_MERGE)
     if len(hull) <= 2:
         return np.pi
     turns = []
@@ -113,7 +127,13 @@ class _Failed(Exception):
 
 @dataclass
 class CheckContext:
-    """Per-check sandbox: seeded RNG, tolerance, and instance bookkeeping."""
+    """Per-check sandbox and the one door of a property: seeded RNG, tolerance, and instance bookkeeping.
+
+    A property draws its matrices only through the builders below, which take
+    every draw from the check's one stream; what it records is what a failure
+    replays.  It checks a numeric bound only through check_at_most (or
+    check_matrix and check_psd_dominates), with each bound read from ``tol``.
+    """
 
     seed: tuple[int, ...]
     dim: int
@@ -125,54 +145,73 @@ class CheckContext:
         self.rng = np.random.default_rng(list(self.seed))
 
     # -- instance builders ----------------------------------------------
-    def _record(self, label: str, m: ComplexMatrix):
+    def record(self, label: str, m: ComplexMatrix) -> ComplexMatrix:
+        """Keep m in the instance under label, for a failure to replay; returns m."""
         self.instance[label] = matrix_to_obj(m)
+        return m
+
+    def gaussian(self, shape, scale: float = 1.0) -> np.ndarray:
+        """Complex Gaussian entries of the given shape, drawn from the check's stream and not recorded."""
+        return _complex_gaussian(self.rng, shape, scale)
+
+    def unitary(self, cols: int | None = None) -> ComplexMatrix:
+        """Q of the complete QR of a dim x cols Gaussian draw (cols = dim by default), not recorded: a unitary
+        whose first cols columns span the drawn ones."""
+        return np.linalg.qr(self.gaussian((self.dim, self.dim if cols is None else cols)), mode="complete")[0]
 
     def weight(self, rank: int | None = None) -> PsdDecomposition:
         rank = int(self.rng.integers(0, self.dim + 1)) if rank is None else rank
         a = _random_weight(np.random.default_rng(int(self.rng.integers(2**63))), self.dim, rank)
-        self._record("a", a)
+        self.record("a", a)
         return psd_decompose(a, self.tol)
 
     def member(self, dec: PsdDecomposition, label: str = "x") -> ComplexMatrix:
-        x = random_member(dec, self.rng)
-        self._record(label, x)
-        return x
+        return self.record(label, random_member(dec, self.rng))
+
+    def pair(self, rank: int | None = None) -> tuple[PsdDecomposition, ComplexMatrix]:
+        """A weight (of a random rank when rank is None) and a member of it, recorded as "a" and "x"."""
+        dec = self.weight(rank)
+        return dec, self.member(dec)
+
+    def null_supported(self, dec: PsdDecomposition, label: str | None = None) -> ComplexMatrix:
+        """(I - P) G (I - P) for the weight's range projection P and a Gaussian draw G, so A annihilates it;
+        recorded under label when one is given."""
+        null_proj = np.eye(self.dim) - dec.power(0)
+        z = null_proj @ self.gaussian((self.dim, self.dim)) @ null_proj
+        return z if label is None else self.record(label, z)
 
     def raw(self, label: str = "x", scale: float = 1.0) -> ComplexMatrix:
-        x = _complex_gaussian(self.rng, (self.dim, self.dim), scale)
-        self._record(label, x)
-        return x
+        return self.record(label, self.gaussian((self.dim, self.dim), scale))
 
     def identity_weight(self) -> PsdDecomposition:
-        a = np.eye(self.dim, dtype=np.complex128)
-        self._record("a", a)
+        a = self.record("a", np.eye(self.dim, dtype=np.complex128))
         return psd_decompose(a, self.tol)
 
     def normal_matrix(self) -> ComplexMatrix:
-        # support sampling at m directions cannot see hull vertices with a
-        # normal cone narrower than 2 pi / m; keep test spectra away from that
-        # degeneracy (a smallest turn of 0.06 rad covers 720 directions with margin)
         for _ in range(64):
-            eigs = _complex_gaussian(self.rng, self.dim)
-            if _hull_min_turn(eigs) >= 0.06:
+            eigs = self.gaussian(self.dim)
+            if _hull_min_turn(eigs) >= _MIN_TURN:
                 break
-        q, _ = np.linalg.qr(_complex_gaussian(self.rng, (self.dim, self.dim)))
-        x = (q * eigs) @ q.conj().T
-        self._record("x", x)
-        return x
+        q = self.unitary()
+        return self.record("x", (q * eigs) @ q.conj().T)
 
     # -- assertions ------------------------------------------------------
-    def slack(self, scale: float) -> float:
-        """The bound atol + rtol * max(1, scale) on a deviation among values of size scale."""
-        return self.tol.atol + self.tol.rtol * max(1.0, scale)
+    def slack(self, scale: float, atols: int = 1) -> float:
+        """The bound atols * atol + rtol * max(1, scale) on a deviation among values of size scale."""
+        return atols * self.tol.atol + self.tol.rtol * max(1.0, scale)
 
     def fail(self, observed, expected):
         raise _Failed(str(observed), str(expected))
 
     def check(self, condition: bool, observed, expected):
+        """A yes/no fact, a count or a strict inequality; numeric bounds go through check_at_most."""
         if not condition:
             self.fail(observed, expected)
+
+    def check_at_most(self, value: float, bound: float, what: str):
+        """value <= bound (a bound a >= b is checked as b <= a), else a failure stating both."""
+        if not value <= bound:
+            self.fail(f"{what} {value:.3e}", f"<= {bound:.1e}")
 
     def check_matrix(self, m: ComplexMatrix, n: ComplexMatrix, what: str):
         if not approx_equal(m, n, self.tol):
@@ -203,8 +242,7 @@ def _prop_psd_roundtrip(ctx: CheckContext):
     ctx.check_matrix(proj @ dec.a, dec.a, "proj A = A")
     ctx.check_matrix(dec.a @ proj, dec.a, "A proj = A")
     ctx.check_matrix(pinv, pinv.conj().T, "pinv Hermitian")
-    eigs = np.linalg.eigvalsh(pinv)
-    ctx.check(float(eigs[0]) >= -ctx.tol.atol, f"pinv eigenvalue {eigs[0]:.3e}", "pinv PSD")
+    ctx.check_at_most(-float(np.linalg.eigvalsh(pinv)[0]), ctx.tol.atol, "pinv PSD: negated least eigenvalue")
     ctx.check(dec.gap > 0 or dec.rank == 0, f"gap {dec.gap}", "positive gap for nonzero weight")
 
 
@@ -233,10 +271,9 @@ def _prop_douglas_factorization(ctx: CheckContext):
     ctx.check_matrix(z.conj().T @ y, x, "Z* Y = X")
     alpha = float(np.linalg.norm(z, 2)) ** 2  # ||Z||^2 = ||X Y^dagger||^2, the least alpha of Douglas' lemma
     ctx.check_psd_dominates(alpha * (y.conj().T @ y), x.conj().T @ x, "alpha Y*Y >= X*X")
-    # now force a null vector of Y outside N(X): must be rejected
-    u = _complex_gaussian(ctx.rng, ctx.dim)
-    # an exact orthonormal basis of u's complement: none at dim 1, where y_sing is exactly 0
-    comp = np.linalg.qr(u[:, None], mode="complete")[0][:, 1:]
+    # now force a null vector of Y outside N(X), which must be rejected: past the first column, which spans a drawn
+    # vector, the unitary holds an exact orthonormal basis of its complement (none at dim 1, where y_sing is exactly 0)
+    comp = ctx.unitary(cols=1)[:, 1:]
     y_sing = y @ comp @ comp.conj().T
     try:
         douglas.douglas_solve(np.eye(ctx.dim, dtype=np.complex128), y_sing, ctx.tol)
@@ -247,9 +284,9 @@ def _prop_douglas_factorization(ctx: CheckContext):
 
 def _prop_power_factorization(ctx: CheckContext):
     x = ctx.raw("x", scale=0.7)
-    pad = _complex_gaussian(ctx.rng, (ctx.dim, ctx.dim), 0.5)
+    pad = ctx.gaussian((ctx.dim, ctx.dim), 0.5)
     b = psd_decompose(x.conj().T @ x + pad.conj().T @ pad, ctx.tol)
-    ctx._record("b", b.a)
+    ctx.record("b", b.a)
     alpha = float(ctx.rng.uniform(0.05, 0.45))
     v = douglas.power_factorize(x, b, alpha, ctx.tol)
     ctx.check_matrix(v @ b.power(alpha), x, "V B^alpha = X")
@@ -261,16 +298,15 @@ def _prop_power_factorization(ctx: CheckContext):
 def _prop_generator_soundness(ctx: CheckContext):
     rank = int(ctx.rng.integers(0, ctx.dim + 1))
     a, x = generate_instance(ctx.dim, rank, int(ctx.rng.integers(2**63)))
-    ctx._record("a", a)
-    ctx._record("x", x)
+    ctx.record("a", a)
+    ctx.record("x", x)
     dec = psd_decompose(a, ctx.tol)
     ctx.check(dec.rank == rank, f"rank {dec.rank}", f"spec rank {rank}")
     ctx.check(a_membership(dec, x, ctx.tol), "non-member generated", "generated instance passes membership")
 
 
 def _prop_membership_certificate(ctx: CheckContext):
-    dec = ctx.weight()
-    x = ctx.member(dec)
+    dec, x = ctx.pair()
     u = membership_certificate(dec, x, ctx.tol)
     ctx.check_matrix(dec.power(0.5) @ x, u @ dec.power(0.25), "A^(1/2) X = U A^(1/4)")
     c = a_seminorm(dec, x, ctx.tol).value ** 2
@@ -282,38 +318,34 @@ def _prop_membership_rejects(ctx: CheckContext):
     if dec.rank == ctx.dim:
         return
     # a matrix sending a null vector onto the range is not a member
-    x = np.outer(dec.range_basis[:, 0], dec.null_basis[:, 0].conj())
-    ctx._record("x", x)
+    x = ctx.record("x", np.outer(dec.range_basis[:, 0], dec.null_basis[:, 0].conj()))
     ctx.check(not a_membership(dec, x, ctx.tol), "accepted as member", "null-space mover rejected")
 
 
 def _prop_seminorm_oracle_agreement(ctx: CheckContext):
-    dec = ctx.weight()
-    x = ctx.member(dec)
+    dec, x = ctx.pair()
     value = a_seminorm(dec, x, ctx.tol).value
     oracle = a_seminorm_oracle(dec, x, ctx.tol)
-    bound = ctx.slack(value)
-    ctx.check(abs(value - oracle) <= bound, f"|{value} - {oracle}| = {abs(value - oracle):.3e}", f"<= {bound:.1e}")
+    ctx.check_at_most(abs(value - oracle), ctx.slack(value), "|seminorm - oracle|")
 
 
 def _prop_seminorm_state_dominance(ctx: CheckContext):
     # the seminorm is a supremum over all states, vector or mixed: sampling
     # random density matrices must never beat it
-    dec = ctx.weight()
-    x = ctx.member(dec)
+    dec, x = ctx.pair()
     value = a_seminorm(dec, x, ctx.tol).value
     xax = x.conj().T @ dec.a @ x
     bound = ctx.slack(value)
     for _ in range(20):
         k = int(ctx.rng.integers(1, ctx.dim + 1))
-        g = _complex_gaussian(ctx.rng, (ctx.dim, k))
+        g = ctx.gaussian((ctx.dim, k))
         rho = g @ g.conj().T
         rho = rho / np.trace(rho).real
         denom = float(np.trace(rho @ dec.a).real)
         if denom <= ctx.tol.atol:
             continue
         sampled = float(np.sqrt(max(np.trace(rho @ xax).real, 0.0) / denom))
-        ctx.check(sampled <= value + bound, f"state value {sampled}", f"<= seminorm {value}")
+        ctx.check_at_most(sampled, value + bound, "state value")
 
 
 def _worst_point_deviation(ctx: CheckContext, points, x: ComplexMatrix) -> float:
@@ -331,42 +363,35 @@ def _prop_invertible_weight_classical(ctx: CheckContext):
     x = ctx.raw()
     ctx.check(a_membership(dec, x, ctx.tol), "not a member", "membership automatic for invertible weight")
     worst = _worst_point_deviation(ctx, a_spectrum(dec, x, ctx.tol).points, x)
-    scale = max(1.0, float(np.linalg.norm(x, 2)))
-    ctx.check(worst <= 10 * ctx.tol.atol + ctx.tol.rtol * scale, f"deviation {worst:.3e}", "classical spectrum")
+    ctx.check_at_most(worst, ctx.slack(float(np.linalg.norm(x, 2)), atols=10), "classical spectrum deviation")
 
 
 def _prop_seminorm_submultiplicative(ctx: CheckContext):
-    dec = ctx.weight()
-    x = ctx.member(dec, "x")
+    dec, x = ctx.pair()
     y = ctx.member(dec, "y")
     nx = a_seminorm(dec, x, ctx.tol).value
     ny = a_seminorm(dec, y, ctx.tol).value
     nxy = a_seminorm(dec, x @ y, ctx.tol).value
-    bound = ctx.slack(nx * ny)
-    ctx.check(nxy <= nx * ny + bound, f"|XY| = {nxy}", f"<= {nx * ny} + {bound:.1e}")
+    ctx.check_at_most(nxy, nx * ny + ctx.slack(nx * ny), "seminorm of XY")
 
 
 def _prop_seminorm_zero_law(ctx: CheckContext):
     dec = ctx.weight()
-    null_proj = np.eye(ctx.dim) - dec.power(0)
-    x0 = null_proj @ _complex_gaussian(ctx.rng, (ctx.dim, ctx.dim)) @ null_proj
-    ctx._record("x", x0)
+    x0 = ctx.null_supported(dec, "x")
     val = a_seminorm(dec, x0, ctx.tol)
-    ctx.check(val.finite and val.value <= ctx.slack(0.0), f"seminorm {val.value}", "0 for AX = 0")
-    ctx.check(max_abs(dec.a @ x0) <= ctx.tol.atol + ctx.tol.rtol * max_abs(x0), f"|AX| = {max_abs(dec.a @ x0):.3e}", "0")
+    ctx.check(val.finite, "seminorm infinite", "a finite seminorm for AX = 0")
+    ctx.check_at_most(val.value, ctx.slack(0.0), "seminorm for AX = 0")
+    ctx.check_at_most(max_abs(dec.a @ x0), ctx.tol.atol + ctx.tol.rtol * max_abs(x0), "|AX|")
     if dec.rank:
         vp = a_seminorm(dec, dec.power(0), ctx.tol)
-        ctx.check(abs(vp.value - 1.0) <= ctx.slack(1.0), f"seminorm of proj {vp.value}", "1")
+        ctx.check_at_most(abs(vp.value - 1.0), ctx.slack(1.0), "|seminorm of proj - 1|")
 
 
 def _prop_annihilated_member_singular(ctx: CheckContext, rank: int | None = None):
     # A X = 0 at 0 < rank < dim (X = 0 at dim 1): A X Y = 0 != A for every Y, so 0 is the one point
     dec = ctx.weight(rank=int(ctx.rng.integers(1, max(2, ctx.dim))) if rank is None else rank)
-    null_proj = np.eye(ctx.dim) - dec.power(0)
-    x0 = null_proj @ _complex_gaussian(ctx.rng, (ctx.dim, ctx.dim)) @ null_proj
-    ctx._record("x", x0)
-    u, _ = np.linalg.qr(_complex_gaussian(ctx.rng, (ctx.dim, ctx.dim)))
-    ctx._record("u", u)
+    x0 = ctx.null_supported(dec, "x")
+    u = ctx.record("u", ctx.unitary())
     cases = {f"X*{c:g}": (dec, c * x0) for c in (1.0, 1e-12, 1e12)}
     cases["U*XU"] = (psd_decompose(u.conj().T @ dec.a @ u, ctx.tol), u.conj().T @ x0 @ u)
     for label, (d, x) in cases.items():
@@ -377,8 +402,7 @@ def _prop_annihilated_member_singular(ctx: CheckContext, rank: int | None = None
 
 
 def _prop_adjoint_identity(ctx: CheckContext):
-    dec = ctx.weight()
-    x = ctx.member(dec)
+    dec, x = ctx.pair()
     sharp = a_adjoint(dec, x, ctx.tol)
     ctx.check_matrix(dec.a @ x, sharp.conj().T @ dec.a, "A X = (X#)* A")
     ctx.check(a_membership(dec, sharp, ctx.tol), "X# not a member", "X# is a member")
@@ -386,8 +410,7 @@ def _prop_adjoint_identity(ctx: CheckContext):
 
 def _prop_adjoint_selfadjoint_split(ctx: CheckContext):
     # X + X# and i(X - X#) are both weighted-self-adjoint for any member
-    dec = ctx.weight()
-    x = ctx.member(dec)
+    dec, x = ctx.pair()
     sharp = a_adjoint(dec, x, ctx.tol)
     ctx.check(is_a_selfadjoint(dec.a, x + sharp, ctx.tol), "X + X# not self-adjoint", "A(X + X#) Hermitian")
     ctx.check(is_a_selfadjoint(dec.a, 1j * (x - sharp), ctx.tol), "i(X - X#) not self-adjoint", "A i(X - X#) Hermitian")
@@ -399,22 +422,21 @@ def _prop_identity_weight_collapse(ctx: CheckContext):
     ctx.check(a_membership(dec, x, ctx.tol), "not a member", "everything is a member for the identity weight")
     val = a_seminorm(dec, x, ctx.tol).value
     opnorm = float(np.linalg.norm(x, 2))
-    ctx.check(abs(val - opnorm) <= 1e-9 * max(1.0, opnorm), f"seminorm {val}", f"operator norm {opnorm}")
+    bound = 10 * ctx.tol.atol * max(1.0, opnorm)
+    ctx.check_at_most(abs(val - opnorm), bound, "|seminorm - operator norm|")
     ctx.check_matrix(a_adjoint(dec, x, ctx.tol), x.conj().T, "adjoint = conjugate transpose")
     worst = _worst_point_deviation(ctx, a_spectrum(dec, x, ctx.tol).points, x)
-    ctx.check(worst <= 1e-9 * max(1.0, opnorm), f"point deviation {worst:.3e}", "<= 1e-9 scale")
+    ctx.check_at_most(worst, bound, "point deviation")
 
 
 def _inverse_identities(ctx: CheckContext, dec: PsdDecomposition, x: ComplexMatrix, y: ComplexMatrix, what: str):
-    bound = ctx.slack(max_abs(dec.a))
     lhs, rhs = dec.a @ x @ y, dec.a @ y @ x
     dev = max(max_abs(lhs - dec.a), max_abs(rhs - dec.a))
-    ctx.check(dev <= bound, f"{what}: inverse identity deviation {dev:.3e}", f"<= {bound:.1e}")
+    ctx.check_at_most(dev, ctx.slack(max_abs(dec.a)), f"{what}: inverse identity deviation")
 
 
 def _prop_invert_two_sided(ctx: CheckContext):
-    dec = ctx.weight()
-    x = ctx.member(dec)
+    dec, x = ctx.pair()
     res = a_invertible(dec, x, ctx.tol)
     if not res.invertible:
         return
@@ -426,8 +448,7 @@ def _prop_invert_two_sided(ctx: CheckContext):
 
 
 def _prop_invert_certificate_equivalence(ctx: CheckContext):
-    dec = ctx.weight()
-    x = ctx.member(dec)
+    dec, x = ctx.pair()
     res = a_invertible(dec, x, ctx.tol)
     cert = thvn_certificate(dec, x, ctx.tol)
     ctx.check((cert is not None) == res.invertible, f"certificate {cert is not None}", f"invertible {res.invertible}")
@@ -443,8 +464,7 @@ def _prop_invert_certificate_equivalence(ctx: CheckContext):
 
 
 def _prop_invert_product_rule(ctx: CheckContext):
-    dec = ctx.weight()
-    x = ctx.member(dec, "x")
+    dec, x = ctx.pair()
     y = ctx.member(dec, "y")
     rx, ry = a_invertible(dec, x, ctx.tol), a_invertible(dec, y, ctx.tol)
     if not (rx.invertible and ry.invertible):
@@ -453,19 +473,15 @@ def _prop_invert_product_rule(ctx: CheckContext):
 
 
 def _prop_invert_non_uniqueness(ctx: CheckContext):
-    dec = ctx.weight()
-    x = ctx.member(dec)
+    dec, x = ctx.pair()
     res = a_invertible(dec, x, ctx.tol)
     if not res.invertible:
         return
-    null_proj = np.eye(ctx.dim) - dec.power(0)
-    z = null_proj @ _complex_gaussian(ctx.rng, (ctx.dim, ctx.dim)) @ null_proj
-    _inverse_identities(ctx, dec, x, res.canonical + z, "canonical + null-supported Z")
+    _inverse_identities(ctx, dec, x, res.canonical + ctx.null_supported(dec), "canonical + null-supported Z")
 
 
 def _prop_invert_compression_equivalence(ctx: CheckContext):
-    dec = ctx.weight()
-    x = ctx.member(dec)
+    dec, x = ctx.pair()
     base = a_invertible(dec, x, ctx.tol).invertible
     for label, variant in (("XP", x @ dec.power(0)), ("PX", dec.power(0) @ x)):
         got = a_invertible(dec, variant, ctx.tol).invertible
@@ -473,8 +489,7 @@ def _prop_invert_compression_equivalence(ctx: CheckContext):
 
 
 def _prop_invert_duality(ctx: CheckContext):
-    dec = ctx.weight()
-    x = ctx.member(dec)
+    dec, x = ctx.pair()
     res = a_invertible(dec, x, ctx.tol)
     if not res.invertible:
         return
@@ -484,12 +499,11 @@ def _prop_invert_duality(ctx: CheckContext):
 
 
 def _prop_neumann_series(ctx: CheckContext):
-    dec = ctx.weight()
-    x = ctx.member(dec)
+    dec, x = ctx.pair()
     norm = a_seminorm(dec, x, ctx.tol).value
     if norm > 0:
         x = x * (0.85 * float(ctx.rng.uniform(0.2, 1.0)) / norm)
-    ctx._record("x", x)
+    ctx.record("x", x)
     y = neumann_a_inverse(dec, x, ctx.tol)
     one_minus = np.eye(ctx.dim) - x
     _inverse_identities(ctx, dec, one_minus, y, "series inverse")
@@ -499,12 +513,10 @@ def _prop_neumann_series(ctx: CheckContext):
 
 
 def _prop_spectrum_compression(ctx: CheckContext):
-    dec = ctx.weight()
-    x = ctx.member(dec)
+    dec, x = ctx.pair()
     spec = a_spectrum(dec, x, ctx.tol)
     px = dec.power(0) @ x
-    scale = float(np.linalg.norm(px, 2))
-    radius = 10 * ctx.tol.atol + ctx.tol.rtol * max(1.0, scale)
+    radius = ctx.slack(float(np.linalg.norm(px, 2)), atols=10)
     eigs = [complex(z) for z in np.linalg.eigvals(px) if abs(z) > radius]
     pts = [z for z in spec.points if abs(z) > radius]
     for z in eigs:
@@ -514,26 +526,21 @@ def _prop_spectrum_compression(ctx: CheckContext):
 
 
 def _prop_radius_dominated(ctx: CheckContext):
-    dec = ctx.weight()
-    x = ctx.member(dec)
+    dec, x = ctx.pair()
     r_a = a_spectral_radius(dec, x, ctx.tol)
     r = max((abs(complex(z)) for z in np.linalg.eigvals(x)), default=0.0)
-    ctx.check(r_a <= r + ctx.tol.atol + ctx.tol.rtol * max(1.0, r), f"r_A = {r_a}", f"<= r = {r}")
+    ctx.check_at_most(r_a, r + ctx.slack(r), "r_A")
 
 
 def _prop_gelfand_lower_bound(ctx: CheckContext):
-    dec = ctx.weight()
-    x = ctx.member(dec)
+    dec, x = ctx.pair()
     r_a = a_spectral_radius(dec, x, ctx.tol)
     terms = gelfand_sequence(dec, x, 64, ctx.tol)
-    bound = ctx.slack(r_a)
-    low = min(terms)
-    ctx.check(low >= r_a - bound, f"min term {low}", f">= {r_a} - {bound:.1e}")
+    ctx.check_at_most(r_a - ctx.slack(r_a), min(terms), "r_A - slack against the least term:")
 
 
 def _prop_witness_validity(ctx: CheckContext):
-    dec = ctx.weight()
-    x = ctx.member(dec)
+    dec, x = ctx.pair()
     spec = a_spectrum(dec, x, ctx.tol)
     a = dec.a
     rtol = ctx.tol.rtol
@@ -550,32 +557,30 @@ def _prop_witness_validity(ctx: CheckContext):
             fax = state(a @ x)
             floor = ctx.slack(abs(fax) ** 2)
             bound = min(floor, rtol * x_norm)
-            ctx.check(abs(fax - lam) <= bound, f"f(AX) = {fax}", f"within {bound:.1e} of {lam}")
+            ctx.check_at_most(abs(fax - lam), bound, f"|f(AX) - {lam}|")
             if side == "left":
                 dev = abs(state(x.conj().T @ a @ x) - abs(fax) ** 2)
                 bound = min(floor, rtol * x_norm**2)
-                ctx.check(dev <= bound, f"left witness defect {dev:.3e}", f"<= {bound:.1e}")
+                ctx.check_at_most(dev, bound, "left witness defect")
             else:
                 faxxa = state(a @ x @ x.conj().T @ a)
                 dev = abs(faxxa - fax * state(a @ x.conj().T @ a))
                 bound = min(ctx.slack(abs(faxxa)), rtol * big)
-                ctx.check(dev <= bound, f"right witness defect {dev:.3e}", f"<= {bound:.1e}")
+                ctx.check_at_most(dev, bound, "right witness defect")
 
 
 def _prop_numrange_contains_spectrum(ctx: CheckContext):
-    dec = ctx.weight(rank=int(ctx.rng.integers(1, ctx.dim + 1)))
-    x = ctx.member(dec)
+    dec, x = ctx.pair(rank=int(ctx.rng.integers(1, ctx.dim + 1)))
     spec = a_spectrum(dec, x, ctx.tol)
     poly = a_numerical_range(dec, x, 72, ctx.tol)
-    slack = 1e-7 * max(1.0, float(np.linalg.norm(dec.a @ x, 2)))
+    slack = 10 * ctx.tol.rtol * max(1.0, float(np.linalg.norm(dec.a @ x, 2)))
     for z in spec.points:
         ctx.check(poly.contains(z, slack), f"point {z} outside", "spectrum inside outer polygon")
     # returned vertices must form a convex counterclockwise polygon
     v = poly.vertices
     for i in range(len(v)):
         a, b, c = v[i - 1], v[i], v[(i + 1) % len(v)]
-        turn = (np.conj(b - a) * (c - b)).imag
-        ctx.check(turn >= -slack, f"reflex corner at {b}", "convex counterclockwise vertex sequence")
+        ctx.check_at_most(-(np.conj(b - a) * (c - b)).imag, slack, f"clockwise turn at vertex {b}:")
 
 
 def _hausdorff(p: list[complex], q: list[complex]) -> float:
@@ -601,32 +606,25 @@ def _prop_numrange_classical(ctx: CheckContext):
     x = ctx.normal_matrix()
     poly = a_numerical_range(dec, x, 360, ctx.tol)
     eigs = [complex(z) for z in np.linalg.eigvals(x)]
-    hull = convex_hull(eigs, eps=1e-12)
-    dist = _hausdorff(list(poly.vertices), hull)
-    ctx.check(dist <= 1e-6 * max(1.0, max(abs(z) for z in eigs)), f"Hausdorff {dist:.3e}", "<= 1e-6 scale")
+    dist = _hausdorff(list(poly.vertices), convex_hull(eigs, eps=_HULL_MERGE))
+    ctx.check_at_most(dist, 100 * ctx.tol.rtol * max(1.0, max(abs(z) for z in eigs)), "Hausdorff distance to the hull")
 
 
 def _prop_block_permanence(ctx: CheckContext):
     d1 = max(2, ctx.dim // 2)
     d2 = max(2, ctx.dim - d1)
-    rng = ctx.rng
-    blocks_a, blocks_x = [], []
-    for d in (d1, d2):
-        a_b, x_b = generate_instance(d, int(rng.integers(1, d + 1)), int(rng.integers(2**63)))
-        blocks_a.append(a_b)
-        blocks_x.append(x_b)
-    a = np.zeros((d1 + d2, d1 + d2), dtype=np.complex128)
-    x = np.zeros_like(a)
-    a[:d1, :d1], a[d1:, d1:] = blocks_a
-    x[:d1, :d1], x[d1:, d1:] = blocks_x
-    ctx._record("a", a)
-    ctx._record("x", x)
+    (a1, x1), (a2, x2) = (
+        generate_instance(d, int(ctx.rng.integers(1, d + 1)), int(ctx.rng.integers(2**63))) for d in (d1, d2)
+    )
+    zero = np.zeros((d1, d2))
+    a = ctx.record("a", np.block([[a1, zero], [zero.T, a2]]))
+    x = ctx.record("x", np.block([[x1, zero], [zero.T, x2]]))
     dec = psd_decompose(a, ctx.tol)
     res = a_invertible(dec, x, ctx.tol)
     if not res.invertible:
         return
     off = max(max_abs(res.canonical[:d1, d1:]), max_abs(res.canonical[d1:, :d1]))
-    ctx.check(off <= 1e-9, f"off-diagonal magnitude {off:.3e}", "<= 1e-9")
+    ctx.check_at_most(off, 10 * ctx.tol.atol, "off-diagonal magnitude")
 
 
 def _prop_omega_demo(ctx: CheckContext):
@@ -673,7 +671,7 @@ def _prop_omega_truncation_growth(ctx: CheckContext):
         res = a_invertible(dec, x, ctx.tol)
         ctx.check(res.invertible, f"N={n_points} not invertible", "invertible truncation")
         norm = a_seminorm(dec, res.canonical, ctx.tol).value
-        ctx.check(norm >= n_points * (1 - 1e-9), f"inverse seminorm {norm}", f">= {n_points}")
+        ctx.check_at_most(n_points * (1 - 10 * ctx.tol.atol), norm, f"N={n_points} (1 - 10 atol), against |Y|_A:")
 
 
 PROPERTIES: tuple[tuple[str, object], ...] = (

@@ -164,8 +164,15 @@ def unit_scaled(m: ComplexMatrix) -> tuple[ComplexMatrix, int]:
 
 
 def times_pow2(v, k: int):
-    """v 2^k, exact or inf or subnormal; in three parts, as 2^1024 overflows and alpha (degree -2) takes |k| to 2146."""
-    return v * 2.0 ** (k // 3) * 2.0 ** (k // 3) * 2.0 ** (k - 2 * (k // 3))
+    """v 2^k, exact or inf or subnormal; in three parts, as 2^1024 overflows and alpha (degree -2) takes |k| to 2146.
+
+    A numpy value past float max reads inf without a RuntimeWarning, as a Python float does; only a positive k or
+    an array of exponents (gelfand_sequence's) can overflow, so no other call enters the errstate."""
+    third, rest = 2.0 ** (k // 3), 2.0 ** (k - 2 * (k // 3))
+    if not (isinstance(k, int) and k <= 0) and isinstance(v, (np.ndarray, np.generic)):
+        with np.errstate(over="ignore"):
+            return v * third * third * rest
+    return v * third * third * rest
 
 
 def pow2_text(v: float, k: int) -> str:

@@ -140,7 +140,7 @@ def a_spectrum(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig = DEF
             centroids.append(z)
     points = sorted([0j] * contains_zero + centroids[contains_zero:], key=lambda w: (w.real, w.imag))
     radius = times_pow2(max(map(abs, points), default=0.0), member.k)
-    return ASpectrumResult(tuple(times_pow2(p, member.k) for p in points), radius, contains_zero)
+    return ASpectrumResult(tuple(times_pow2(np.array(points, dtype=complex), member.k).tolist()), radius, contains_zero)
 
 
 def a_spectral_radius(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> float:
@@ -470,7 +470,7 @@ def a_numerical_range(
     angles, support, touch = _support_data(w, directions)
     spread = max((abs(z) for z in touch), default=0.0)
     hull = convex_hull(touch, eps=tol.rtol * spread)
-    vertices, support = tuple(times_pow2(z, k) for z in hull), tuple(times_pow2(h, k) for h in support)
+    vertices, support = (tuple(times_pow2(np.array(v), k).tolist()) for v in (hull, support))
     return NumericalRangePolygon(directions=directions, vertices=vertices, angles=tuple(angles), support=support)
 
 

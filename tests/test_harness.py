@@ -8,9 +8,12 @@ import pytest
 
 from aspec.harness import (
     PROPERTIES,
+    CheckContext,
+    _Failed,
     generate_instance,
     run_property_suite,
 )
+from aspec.linalg import ToleranceConfig
 from aspec.psd import psd_decompose
 from aspec.seminorm import _complex_gaussian, a_membership
 
@@ -74,13 +77,20 @@ def test_smoke_run_and_determinism():
 
 @pytest.mark.parametrize(
     "kwargs, name",
-    [({"dims": ()}, "dims"), ({"dims": (0,)}, "dims"), ({"dims": (2, -3)}, "dims"), ({"seed": -1}, "seed")],
-    ids=["no-dims", "dim-0", "dim-minus-3", "seed-minus-1"],
+    [
+        ({"dims": ()}, "dims"),
+        ({"dims": (0,)}, "dims"),
+        ({"dims": (2, -3)}, "dims"),
+        ({"seed": -1}, "seed"),
+        ({"trials": 0}, "trials"),
+    ],
+    ids=["no-dims", "dim-0", "dim-minus-3", "seed-minus-1", "trials-0"],
 )
 def test_suite_rejects_arguments_that_check_nothing_or_cannot_seed(kwargs, name):
-    # no dims would report a pass that checked nothing, and dim 0 or a negative seed is bad input, not a property failure
+    # no dims or no trials would report a pass that checked nothing, and dim 0 or a negative seed is bad input,
+    # not a property failure
     with pytest.raises(ValueError, match=f"^{name} must"):
-        run_property_suite(trials=1, **kwargs)
+        run_property_suite(**{"trials": 1, **kwargs})
 
 
 def test_suite_passes_on_modest_run():
@@ -108,3 +118,18 @@ def test_forced_failures_replay_identically():
     for r1, r2 in zip(first, second):
         assert [asdict(f) for f in r1.failures] == [asdict(f) for f in r2.failures]
     json.dumps([asdict(r) for r in first])  # must not raise
+
+
+@pytest.mark.parametrize("name", ["identity_weight_collapse", "numrange_classical"])
+def test_tolerance_sets_the_bounds_that_were_literals(name):
+    # read from t, these bounds are 0 at t = 0, so ordinary rounding must break them on some context: a bound
+    # that ignored t would pass all 25
+    index, prop = next((i, fn) for i, (n, fn) in enumerate(PROPERTIES) if n == name)
+    broken = []
+    for trial in range(5):
+        for dim in range(2, 7):
+            try:
+                prop(CheckContext(seed=(0, index, trial, dim), dim=dim, tol=ToleranceConfig(0.0)))
+            except _Failed as f:
+                broken.append(f.expected)
+    assert "<= 0.0e+00" in broken, broken

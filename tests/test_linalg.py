@@ -83,6 +83,20 @@ def test_read_rejects_nesting_too_deep_to_decode():
             read_matrix(doc)
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ("[1]", "top-level JSON value must be an object"),
+        ('{"rows":1,"cols":1}', "missing field: 'data'"),
+        ('{"rows":1,"cols":1,"data":[[[1]]]}', "entry (0,0): expected [re, im] pair"),
+    ],
+    ids=["not-an-object", "no-data", "not-a-pair"],
+)
+def test_read_rejects_documents_outside_the_wire_schema(doc, message):
+    with pytest.raises(MatrixFormatError, match=f"^{re.escape(message)}$"):
+        read_matrix(doc)
+
+
 def test_read_checks_row_lengths_before_allocating():
     # the declared shape would take 14.6 TiB, which the row lengths contradict
     with pytest.raises(MatrixFormatError, match="row 0: declared 1000000000000 cols, got 0"):
@@ -232,6 +246,15 @@ def test_approx_equal_reflexive_symmetric(m, n):
     n = n.astype(np.complex128)
     assert approx_equal(m, m)
     assert approx_equal(m, n) == approx_equal(n, m)
+
+
+@pytest.mark.filterwarnings("error")
+def test_times_pow2_reads_inf_past_float_max_without_a_warning():
+    # a numpy array or scalar overflows to inf silently, as a Python float does, and stays exact below float max
+    big = np.array([0.75, 0.5 + 1.5j, -3.0])
+    assert np.array_equal(times_pow2(big, 1024), [1.5 * 2.0**1023, complex(2.0**1023, math.inf), -math.inf])
+    assert times_pow2(np.float64(2.0), 1024) == times_pow2(np.complex128(2.0), 1024).real == math.inf
+    assert np.array_equal(times_pow2(big, -1), big / 2) and times_pow2(2.0, 1024) == math.inf
 
 
 @pytest.mark.filterwarnings("error")

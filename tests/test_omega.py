@@ -1,5 +1,6 @@
 """Exact symbolic sequence-space algebra: parser, limits, classification."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from aspec.omega import (
     OmegaSyntaxError,
     RationalExpr,
     Verdict,
+    ZERO_EXPR,
     a_inverse_classify,
     demo_function,
     demo_weight,
@@ -181,6 +183,8 @@ def test_element_literal_roundtrip():
         parse_element("odd=1")
     with pytest.raises(ValueError):
         parse_element("odd=1;odd=2;even=3")
+    with pytest.raises(ValueError, match=re.escape("needs 'odd=<expr>;even=<expr>', got segment 'evn=2'")):
+        parse_element("odd=1;evn=2")
 
 
 def test_element_rejects_pole_on_domain():
@@ -284,3 +288,41 @@ def test_rational_print_parse_roundtrip(e):
     again = parse_rational(printed)
     assert again == e
     assert str(again) == printed
+
+
+@pytest.mark.parametrize(
+    "text, message, position",
+    [("(1", "expected ')'", 2), ("1 2", "unexpected trailing input '2'", 2)],
+    ids=["unclosed", "trailing"],
+)
+def test_parse_names_what_it_expected_and_where(text, message, position):
+    with pytest.raises(OmegaSyntaxError, match=re.escape(f"{message} (at position {position})")) as err:
+        parse_rational(text)
+    assert err.value.position == position
+
+
+def test_rational_expressions_refuse_zero_divisors_and_poles():
+    one = parse_rational("1")
+    with pytest.raises(ZeroDivisionError, match="^division by the zero polynomial$"):
+        one / ZERO_EXPR
+    with pytest.raises(ZeroDivisionError, match="^reciprocal of the zero function$"):
+        ZERO_EXPR.reciprocal()
+    with pytest.raises(ZeroDivisionError, match="^expression has a pole at n=1$"):
+        parse_rational("1/(n-1)").eval(1)
+
+
+def test_elements_refuse_unknown_branches_and_points():
+    e = demo_function()
+    with pytest.raises(ValueError, match="^unknown branch tag 'middle'$"):
+        e.branch("middle")
+    with pytest.raises(ValueError, match="^point index must be >= 1$"):
+        e.value_at(0)
+    with pytest.raises(ValueError, match="^points must be >= 1$"):
+        diagonal_truncation(e, 0)
+
+
+def test_sign_analysis_refuses_coefficients_too_large_to_enumerate():
+    # the Cauchy root bound of n + 10^7 is 10^7 + 1, past the enumeration limit of 10^6
+    big = parse_rational("(n+10000000)/(n+1)")
+    with pytest.raises(ValueError, match="^coefficients too large for exact sign analysis$"):
+        is_well_supported(OmegaElement.of(big, big))

@@ -8,6 +8,7 @@ from aspec.linalg import approx_equal
 from aspec.psd import psd_decompose
 from aspec.seminorm import (
     NotMemberError,
+    VectorState,
     a_adjoint,
     a_membership,
     a_seminorm,
@@ -231,3 +232,19 @@ def test_decisions_hold_where_squared_entries_underflow_or_overflow(scale):
     # and a member stays one, the self-adjoint projection stays self-adjoint
     assert a_membership(d, scale * cdiag(1, 2))
     assert is_a_selfadjoint(d.a, scale * cdiag(1, 0))
+
+
+@pytest.mark.filterwarnings("error")
+def test_outputs_past_float_max_read_inf_without_a_warning():
+    # X# = A^+ X* A and U = A^(1/2) X A^(-1/4) each have one entry past float max, 1e308 2^20 and 1e308 2^5:
+    # it reads inf, as a scalar output does, and the other entries keep their values
+    d = psd_decompose(cdiag(1.0, 2.0**-20))
+    x = cmat([[1e300, 1e308], [1e300, 1e300]])
+    np.testing.assert_allclose(a_adjoint(d, x), [[1e300, 1e300 * 2.0**-20], [np.inf, 1e300]], rtol=1e-12)
+    u = membership_certificate(d, x)
+    np.testing.assert_allclose(u, [[1e300, np.inf], [1e300 * 2.0**-10, 1e300 * 2.0**-5]], rtol=1e-12)
+
+
+def test_vector_state_needs_a_positive_weight():
+    with pytest.raises(ValueError, match="^vector state needs <A h, h> > 0$"):
+        VectorState(h=np.array([1.0, 0.0], dtype=complex), weight=0.0)

@@ -127,6 +127,11 @@ def test_gelfand_diagonal(d_rank1):
     assert gelfand_sequence(d_rank1, cdiag(2, 3), 6) == pytest.approx([2.0] * 6)
 
 
+def test_gelfand_needs_at_least_one_term(d_rank1):
+    with pytest.raises(ValueError, match="^n_max must be positive$"):
+        gelfand_sequence(d_rank1, cdiag(2, 3), 0)
+
+
 def test_gelfand_no_overflow_for_large_radius():
     d = psd_decompose(np.eye(2, dtype=complex))
     terms = gelfand_sequence(d, cdiag(10.0, 3.0), 256)
