@@ -2,7 +2,8 @@
 
 Matrices are read from files in the wire format of the linalg module; every
 subcommand prints exactly one JSON object to stdout and diagnostics to
-stderr.
+stderr.  The output is RFC 8259 JSON: a result with a non-finite number,
+such as a seminorm past float max, exits 1 with an error and prints nothing.
 
 Importing this module loads no numerical code and not numpy: each subcommand
 imports what it runs when it runs.  ``seminorm`` and ``adjoint`` load linalg,
@@ -36,8 +37,13 @@ def _points(values) -> list[list[float]]:
 
 
 def _emit(obj: dict) -> int:
-    # one dumps call: json.dump writes through the pure-Python encoder, dumps through the C one
-    sys.stdout.write(json.dumps(obj) + "\n")
+    # one dumps call: json.dump writes through the pure-Python encoder, dumps through the C one; allow_nan=False
+    # keeps the output RFC 8259 JSON, so a non-finite result is an error and nothing reaches stdout
+    try:
+        text = json.dumps(obj, allow_nan=False)
+    except ValueError:
+        raise ValueError("non-finite result: JSON holds no inf or nan") from None
+    sys.stdout.write(text + "\n")
     return 0
 
 

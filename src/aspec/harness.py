@@ -218,10 +218,11 @@ class CheckContext:
             self.fail(f"{what}: deviation {max_abs(m - n):.3e}", f"{what}: entrywise agreement")
 
     def check_psd_dominates(self, big: ComplexMatrix, small: ComplexMatrix, what: str):
-        gap = float(np.min(np.linalg.eigvalsh((big - small + (big - small).conj().T) / 2)))
-        slack = self.slack(max(max_abs(big), max_abs(small)))
-        if gap < -slack:
-            self.fail(f"{what}: eigenvalue defect {gap:.3e}", f"{what}: >= -{slack:.1e}")
+        """big - small >= 0 within slack: its least eigenvalue, negated, at most slack, which a NaN fails.  LAPACK
+        can return finite eigenvalues for a NaN entry, so a non-finite difference reads as a NaN eigenvalue."""
+        diff = big - small
+        gap = float(np.min(np.linalg.eigvalsh((diff + diff.conj().T) / 2))) if np.isfinite(diff).all() else np.nan
+        self.check_at_most(-gap, self.slack(max(max_abs(big), max_abs(small))), f"{what}: negated least eigenvalue")
 
 
 # ---------------------------------------------------------------------------

@@ -91,7 +91,7 @@ def neumann_a_inverse(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfi
     at atol = 0); raises ConvergenceError if the cap of 10 000 terms is hit first.
     """
     member = _require_member(d, x, tol)
-    norm, m = times_pow2(member.norm, member.k), times_pow2(member.m, member.k)
+    norm, m = times_pow2(float(member.w_svals.max(initial=0.0)), member.w[1]), times_pow2(*member.w)
     if norm >= 1:
         raise ValueError(f"seminorm {norm:.6g} is not below 1; the series diverges")
     total = np.eye(d.rank, dtype=np.complex128)
@@ -115,8 +115,8 @@ def thvn_certificate(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig
     invertibility; it is the top eigenvalue of the pencil (A^2, A X X* A).
     c and alpha are degree +-2 in X, so outside about 1e+-154 they leave float
     range: c reads inf, alpha inf or 0.  That is their size, not a defect.
-    c squares sigma_max(M) and 1 / sigma_min(M), each scaled back from the
-    member's S; alpha is scaled back once, by 2^(-2k).
+    c squares sigma_max(W) 2^e and 2^-e / sigma_min(W), read on the member's
+    W = M 2^-e; alpha is scaled back once, by 2^(-2k).
     Raises NotMemberError for non-members.
     """
     member = _require_member(d, x, tol)
@@ -126,7 +126,7 @@ def thvn_certificate(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig
     if d.rank == 0:
         return ThvnCertificate(c=inflate, alpha=inflate)
     # squares by multiplication, which reads inf past float max where ** raises OverflowError
-    k, bottom = member.k, float(member.svals[-1])
-    top = max(times_pow2(float(member.m_svals[0]), k), times_pow2(1.0 / float(member.m_svals[-1]), -k))
+    k, e, bottom = member.k, member.w[1], float(member.svals[-1])
+    top = max(times_pow2(float(member.w_svals[0]), e), times_pow2(1.0 / float(member.w_svals[-1]), -e))
     alpha = times_pow2(inflate / (bottom * bottom), -2 * k) if bottom * bottom else math.inf
     return ThvnCertificate(c=top * top * inflate, alpha=alpha)

@@ -147,8 +147,12 @@ def matrix_to_obj(m: ComplexMatrix) -> dict:
 
 
 def write_matrix(m: ComplexMatrix) -> str:
-    """Serialize to the JSON wire format.  Round-trips bit-exactly through read_matrix."""
-    return json.dumps(matrix_to_obj(m))
+    """Serialize to the JSON wire format.  Round-trips bit-exactly through read_matrix; MatrixFormatError for a
+    non-finite entry, which the format cannot hold."""
+    try:
+        return json.dumps(matrix_to_obj(m), allow_nan=False)
+    except ValueError:
+        raise MatrixFormatError("matrix contains a non-finite entry") from None
 
 
 def max_abs(m: ComplexMatrix) -> float:

@@ -3,13 +3,15 @@
 A square matrix X has a finite weighted seminorm exactly when it leaves the
 null space of the weight invariant.  Each public call that needs a member
 decides that once, in _require_member, and hands its cores a Member, which
-holds the compressions of X to the range, their singular values, the
-seminorm and the rank cutoff (see its docstring).  A Member is built once on
-S = X 2^-k, (S, k) = unit_scaled(X), and each public output leaves it scaled
-back once, by 2^(deg k) for its degree deg in X, so the outputs at 2^j X are
-those at X times 2^(deg j), bit for bit.  An independent route to the
-seminorm goes through the supremum of the state functionals f(X*AX)/f(A)
-in the full space; both are exposed so they can be cross-checked.
+holds the compression C of X to the range and its similar form M, each once
+and unit-scaled, with their singular values, and the rank cutoff (see its
+docstring).  A Member is built once on S = X 2^-k, (S, k) = unit_scaled(X),
+and keeps M as W = M 2^-e.  Each public output of degree deg in X leaves it
+scaled back once, by 2^(deg k) when read on C and by 2^(deg e) when read on
+W, so the outputs at 2^j X are those at X times 2^(deg j), bit for bit.  An
+independent route to the seminorm goes through the supremum of the state
+functionals f(X*AX)/f(A) in the full space; both are exposed so they can be
+cross-checked.
 """
 
 from __future__ import annotations
@@ -79,23 +81,24 @@ def _is_point(svals: np.ndarray, cut: float) -> bool:
 class Member:
     """A member X of the weight d and the values the member-assuming cores read, each built on first use.
 
-    Every field is read on s, the S of (S, k) = unit_scaled(X), whose
-    largest entry modulus lies in [1/2, 1); a value of degree deg in X is
-    that at X times 2^(-deg k).  With Q the orthonormal range basis of d and
-    L its retained eigenvalues, c is the compression C = Q* S Q and m its
-    similar form M = L^(1/2) C L^(-1/2), which is A^(1/2) S (A^(1/2))^dagger
-    on the range; svals and m_svals are their singular values, descending,
-    and norm, the seminorm of S, is sigma_max(M) (0 at rank 0).  w is
-    (M 2^(k - e), e) for the e that brings the largest entry modulus of
-    M 2^(k - e) into [1/2, 1): the one scaled copy of M, with e the exponent
-    that takes it to units of X.  cut is the one rank test: lam is a point
-    of the weighted spectrum iff sigma_min(C - lam 2^-k) <= cut, and X is
-    invertible iff 0 is not a point.  It is tol.cutoff(sigma_max(C)), or
-    sigma_max(C) itself when that is at most rounding = tol.rounding(dim,
-    ||S||_F), the rounding of forming C from S: C is then zero to rounding,
-    as when A X = 0, and every singular value is cut.  C decides the cut,
-    the points, the witness candidates and the canonical inverse; every
-    measurement, the witness checks and the mollifier included, runs on M.
+    It holds two matrices, each once and unit-scaled, with their descending
+    singular values.  With Q the orthonormal range basis of d and L its
+    retained eigenvalues, c is the compression C = Q* S Q of the S of
+    (S, k) = unit_scaled(X), whose largest entry modulus lies in [1/2, 1), and
+    svals are its singular values.  w is (W, e) for the similar form
+    M = L^(1/2) (Q* X Q) L^(-1/2), which is A^(1/2) X (A^(1/2))^dagger on the
+    range, kept as W = M 2^-e, built from C, for the e that brings W's largest
+    entry modulus into [1/2, 1); w_svals are W's singular values, so the
+    seminorm of X is sigma_max(W) 2^e (0 at rank 0).  A value of degree deg
+    in X read on C is scaled back by 2^(deg k), and one read on W by
+    2^(deg e).  cut is the one rank test: lam is a point of the weighted
+    spectrum iff sigma_min(C - lam 2^-k) <= cut, and X is invertible iff 0 is
+    not a point.  It is tol.cutoff(sigma_max(C)), or sigma_max(C) itself when
+    that is at most rounding = tol.rounding(dim, ||S||_F), the rounding of
+    forming C from S: C is then zero to rounding, as when A X = 0, and every
+    singular value is cut.  C decides the cut, the points, the witness
+    candidates and the canonical inverse; every measurement, the witness
+    checks and the mollifier included, runs on W.
     """
 
     d: PsdDecomposition
@@ -122,21 +125,13 @@ class Member:
         return top if top <= self.rounding else self.tol.cutoff(top)
 
     @cached_property
-    def m(self) -> ComplexMatrix:
-        return self.c * self.d.range_sqrt[:, None] / self.d.range_sqrt[None, :]
-
-    @cached_property
     def w(self) -> tuple[ComplexMatrix, int]:
-        w, j = unit_scaled(self.m)
+        w, j = unit_scaled(self.c * self.d.range_sqrt[:, None] / self.d.range_sqrt[None, :])
         return w, j + self.k
 
     @cached_property
-    def m_svals(self) -> np.ndarray:
-        return np.linalg.svd(self.m, compute_uv=False)
-
-    @cached_property
-    def norm(self) -> float:
-        return float(self.m_svals.max(initial=0.0))
+    def w_svals(self) -> np.ndarray:
+        return np.linalg.svd(self.w[0], compute_uv=False)
 
     @property
     def singular(self) -> bool:
@@ -186,7 +181,7 @@ def a_seminorm(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig = DEF
         member = _require_member(d, x, tol)
     except NotMemberError:
         return ASeminormValue(finite=False)
-    return ASeminormValue(finite=True, value=times_pow2(member.norm, member.k))
+    return ASeminormValue(finite=True, value=times_pow2(float(member.w_svals.max(initial=0.0)), member.w[1]))
 
 
 def a_seminorm_oracle(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> float:
@@ -209,10 +204,10 @@ def a_adjoint(d: PsdDecomposition, x: ComplexMatrix, tol: ToleranceConfig = DEFA
     """Canonical weighted adjoint A^dagger X* A, satisfying A X = (adjoint)* A.
 
     Weighted adjoints are not unique; this pins the representative supported on the range of the
-    weight, lift(M*) = Q L^-1 C* L Q* from the member's M.  Raises NotMemberError for non-members.
+    weight, lift(M*) = Q L^-1 C* L Q*, read as lift(W*) 2^e from the member's W.  Raises NotMemberError for non-members.
     """
-    member = _require_member(d, x, tol)
-    return times_pow2(d.lift(member.m.conj().T), member.k)
+    w, e = _require_member(d, x, tol).w
+    return times_pow2(d.lift(w.conj().T), e)
 
 
 def _complex_gaussian(rng: np.random.Generator, shape, scale: float = 1.0) -> np.ndarray:

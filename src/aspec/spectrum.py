@@ -278,7 +278,7 @@ def _verify_witness(member: Member, lam: complex, side: Side, g: np.ndarray) -> 
     Y = (X - lam)^# gives f((X - lam)* A (X - lam)) = 0 on the left.
     """
     gap, sup, k = _scaled_witness(member, lam, side, g)
-    rtol, x_norm = member.tol.rtol, times_pow2(member.norm, member.k - k)
+    rtol, x_norm = member.tol.rtol, float(member.w_svals[0])
     return gap <= rtol * x_norm and sup <= rtol * (x_norm + times_pow2(abs(lam), -k))
 
 

@@ -177,6 +177,19 @@ def test_hermitian_defect_past_float_max_is_printed_finite(files, capsys):
     assert "not Hermitian" in err and "inf" not in err
 
 
+@pytest.mark.parametrize(
+    "argv", [["seminorm"], ["spectrum"], ["radius", "--gelfand", "2"], ["numrange", "--directions", "4"]]
+)
+def test_non_finite_result_is_an_error_not_json_infinity(files, capsys, argv):
+    # A = I and X = 1.3e308 ones: the seminorm, the point and the radius 2.6e308, the Gelfand terms and the vertex
+    # are past float max; RFC 8259 JSON has no Infinity, so the call fails and stdout stays empty
+    a = files("a", cdiag(1, 1))
+    x = files("x", cmat(1.3e308 * np.ones((2, 2))))
+    code, out, err = run_cli(capsys, *argv, "--a", a, "--x", x)
+    assert code == 1 and out == ""
+    assert err.startswith("error: non-finite result")
+
+
 def test_tol_override_changes_policy(files, capsys):
     # a weight that is PSD only up to 1e-6 noise: rejected at defaults,
     # accepted when --tol loosens the whole policy

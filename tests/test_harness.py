@@ -133,3 +133,13 @@ def test_tolerance_sets_the_bounds_that_were_literals(name):
             except _Failed as f:
                 broken.append(f.expected)
     assert "<= 0.0e+00" in broken, broken
+
+
+def test_psd_dominates_fails_on_a_nan_defect():
+    # LAPACK returns the eigenvalues [0, -0] for diag(nan, 0), so only the finiteness of big - small can see the NaN
+    ctx = CheckContext(seed=(0,), dim=2, tol=ToleranceConfig())
+    with pytest.raises(_Failed, match="negated least eigenvalue nan"):
+        ctx.check_psd_dominates(np.array([[np.nan, 0], [0, 1]]), np.eye(2), "big >= small")
+    ctx.check_psd_dominates(2 * np.eye(2), np.eye(2), "big >= small")  # finite gaps keep their verdicts
+    with pytest.raises(_Failed, match="negated least eigenvalue 1.000e-03"):
+        ctx.check_psd_dominates(np.eye(2), np.diag([1, 1 + 1e-3]), "big >= small")

@@ -7,7 +7,7 @@ from aspec.harness import generate_instance
 from aspec.invert import _MAX_TERMS, ConvergenceError, a_invertible, neumann_a_inverse, thvn_certificate
 from aspec.linalg import DEFAULT_TOL, ToleranceConfig, approx_equal, max_abs, times_pow2
 from aspec.psd import psd_decompose
-from aspec.seminorm import NotMemberError, _require_member, a_seminorm, random_member
+from aspec.seminorm import NotMemberError, _require_member, a_adjoint, a_seminorm, random_member
 
 from conftest import cdiag, cmat
 
@@ -133,7 +133,11 @@ def _neumann_reference(d, x, tol=DEFAULT_TOL, max_terms=_MAX_TERMS, size=np.lina
     """neumann_a_inverse with size(term) <= atol deciding the stop, as a reference: the Frobenius norm by
     default, or _sigma_max, the rule of one svd per term, which stops at the term's seminorm."""
     member = _require_member(d, x, tol)
-    m = times_pow2(member.m, member.k)  # the member's M in units of X
+    return _neumann_series(d, times_pow2(*member.w), tol, max_terms, size)  # the member's M in units of X
+
+
+def _neumann_series(d, m, tol=DEFAULT_TOL, max_terms=_MAX_TERMS, size=np.linalg.norm):
+    """The series of _neumann_reference on a given M, in units of X."""
     total = term = np.eye(d.rank, dtype=np.complex128)
     for _ in range(max_terms):
         term = term @ m
@@ -303,3 +307,31 @@ def test_inverse_non_uniqueness():
     assert approx_equal(d.a @ x @ y2, d.a)
     assert approx_equal(d.a @ y2 @ x, d.a)
     assert approx_equal(d.a @ y2, d.a @ res.canonical)
+
+
+def test_w_route_equals_the_m_route_bit_for_bit():
+    # Every M-based output reads the member's W = M 2^-e and scales back by 2^e.  The route this test builds
+    # itself, M = C sqrt(L_i) / sqrt(L_j) from the member's C in units of S, scaled back by 2^k, gives the same
+    # bits: products and LAPACK's svd are exact under power-of-two scaling at these scales.
+    rtol = DEFAULT_TOL.rtol
+    for dim in range(1, 9):
+        for rank in range(dim + 1):
+            a, x0 = generate_instance(dim, rank, 2900 + 10 * dim + rank)
+            d = psd_decompose(a)
+            value = a_seminorm(d, x0).value
+            for x in [times_pow2(x0, j) for j in (0, 1, -1, 3, 300, -300)] + ([x0 * (0.5 / value)] if value else []):
+                member = _require_member(d, x, DEFAULT_TOL)
+                m, k = member.c * d.range_sqrt[:, None] / d.range_sqrt[None, :], member.k
+                svals = np.linalg.svd(m, compute_uv=False)
+                top = times_pow2(float(svals.max(initial=0.0)), k)
+                assert a_seminorm(d, x).value == top
+                assert np.array_equal(a_adjoint(d, x), times_pow2(d.lift(m.conj().T), k))
+                if top < 1:
+                    assert np.array_equal(neumann_a_inverse(d, x), _neumann_series(d, times_pow2(m, k)))
+                else:
+                    with pytest.raises(ValueError, match="is not below 1"):
+                        neumann_a_inverse(d, x)
+                cert = thvn_certificate(d, x)
+                if cert is not None and rank:
+                    c = max(top, times_pow2(1.0 / float(svals[-1]), -k))
+                    assert cert.c == c * c * (1.0 + rtol)

@@ -165,6 +165,13 @@ def test_write_read_roundtrip_is_identity():
     assert np.array_equal(m, again)  # bit-exact
 
 
+@pytest.mark.parametrize("entry", [np.inf, np.nan * 1j])
+def test_write_refuses_a_non_finite_entry(entry):
+    # the wire format holds no Infinity or NaN, which read_matrix would refuse: no round trip exists
+    with pytest.raises(MatrixFormatError, match="^matrix contains a non-finite entry$"):
+        write_matrix(cmat([[1, entry]]))
+
+
 def test_write_emits_wire_schema():
     doc = json.loads(write_matrix(cmat([[1j, 2]])))
     assert doc == {"rows": 1, "cols": 2, "data": [[[0.0, 1.0], [2.0, 0.0]]]}

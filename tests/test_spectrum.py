@@ -285,7 +285,7 @@ def _numrange_cases():
 def test_numerical_range_matches_one_eigh_per_direction(directions):
     for d, x in _numrange_cases():
         member = _require_member(d, x, DEFAULT_TOL)
-        m, (w, k) = times_pow2(member.m, member.k), member.w  # M in units of X, and its unit-scaled form
+        m, (w, k) = times_pow2(*member.w), member.w  # M in units of X, and its unit-scaled form
         scale = float(np.linalg.norm(m, 2))
         poly = a_numerical_range(d, x, directions)
         angles, support, touch = _support_data(w, directions)
@@ -326,7 +326,7 @@ def test_stacked_supports_equal_one_eigh_per_direction(rank):
     rng = np.random.default_rng(100 + rank)
     ms = [rng.standard_normal((rank, rank)) + 1j * rng.standard_normal((rank, rank))]
     if rank <= 6:
-        ms += [_require_member(d, x, DEFAULT_TOL).m for d, x in _numrange_cases() if d.rank == rank]
+        ms += [_require_member(d, x, DEFAULT_TOL).w[0] for d, x in _numrange_cases() if d.rank == rank]
     counts = [3, 7, 8, 72, 720]
     if rank <= 16:
         assert (_UNEVEN_DIRECTIONS // 2) % _block_size(rank)
@@ -525,7 +525,7 @@ def _gelfand_reference(d, x, n_max):
     float sum grows with n alone and not with n |log scale|.
     """
     member = _require_member(d, x, DEFAULT_TOL)
-    w = times_pow2(member.m, member.k)  # the member's M in units of X
+    w = times_pow2(*member.w)  # the member's M in units of X
     terms, cur, exp_sum, log_sum, dead = [], np.eye(d.rank, dtype=complex), 0, 0.0, False
     for n in range(1, n_max + 1):
         if not dead:
@@ -923,7 +923,7 @@ def _reference_witness(d, x, lam, side, tol=DEFAULT_TOL, spot_checks=20):
     radius = tol.rtol * float(np.linalg.svd(c, compute_uv=False).max())  # candidate eigenvalues lie within rtol * sigma_max(C)
     lam_r = d.range_eigvals
     member = _require_member(d, x, DEFAULT_TOL)
-    m = times_pow2(member.m, member.k)  # the member's M in units of X
+    m = times_pow2(*member.w)  # the member's M in units of X
     if side == "left":
         evals, evecs = np.linalg.eig(m)
         target, back = lam, lam_r**-0.5
@@ -953,7 +953,7 @@ def _reference_witness(d, x, lam, side, tol=DEFAULT_TOL, spot_checks=20):
             y = random_member(d, rng)
             val = state(a @ shift @ y) if side == "right" else state(a @ y @ shift)
             y_member = _require_member(d, y, DEFAULT_TOL)
-            y_norm = float(np.linalg.svd(times_pow2(y_member.m, y_member.k), compute_uv=False).max())
+            y_norm = float(np.linalg.svd(times_pow2(*y_member.w), compute_uv=False).max())
             if abs(val) > tol.rtol * (x_norm + abs(lam)) * y_norm:
                 ok = False
                 break
