@@ -5,6 +5,8 @@ branches: the value at t = 1/(2n-1) (odd branch) and at t = 1/(2n) (even
 branch), each as a function of n >= 1 with exact rational coefficients.
 Limits at the accumulation point 0 are decided by degree comparison, never
 by floating point, so classification results are bit-identical across runs.
+Signs and integer roots are decided exactly, by Sturm chains, at every
+coefficient size: the parser's digit limit is the exact side's only size refusal.
 
 The expression grammar (whitespace insignificant):
 
@@ -24,7 +26,7 @@ loads numpy.
 from __future__ import annotations
 
 import functools
-import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -33,7 +35,6 @@ from typing import TYPE_CHECKING, Optional
 if TYPE_CHECKING:
     import numpy as np
 
-_ENUM_LIMIT = 1_000_000  # largest exact sign-analysis enumeration we accept
 _MAX_NESTING = 200  # parentheses and unary minus signs: each level costs the parser up to 3 of Python's 1000 frames
 
 
@@ -107,7 +108,7 @@ def _pgcd(p, q):
     return tuple(c / a[-1] for c in a)  # monic
 
 
-def _peval(p, value: Fraction) -> Fraction:
+def _peval(p, value: Fraction | int) -> Fraction:
     acc = Fraction(0)
     for c in reversed(p):
         acc = acc * value + c
@@ -136,40 +137,46 @@ def _pstr(p) -> str:
     return "".join(parts) if parts else "0"
 
 
-def _integer_scaled(p) -> list[int]:
-    scale = math.lcm(*(c.denominator for c in p)) if p else 1
-    return [int(c * scale) for c in p]
+def _variations(values) -> int:
+    signs = [v > 0 for v in values if v]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
-def _positive_integer_roots(p) -> list[int]:
-    """Integer roots >= 1, by the rational root theorem on the scaled polynomial.
+def _root_cells(p) -> list[int]:
+    """Integers j >= 1 whose cell (j, j+1] holds a real root of p, ascending, by Sturm's theorem on the chain
+    p, p', -rem, ..., g = gcd(p, p'), divided by g: the chain of p/g, square-free, counts a repeated root too."""
+    chain = [p, tuple(i * c for i, c in enumerate(p))[1:]]
+    while chain[-1]:
+        chain.append(_pneg(_pdivmod(chain[-2], chain[-1])[1]))
+    g = chain[-2]
+    chain = [_pdivmod(q, g)[0] for q in chain[:-1]] if len(g) > 1 else chain[:-1]  # a constant g changes no count
 
-    Coefficients without a sign change have no positive root (Descartes).
-    Raises ValueError when the divisor scan would pass _ENUM_LIMIT.
-    """
-    ints = _integer_scaled(p)
-    if len({c > 0 for c in ints if c}) < 2:
+    def v(x: int) -> int:  # v(x) - v(y) distinct roots lie in (x, y]
+        return _variations([_peval(q, x) for q in chain])
+
+    v_inf = _variations([q[-1] for q in chain])
+    h = 2
+    while v(h) != v_inf:
+        h *= h
+    cells, stack = [], [(1, h, v(1), v_inf)]
+    while stack:
+        lo, hi, v_lo, v_hi = stack.pop()
+        if v_lo > v_hi:
+            mid = (lo + hi) // 2
+            if mid == lo:
+                cells.append(lo)
+            else:
+                v_mid = v(mid)
+                stack += [(mid, hi, v_mid, v_hi), (lo, mid, v_lo, v_mid)]
+    return cells
+
+
+def _probes(p) -> list[int]:
+    """1 and both ends of every root cell of p: p keeps its sign on the integers between probes and past the last.
+    With no sign change in its coefficients, p has no positive root (Descartes) and needs no probe."""
+    if not _variations(p):
         return []
-    while ints[0] == 0:
-        ints.pop(0)
-    c0 = abs(ints[0])
-    if math.isqrt(c0) > _ENUM_LIMIT:
-        raise ValueError("coefficients too large for exact root search")
-    roots = []
-    for r in range(1, int(math.isqrt(c0)) + 1):
-        if c0 % r == 0:
-            for cand in (r, c0 // r):
-                if cand >= 1 and _peval(p, Fraction(cand)) == 0 and cand not in roots:
-                    roots.append(cand)
-    return sorted(roots)
-
-
-def _root_bound(p) -> int:
-    """Cauchy bound: all real roots lie strictly inside [-B, B]."""
-    if len(p) <= 1:
-        return 1
-    lead = abs(p[-1])
-    return 1 + math.ceil(max(abs(c) for c in p[:-1]) / lead)
+    return sorted({1}.union(*((j, j + 1) for j in _root_cells(p))))
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +267,7 @@ class RationalExpr:
 
     def pole_points(self) -> list[int]:
         """Integer points n >= 1 where the stored denominator vanishes."""
-        return _positive_integer_roots(self.den)
+        return [n for n in _probes(self.den) if not _peval(self.den, n)]
 
     def to_string(self) -> str:
         num_str = _pstr(self.num)
@@ -394,6 +401,8 @@ class _Parser:
             start = self.pos
             while self.pos < len(self.text) and self.text[self.pos].isdigit():
                 self.pos += 1
+            if 0 < sys.get_int_max_str_digits() < self.pos - start:  # int() refuses longer literals; 0 is no limit
+                raise OmegaSyntaxError(f"integer literal longer than {sys.get_int_max_str_digits()} digits", start)
             return RationalExpr.constant(int(self.text[start : self.pos]))
         raise OmegaSyntaxError(f"unexpected character {ch!r}" if ch else "unexpected end of input", self.pos)
 
@@ -478,22 +487,9 @@ class OmegaElement:
 
 
 def _branch_nonnegative(expr: RationalExpr) -> bool:
-    """Exact decision of expr(n) >= 0 for every integer n >= 1.
-
-    Signs are constant beyond the Cauchy root bound of numerator and
-    denominator, so it suffices to enumerate integers up to that bound and
-    compare leading coefficients for the tail.  Raises if the bound is too
-    large to enumerate exactly (conservative failure, never a silent pass).
-    """
-    if expr.is_zero:
-        return True
-    bound = max(_root_bound(expr.num), _root_bound(expr.den))
-    if bound > _ENUM_LIMIT:
-        raise ValueError("coefficients too large for exact sign analysis")
-    for k in range(1, bound + 1):
-        if expr.eval(k) < 0:
-            return False
-    return expr.num[-1] * expr.den[-1] > 0
+    """Exact decision of expr(n) >= 0 for every integer n >= 1, by the sign of p = num*den at its probes and past them."""
+    p = _pmul(expr.num, expr.den)
+    return all(_peval(p, n) >= 0 for n in _probes(p)) and (not p or p[-1] > 0)
 
 
 def is_well_supported(a: OmegaElement) -> bool:
@@ -622,11 +618,14 @@ def element_to_literal(e: OmegaElement) -> str:
 
 
 def diagonal_truncation(e: OmegaElement, points: int) -> np.ndarray:
-    """Diagonal matrix of the element's values at the first ``points`` points
-    t = 1, 1/2, ..., 1/points (float64)."""
+    """Diagonal matrix of the element's values at the first ``points`` points t = 1, 1/2, ..., 1/points (float64).
+    A nonzero value above float max, or one that rounds to 0, raises ValueError; subnormal values stay."""
     import numpy as np
 
     if points < 1:
         raise ValueError("points must be >= 1")
-    values = [float(e.value_at(k)) for k in range(1, points + 1)]
-    return np.diag(np.asarray(values, dtype=np.complex128))
+    values = [e.value_at(k) for k in range(1, points + 1)]
+    for k, value in enumerate(values, 1):
+        if value and not (abs(value) <= sys.float_info.max and float(value)):
+            raise ValueError(f"value at point {k} is nonzero and outside the float range")
+    return np.diag(np.asarray([float(v) for v in values], dtype=np.complex128))

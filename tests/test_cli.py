@@ -133,6 +133,13 @@ def test_omega_classify_bad_literal(capsys):
     assert code != 0 and out == "" and err
 
 
+def test_omega_classify_refuses_an_oversized_literal_by_name(capsys):
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(capsys, "omega", "classify", "--a", "odd=1;even=" + "1" * (limit + 1), "--x", "odd=1;even=1")
+    assert (code, out) == (1, "")
+    assert err == f"error: integer literal longer than {limit} digits (at position 0)\n"
+
+
 def test_omega_demo(capsys):
     code, out, _ = run_cli(capsys, "omega", "demo-e009")
     doc = json.loads(out)

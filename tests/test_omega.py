@@ -1,6 +1,7 @@
 """Exact symbolic sequence-space algebra: parser, limits, classification."""
 
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from aspec.omega import (
     parse_element,
     parse_rational,
 )
+from aspec.omega import _branch_nonnegative, _peval, _pmul
 from aspec.psd import psd_decompose
 from aspec.seminorm import a_seminorm
 
@@ -192,12 +194,12 @@ def test_element_rejects_pole_on_domain():
         OmegaElement.of(parse_rational("1/(n-3)"), RationalExpr.constant(0))
 
 
-def test_pole_search_is_bounded():
-    # no sign change: no positive root, decided without a divisor scan
+def test_pole_search_finds_a_pole_at_any_size():
+    # no sign change: no positive root (Descartes), decided without a Sturm chain
     e = parse_element(f"odd=1/(n+{10**30});even=1")
     assert e.odd_branch.pole_points() == []
-    # a sign change with a huge constant term is refused, not scanned
-    with pytest.raises(ValueError):
+    # a sign change: the chain isolates the root, and the element is refused for its pole there
+    with pytest.raises(ValueError, match=f"^odd branch undefined at n={10**30}$"):
         parse_element(f"odd=1/(n-{10**30});even=1")
 
 
@@ -321,8 +323,69 @@ def test_elements_refuse_unknown_branches_and_points():
         diagonal_truncation(e, 0)
 
 
-def test_sign_analysis_refuses_coefficients_too_large_to_enumerate():
-    # the Cauchy root bound of n + 10^7 is 10^7 + 1, past the enumeration limit of 10^6
-    big = parse_rational("(n+10000000)/(n+1)")
-    with pytest.raises(ValueError, match="^coefficients too large for exact sign analysis$"):
-        is_well_supported(OmegaElement.of(big, big))
+def test_sign_analysis_decides_coefficients_of_any_size():
+    # each has a root bound past 10^6, so each is decided by root isolation, not by enumerating integers
+    for text in ("(n+10000000)/(n+1)", "(n+1000000)/(n+1)", "((n-2000)*(n-2000)+1)/(n*n)"):
+        big = parse_rational(text)
+        assert is_well_supported(OmegaElement.of(big, big)), text
+    assert is_well_supported(parse_element("odd=0;even=(n+999990)/(n+1)"))
+    with pytest.raises(ValueError, match=f"^odd branch undefined at n={10**13}$"):
+        parse_element(f"odd=1/(n-{10**13});even=1")
+    x = parse_element(f"odd=(n-{10**13 + 1})/(n+1);even=1")
+    assert a_inverse_classify(parse_element("odd=1;even=1"), x).verdict is Verdict.NO_SOLUTION
+
+
+def _cauchy_bound(p) -> int:
+    """Least integer B >= 1 with |p_d| B^d > sum |p_i| B^i over i < d: every real root of p lies in (-B, B)."""
+    b = 1
+    while abs(p[-1]) * b ** (len(p) - 1) <= sum(abs(c) * b**i for i, c in enumerate(p[:-1])):
+        b += 1
+    return b
+
+
+def _planted(roots, factor):
+    """factor * prod(n - r) over the planted roots, repeats kept."""
+    p = tuple(factor)
+    for r in roots:
+        p = _pmul(p, (Fraction(-r), Fraction(1)))
+    return p
+
+
+planted_roots = st.lists(st.integers(1, 20), max_size=4)
+factors = st.lists(fractions, min_size=1, max_size=3).filter(lambda c: c[-1] != 0)
+
+
+@given(roots=planted_roots, factor=factors, half_roots=st.lists(st.integers(0, 20), max_size=2))
+def test_roots_and_signs_agree_with_evaluation_at_every_integer(roots, factor, half_roots):
+    inverse = RationalExpr.make((1,), _planted(roots, factor))
+    bound = _cauchy_bound(inverse.den)
+    assert inverse.pole_points() == [n for n in range(1, bound) if not _peval(inverse.den, Fraction(n))]
+    # poles at half-integers only, so the expression is defined at every integer n >= 1
+    expr = RationalExpr.make(_planted(roots, factor), _planted([Fraction(2 * s + 1, 2) for s in half_roots], (1,)))
+    p = _pmul(expr.num, expr.den)
+    brute = all(expr.eval(n) >= 0 for n in range(1, _cauchy_bound(p))) and p[-1] > 0
+    assert _branch_nonnegative(expr) is brute
+
+
+def test_a_repeated_root_is_found_with_the_simple_ones():
+    # every member of the chain of p itself vanishes at the double root 8; the square-free chain does not
+    assert parse_rational("1/((n-8)*(n-8)*(n-3)*(n-12))").pole_points() == [3, 8, 12]
+
+
+def test_parse_refuses_a_literal_past_the_int_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(OmegaSyntaxError, match=re.escape(f"integer literal longer than {limit} digits (at position 2)")):
+        parse_rational("n+" + "1" * (limit + 1))
+    assert parse_rational("9" * limit) == RationalExpr.constant(int("9" * limit))
+
+
+@pytest.mark.parametrize(
+    ("literal", "point"),
+    [(f"odd=1/(n*{10**400});even=1", 1), (f"odd=1;even={10**400}", 2)],
+    ids=["rounds-to-zero", "past-float-max"],
+)
+def test_truncation_refuses_values_a_float_cannot_hold(literal, point):
+    with pytest.raises(ValueError, match=f"^value at point {point} is nonzero and outside the float range$"):
+        diagonal_truncation(parse_element(literal), 3)
+    # a subnormal value is held, as it is
+    assert diagonal_truncation(parse_element(f"odd=1/{2**1070};even=1"), 2)[0, 0] == 2.0**-1070
